@@ -286,27 +286,6 @@ def cover_number(
     return best_len, tuple(boxes[i] for i in sorted(best_sol))
 
 
-def brute_force_cover_number(f: ColoredFunction, catalog: MonochromaticCatalog) -> int:
-    """Subset-enumeration oracle; only for catalogs of at most 20 boxes."""
-    from itertools import combinations
-
-    entries = catalog.all_boxes()
-    boxes = [b for _, b in entries]
-    if len(boxes) > 20:
-        raise InvalidInputError("oracle is capped at 20 boxes")
-    shape = f.shape
-    masks = [_cell_mask(b, shape) for b in boxes]
-    universe = (1 << shape.num_cells) - 1
-    for k in range(1, len(boxes) + 1):
-        for combo in combinations(range(len(boxes)), k):
-            acc = 0
-            for i in combo:
-                acc |= masks[i]
-            if acc == universe:
-                return k
-    raise InvalidInputError("catalog does not cover the domain")
-
-
 # ---------------------------------------------------------------------------
 # Fooling sets
 

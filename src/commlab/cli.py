@@ -9,24 +9,21 @@ Exit codes: 0 success, 1 inequality violation found, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 from .bounds import bound_summary, cover_number, enumerate_maximal_monochromatic
-from .core import DomainShape, Protocol, TranscriptSelector, compile_tree
+from .core import DomainShape, Protocol, TranscriptSelector
 from .errors import CommlabError, InvalidInputError, SolverTimeoutError
 from .functions import (
-    constant_function,
     eq_function,
+    gen_cover,
+    gen_function,
     gen_relation,
-    matvec_function,
     parity_tightness_protocol,
-    random_bounded_cover,
-    random_function,
     random_tree,
     trivial_merlin_am,
-    trivial_merlin_cover,
-    windmill_cover,
     xor_function,
 )
 from .info import JointDistribution
@@ -55,6 +52,25 @@ def parse_seeds(text: str) -> tuple[int, ...]:
 
 def parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.lower().split("x"))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def parse_rho_max(text: str) -> tuple[int, ...]:
+    """"2,4,8": comma-separated thickness caps, each at least 1."""
+    return tuple(_positive_int(t) for t in text.split(","))
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,12 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seeds", type=parse_seeds, default=())
     verify.add_argument("--instance")
     verify.add_argument("--arity", type=int, default=None)
-    verify.add_argument("--max-bits", type=int, default=4)
-    verify.add_argument("--rho-max", default="2,4,8")
+    verify.add_argument("--max-bits", type=_positive_int, default=4)
+    verify.add_argument("--rho-max", type=parse_rho_max, default=(2, 4, 8))
     verify.add_argument("--extra", type=int, default=4)
     verify.add_argument("--rho-mode", choices=["global", "max-box", "expected"],
                         default="global")
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=_finite_float, default=1e-9)
     verify.add_argument("--out")
     verify.add_argument("--format", choices=["csv", "json"], default="csv")
     verify.add_argument("--plot")
@@ -139,21 +155,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_function(args):
-    if args.fn == "xor":
-        return xor_function(args.n)
-    if args.fn == "eq":
-        return eq_function(args.n)
-    if args.fn == "matvec":
-        return matvec_function(args.arity, args.n)
-    if args.fn == "constant":
+    shape = None
+    if args.fn in ("constant", "random"):
         if args.sizes is None:
-            raise InvalidInputError("--fn constant needs --sizes")
-        return constant_function(DomainShape(args.sizes))
-    if args.fn == "random":
-        if args.sizes is None:
-            raise InvalidInputError("--fn random needs --sizes")
-        return random_function(DomainShape(args.sizes), args.colors, args.seed)
-    return None
+            raise InvalidInputError(f"--fn {args.fn} needs --sizes")
+        shape = DomainShape(args.sizes)
+    return gen_function(
+        args.fn,
+        n=args.n,
+        arity=getattr(args, "arity", 2),
+        shape=shape,
+        num_colors=args.colors,
+        seed=args.seed,
+    )
 
 
 def _cmd_gen(args) -> int:
@@ -179,18 +193,15 @@ def _cmd_gen(args) -> int:
         raise InvalidInputError("--sizes conflicts with the target's domain")
 
     kind = args.cover or "trivial-merlin"
-    if kind == "trivial-merlin":
-        cover = trivial_merlin_cover(shape)
-    elif kind == "windmill":
-        cover = windmill_cover()
-        if cover.shape.sizes != shape.sizes:
-            raise InvalidInputError("windmill is 4x4; adjust --sizes")
-    elif kind == "random-tree":
-        cover = compile_tree(random_tree(shape, seed=args.seed)).cover
+    if kind == "random-tree":
+        cover = gen_cover("from-tree", tree=random_tree(shape, seed=args.seed))
     else:
-        cover = random_bounded_cover(
-            shape, rho_max=args.rho_max, extra=args.extra, seed=args.seed
+        cover = gen_cover(
+            kind, shape=shape, rho_max=args.rho_max, extra=args.extra, seed=args.seed
         )
+    if cover.shape.sizes != shape.sizes:
+        sizes = "x".join(str(n) for n in cover.shape.sizes)
+        raise InvalidInputError(f"--cover {kind} is {sizes}; adjust --sizes")
     if args.selector == "min-index":
         selector = TranscriptSelector.min_index()
     else:
@@ -239,7 +250,7 @@ def _cmd_verify(args) -> int:
         generator=args.gen,
         arity=arity,
         max_bits=args.max_bits,
-        rho_max=tuple(int(t) for t in str(args.rho_max).split(",")),
+        rho_max=args.rho_max,
         extra=args.extra,
         rho_mode=args.rho_mode,
         tol=args.tol,

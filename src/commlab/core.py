@@ -3,13 +3,16 @@ and deterministic protocol trees.
 
 Factor sets are stored as int bitmasks so membership and intersection are
 O(words). All types are immutable after construction; every operation here is
-a pure function.
+a pure function. Per-cell and per-box thickness and the selected box of every
+cell are computed once per Cover/Protocol and cached on it as read-only
+arrays; the module-level table functions read that cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,6 +179,17 @@ def box(shape: DomainShape, *factors) -> Box:
     return b
 
 
+def _box_index(b: Box) -> tuple[np.ndarray, ...]:
+    """Open-mesh index of a box's cells into a grid-shaped array."""
+    return np.ix_(*(indices_from_mask(m) for m in b.masks))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr = arr.reshape(-1)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Cover:
     """An ordered list of boxes intended to cover the whole domain."""
@@ -194,6 +208,26 @@ class Cover:
     def num_boxes(self) -> int:
         return len(self.boxes)
 
+    @cached_property
+    def _cell_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(per-cell thickness, smallest containing box index or -1), flat
+        row-major; one pass over the boxes, last to first."""
+        counts = np.zeros(self.shape.sizes, dtype=np.int64)
+        first = np.full(self.shape.sizes, -1, dtype=np.int64)
+        for i in range(self.num_boxes - 1, -1, -1):
+            index = _box_index(self.boxes[i])
+            counts[index] += 1
+            first[index] = i
+        return _read_only(counts), _read_only(first)
+
+    @cached_property
+    def _box_thickness(self) -> np.ndarray:
+        """Max cell thickness inside each box; the second pass."""
+        counts = self._cell_tables[0].reshape(self.shape.sizes)
+        return _read_only(
+            np.array([counts[_box_index(b)].max() for b in self.boxes], dtype=np.int64)
+        )
+
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -203,11 +237,8 @@ class CoverageReport:
 
 
 def thickness_table(cover: Cover) -> np.ndarray:
-    """Per-cell count of covering boxes, flat row-major int array."""
-    counts = np.zeros(cover.shape.num_cells, dtype=np.int64)
-    for b in cover.boxes:
-        counts[b.indicator(cover.shape)] += 1
-    return counts
+    """Per-cell count of covering boxes, flat row-major read-only int array."""
+    return cover._cell_tables[0]
 
 
 def validate_cover(cover: Cover) -> CoverageReport:
@@ -226,23 +257,19 @@ def thickness(cover: Cover, *, cell=None, box: int | None = None) -> int:
     all cells). Pass at most one of cell/box; neither means global."""
     if cell is not None and box is not None:
         raise InvalidInputError("pass at most one of cell= and box=")
-    counts = thickness_table(cover)
     if cell is not None:
-        return int(counts[cover.shape.linear_index(cell)])
+        return int(thickness_table(cover)[cover.shape.linear_index(cell)])
     if box is not None:
         if not 0 <= box < cover.num_boxes:
             raise InvalidInputError(f"box index {box} out of range")
-        return int(counts[cover.boxes[box].indicator(cover.shape)].max())
-    return int(counts.max())
+        return int(box_thickness_table(cover)[box])
+    return int(thickness_table(cover).max())
 
 
 def box_thickness_table(cover: Cover) -> np.ndarray:
-    """Thickness of every box (max cell thickness inside it), index-aligned."""
-    counts = thickness_table(cover)
-    return np.array(
-        [int(counts[b.indicator(cover.shape)].max()) for b in cover.boxes],
-        dtype=np.int64,
-    )
+    """Thickness of every box (max cell thickness inside it), index-aligned,
+    read-only."""
+    return cover._box_thickness
 
 
 SELECTOR_KINDS = ("min-index", "seeded-random", "explicit")
@@ -309,9 +336,37 @@ class Protocol:
     def shape(self) -> DomainShape:
         return self.cover.shape
 
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        sel = self.selector
+        if sel.kind == "explicit":
+            return _read_only(np.array(sel.table, dtype=np.int64))
+        counts, first = self.cover._cell_tables
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            cell = self.shape.cell_of_linear(int(missing[0]))
+            raise UncoveredCellError(f"cell {cell} is covered by no box")
+        if sel.kind == "min-index":
+            return first
+        # seeded-random: pick position hash64(seed, linear) mod rho_cell among
+        # the containing boxes in ascending index order. Each containing box
+        # counts a cell's position down by one, so exactly one of them finds
+        # it at zero.
+        sizes = self.shape.sizes
+        picks = np.array([hash64(sel.seed, i) for i in range(counts.size)], dtype=np.uint64)
+        remaining = (picks % counts.astype(np.uint64)).astype(np.int64).reshape(sizes)
+        out = np.full(sizes, -1, dtype=np.int64)
+        for i, b in enumerate(self.cover.boxes):
+            index = _box_index(b)
+            left = remaining[index]
+            out[index] = np.where(left == 0, i, out[index])
+            remaining[index] = left - 1
+        return _read_only(out)
+
 
 def select_transcript(protocol: Protocol, cell) -> int:
-    """Index of the box the selector designates for one cell."""
+    """Index of the box the selector designates for one cell; the per-cell
+    reference that selector_labels is tested against."""
     shape = protocol.shape
     lin = shape.linear_index(cell)
     sel = protocol.selector
@@ -326,34 +381,8 @@ def select_transcript(protocol: Protocol, cell) -> int:
 
 
 def selector_labels(protocol: Protocol) -> np.ndarray:
-    """Selected box index for every cell, flat row-major."""
-    shape = protocol.shape
-    n = shape.num_cells
-    sel = protocol.selector
-    if sel.kind == "explicit":
-        return np.asarray(sel.table, dtype=np.int64)
-    out = np.full(n, -1, dtype=np.int64)
-    if sel.kind == "min-index":
-        for i in range(protocol.cover.num_boxes - 1, -1, -1):
-            out[protocol.cover.boxes[i].indicator(shape)] = i
-        if (out < 0).any():
-            cell = shape.cell_of_linear(int(np.flatnonzero(out < 0)[0]))
-            raise UncoveredCellError(f"cell {cell} is covered by no box")
-        return out
-    # seeded-random: pick position hash64(seed, linear) mod rho_cell among the
-    # containing boxes in ascending index order.
-    counts = thickness_table(protocol.cover)
-    if (counts == 0).any():
-        cell = shape.cell_of_linear(int(np.flatnonzero(counts == 0)[0]))
-        raise UncoveredCellError(f"cell {cell} is covered by no box")
-    picks = np.array([hash64(sel.seed, i) for i in range(n)], dtype=np.uint64)
-    remaining = (picks % counts.astype(np.uint64)).astype(np.int64)
-    for i, b in enumerate(protocol.cover.boxes):
-        ind = b.indicator(shape)
-        hit = ind & (out < 0) & (remaining == 0)
-        out[hit] = i
-        remaining[ind] -= 1
-    return out
+    """Selected box index for every cell, flat row-major and read-only."""
+    return protocol._labels
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +436,10 @@ def compile_tree(tree: ProtocolTree) -> Protocol:
 
     walk(tree.root, tuple((1 << s) - 1 for s in shape.sizes))
     cover = Cover(shape, tuple(boxes))
-    table = np.full(shape.num_cells, -1, dtype=np.int64)
-    for i, b in enumerate(cover.boxes):
-        table[b.indicator(shape)] = i
-    # leaves partition the domain by the split discipline, so every cell got
-    # exactly one leaf
+    # leaves partition the domain by the split discipline, so every cell's
+    # smallest containing box is its unique leaf
+    table = cover._cell_tables[1]
     return Protocol(cover, TranscriptSelector.explicit(table.tolist()))
-
-
-def tree_depth(tree: ProtocolTree) -> int:
-    def depth(node) -> int:
-        if isinstance(node, TreeLeaf):
-            return 0
-        return 1 + max(depth(node.left), depth(node.right))
-
-    return depth(tree.root)
 
 
 def log2_int(value: int) -> float:

@@ -374,7 +374,7 @@ def random_bounded_cover(
         rng = np.random.default_rng(seed)
     base = compile_tree(random_tree(shape, rng=rng)).cover
     boxes = list(base.boxes)
-    counts = thickness_table(base)
+    counts = thickness_table(base).copy()  # the cover's table is read-only
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
     added = 0

@@ -274,10 +274,7 @@ def info_quantity(dist: JointDistribution, variables: VariableSpec, expr: str) -
     if len(groups) == 3:
         if given:
             raise InvalidInputError("triple information does not take a condition here")
-        a, b, w = (_parse_group(g) for g in groups)
-        return engine.mutual_information(a, b) - engine.mutual_information(
-            a, b, given=w
-        )
+        return _triple(engine, *(_parse_group(g) for g in groups)).value
     raise InvalidInputError(f"I takes 2 or 3 groups, got {len(groups)}")
 
 
@@ -298,14 +295,8 @@ class TripleInformation:
     formula_gap: float
 
 
-def triple_information(
-    dist: JointDistribution, variables: VariableSpec, x_group, y_group, w_group
-) -> TripleInformation:
-    """I(X:Y:W) via I(X:Y) - I(X:Y|W), plus the absolute gap against the
-    inclusion-exclusion form H(W) - H(W|X) - H(W|Y) + H(W|X,Y). Both are exact
-    identities for Shannon entropy, so the gap is floating-point noise."""
-    x, y, w = _as_names(x_group), _as_names(y_group), _as_names(w_group)
-    engine = InfoEngine(dist, variables)
+def _triple(engine: InfoEngine, x, y, w) -> TripleInformation:
+    x, y, w = _as_names(x), _as_names(y), _as_names(w)
     first = engine.mutual_information(x, y) - engine.mutual_information(x, y, given=w)
     second = (
         engine.entropy(w)
@@ -316,39 +307,32 @@ def triple_information(
     return TripleInformation(value=first, formula_gap=abs(first - second))
 
 
+def triple_information(
+    dist: JointDistribution, variables: VariableSpec, x_group, y_group, w_group
+) -> TripleInformation:
+    """I(X:Y:W) via I(X:Y) - I(X:Y|W), plus the absolute gap against the
+    inclusion-exclusion form H(W) - H(W|X) - H(W|Y) + H(W|X,Y). Both are exact
+    identities for Shannon entropy, so the gap is floating-point noise."""
+    return _triple(InfoEngine(dist, variables), x_group, y_group, w_group)
+
+
 # ---------------------------------------------------------------------------
 # Protocol-aware quantities
 
 
-def _check_support_covered(dist: JointDistribution, protocol: Protocol) -> None:
-    counts = thickness_table(protocol.cover)
-    bad = np.flatnonzero((dist.p > 0.0) & (counts == 0))
-    if bad.size:
-        cell = protocol.shape.cell_of_linear(int(bad[0]))
-        raise InvalidInputError(f"distribution puts mass on uncovered cell {cell}")
-
-
-def protocol_variables(protocol: Protocol) -> VariableSpec:
-    """Coordinates X0..X{l-1} plus the transcript variable T."""
-    variables = VariableSpec.coordinates(protocol.shape)
-    return variables.with_variable("T", selector_labels(protocol))
-
-
-def internal_information_cost(dist: JointDistribution, protocol: Protocol) -> float:
-    """Sum over parties of I(X_i : T | other coordinates). For two parties
-    this is I(X:T|Y) + I(Y:T|X)."""
-    if dist.shape.sizes != protocol.shape.sizes:
-        raise InvalidInputError("distribution shape does not match protocol domain")
-    _check_support_covered(dist, protocol)
-    variables = protocol_variables(protocol)
-    engine = InfoEngine(dist, variables)
-    arity = protocol.shape.arity
+def _information_cost(engine: InfoEngine, arity: int) -> float:
     names = [f"X{i}" for i in range(arity)]
     total = 0.0
     for i in range(arity):
         rest = tuple(n for j, n in enumerate(names) if j != i)
         total += engine.mutual_information((names[i],), ("T",), given=rest)
     return total
+
+
+def internal_information_cost(dist: JointDistribution, protocol: Protocol) -> float:
+    """Sum over parties of I(X_i : T | other coordinates). For two parties
+    this is I(X:T|Y) + I(Y:T|X)."""
+    return build_profile(dist, protocol)["IC"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,9 +397,13 @@ def build_profile(
 
     if dist.shape.sizes != protocol.shape.sizes:
         raise InvalidInputError("distribution shape does not match protocol domain")
-    _check_support_covered(dist, protocol)
     shape = protocol.shape
     arity = shape.arity
+    counts = thickness_table(protocol.cover)
+    bad = np.flatnonzero((dist.p > 0.0) & (counts == 0))
+    if bad.size:
+        cell = shape.cell_of_linear(int(bad[0]))
+        raise InvalidInputError(f"distribution puts mass on uncovered cell {cell}")
     t_labels = selector_labels(protocol)
 
     flags: list[str] = []
@@ -468,7 +456,6 @@ def build_profile(
         variables = variables.with_variable("F", f_labels)
     engine = InfoEngine(dist, variables)
 
-    counts = thickness_table(protocol.cover)
     rho_global = int(counts.max())
     box_rho = box_thickness_table(protocol.cover)
     selected_boxes = np.unique(t_labels)
@@ -485,21 +472,13 @@ def build_profile(
     q["H(X1|X0)"] = engine.cond_entropy("X1", "X0")
     q["chain_gap"] = abs(q["H(X0,X1)"] - q["H(X0)"] - q["H(X1|X0)"])
 
+    triple = _triple(engine, "X0", "X1", "T")
     if arity == 2:
         q["I(X0:X1)"] = engine.mutual_information("X0", "X1")
         q["I(X0:X1|T)"] = engine.mutual_information("X0", "X1", given="T")
-        triple = triple_information(dist, variables, "X0", "X1", "T")
         q["I(X0:X1:T)"] = triple.value
-        q["triple_gap"] = triple.formula_gap
-    else:
-        triple = triple_information(dist, variables, "X0", "X1", "T")
-        q["triple_gap"] = triple.formula_gap
-
-    ic = 0.0
-    for i in range(arity):
-        rest = tuple(n for j, n in enumerate(names) if j != i)
-        ic += engine.mutual_information((names[i],), ("T",), given=rest)
-    q["IC"] = ic
+    q["triple_gap"] = triple.formula_gap
+    q["IC"] = _information_cost(engine, arity)
 
     if f_labels is not None:
         q["H(F)"] = engine.entropy("F")

@@ -382,12 +382,12 @@ def _write_reproducer(config: SuiteConfig, seed: int, protocol, function, dist) 
     return path
 
 
-def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str], dict]:
-    """Run one seeded instance; returns (row, violation tags, gap stats)."""
-    start = time.monotonic()
-    protocol, function, dist = _random_instance(config, seed)
-    profile = build_profile(dist, protocol, target=function, f_mode="function")
-    tol = config.tol
+def check_profile(
+    profile: InfoProfile, suite: str, rho_mode: str, tol: float
+) -> tuple[ReportRow, list[str], dict]:
+    """Run one suite's checks on a profile; returns (row, violation tags, gap
+    stats). main and tree run the two-party checks, multiparty the l-party
+    ones; the transcript and with-f checks need a profile with F."""
     violations: list[str] = []
     stats = {
         "chain_gap": profile["chain_gap"],
@@ -401,48 +401,60 @@ def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str],
     row = ReportRow(
         instance_id=profile.fingerprint[:12],
         status="ok",
-        seed=seed,
         sizes="x".join(str(s) for s in profile.sizes),
         rho_global=profile.rho_global,
         rho_box_max=profile.rho_box_max,
         H_T=profile["H(T)"],
     )
 
-    if config.suite in ("main", "tree"):
-        main = check_main_inequality(profile, config.rho_mode)
-        identity, bound = check_ic(profile, config.rho_mode)
-        transcript = check_transcript_bound(profile, "function", config.rho_mode)
+    if suite in ("main", "tree"):
+        main = check_main_inequality(profile, rho_mode)
+        identity, bound = check_ic(profile, rho_mode)
         row.I_XY = profile["I(X0:X1)"]
         row.I_XY_given_T = profile["I(X0:X1|T)"]
         row.margin_main = main.margin
         row.ic = profile["IC"]
         row.margin_ic = bound.margin
         stats["ic_gap"] = -identity.margin
-        stats["transcript_margin"] = transcript.margin
         if main.margin < -tol:
             violations.append("main")
         if -identity.margin > tol:
             violations.append("ic-identity")
-        if main.margin >= 0.0 and transcript.margin < -tol:
-            violations.append("transcript")
+        if profile.f_mode is not None:
+            mode = "function" if profile.f_mode == "function" else "relation"
+            transcript = check_transcript_bound(profile, mode, rho_mode)
+            stats["transcript_margin"] = transcript.margin
+            if main.margin >= 0.0 and transcript.margin < -tol:
+                violations.append("transcript")
         deficit = max(0.0, -main.margin)
         if bound.margin < -deficit - tol:
             violations.append("ic-bound")
-    elif config.suite == "multiparty":
-        multi = check_multiparty(profile, config.arity, "transcript-only", config.rho_mode)
-        with_f = check_multiparty(profile, config.arity, "with-f", config.rho_mode)
+    elif suite == "multiparty":
+        multi = check_multiparty(profile, profile.arity, "transcript-only", rho_mode)
         row.margin_main = multi.margin
         row.ic = profile["IC"]
-        stats["with_f_margin"] = with_f.margin
         if multi.margin < -tol:
             violations.append("multiparty")
-        if with_f.margin < -tol:
-            violations.append("multiparty-with-f")
+        if profile.f_mode is not None:
+            with_f = check_multiparty(profile, profile.arity, "with-f", rho_mode)
+            stats["with_f_margin"] = with_f.margin
+            if with_f.margin < -tol:
+                violations.append("multiparty-with-f")
     else:
-        raise InvalidInputError(f"unknown suite {config.suite!r}")
+        raise InvalidInputError(f"unknown suite {suite!r}")
 
     if violations:
         row.status = "violation:" + "+".join(violations)
+    return row, violations, stats
+
+
+def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str], dict]:
+    """Run one seeded instance; returns (row, violation tags, gap stats)."""
+    start = time.monotonic()
+    protocol, function, dist = _random_instance(config, seed)
+    profile = build_profile(dist, protocol, target=function, f_mode="function")
+    row, violations, stats = check_profile(profile, config.suite, config.rho_mode, config.tol)
+    row.seed = seed
     row.runtime_ms = (time.monotonic() - start) * 1000.0
     return row, violations, stats
 
@@ -487,51 +499,19 @@ def batch_experiment(config: SuiteConfig) -> BatchResult:
 def analyze_instance(
     bundle, rho_mode: str = "global", tol: float = 1e-9, seed: int | None = None
 ) -> tuple[ReportRow, list[str]]:
-    """Main-suite checks for one loaded instance bundle (uniform distribution
-    when the file does not carry one)."""
+    """Checks for one loaded instance bundle (uniform distribution when the
+    file does not carry one): the main-suite checks for two parties, the
+    multiparty checks otherwise."""
     start = time.monotonic()
     protocol = bundle.protocol
     dist = bundle.distribution or JointDistribution.uniform(protocol.shape)
-    violations: list[str] = []
     if bundle.function is not None:
-        profile = build_profile(dist, protocol, target=bundle.function, f_mode="function")
-    elif bundle.relation is not None:
-        profile = build_profile(dist, protocol, target=bundle.relation, f_mode="box-color")
+        target, f_mode = bundle.function, "function"
     else:
-        profile = build_profile(dist, protocol)
-    row = ReportRow(
-        instance_id=profile.fingerprint[:12],
-        status="ok",
-        seed=seed,
-        sizes="x".join(str(s) for s in profile.sizes),
-        rho_global=profile.rho_global,
-        rho_box_max=profile.rho_box_max,
-        H_T=profile["H(T)"],
-    )
-    if profile.arity == 2:
-        main = check_main_inequality(profile, rho_mode)
-        identity, bound = check_ic(profile, rho_mode)
-        row.I_XY = profile["I(X0:X1)"]
-        row.I_XY_given_T = profile["I(X0:X1|T)"]
-        row.margin_main = main.margin
-        row.ic = profile["IC"]
-        row.margin_ic = bound.margin
-        if main.margin < -tol:
-            violations.append("main")
-        if -identity.margin > tol:
-            violations.append("ic-identity")
-        if profile.f_mode is not None:
-            mode = "function" if profile.f_mode == "function" else "relation"
-            transcript = check_transcript_bound(profile, mode, rho_mode)
-            if main.margin >= 0.0 and transcript.margin < -tol:
-                violations.append("transcript")
-    else:
-        multi = check_multiparty(profile, profile.arity, "transcript-only", rho_mode)
-        row.margin_main = multi.margin
-        row.ic = profile["IC"]
-        if multi.margin < -tol:
-            violations.append("multiparty")
-    if violations:
-        row.status = "violation:" + "+".join(violations)
+        target, f_mode = bundle.relation, "box-color"
+    profile = build_profile(dist, protocol, target=target, f_mode=f_mode)
+    suite = "main" if profile.arity == 2 else "multiparty"
+    row, violations, _ = check_profile(profile, suite, rho_mode, tol)
+    row.seed = seed
     row.runtime_ms = (time.monotonic() - start) * 1000.0
     return row, violations

@@ -78,3 +78,20 @@ def brute_maximal_monochromatic(colors) -> dict:
                 maximal.append((tuple(sorted(r1)), tuple(sorted(c1))))
         out[color] = sorted(set(maximal))
     return out
+
+
+def brute_force_cover_number(n_rows: int, n_cols: int, boxes) -> int:
+    """Fewest of the given (rows, cols) rectangles whose union is the whole
+    grid, by subset enumeration; only for at most 20 rectangles."""
+    if len(boxes) > 20:
+        raise ValueError("oracle is capped at 20 rectangles")
+    masks = [sum(1 << (x * n_cols + y) for x in rows for y in cols) for rows, cols in boxes]
+    universe = (1 << (n_rows * n_cols)) - 1
+    for k in range(1, len(masks) + 1):
+        for combo in combinations(masks, k):
+            acc = 0
+            for m in combo:
+                acc |= m
+            if acc == universe:
+                return k
+    raise ValueError("rectangles do not cover the grid")

@@ -32,10 +32,11 @@ from commlab import (
     trivial_merlin_cover,
     xor_function,
 )
-from commlab.bounds import brute_force_cover_number
 from commlab.cli import main
 from commlab.info import InfoEngine
 from commlab.reports import REPORT_COLUMNS
+
+from naive import brute_force_cover_number
 
 TOL = 1e-9
 
@@ -198,7 +199,8 @@ def test_criterion_10_oracle_equivalence():
             if catalog.num_boxes > 20:
                 continue
             exact, _ = cover_number(f, "exact", catalog=catalog)
-            assert exact == brute_force_cover_number(f, catalog)
+            boxes = [b.factors() for _, b in catalog.all_boxes()]
+            assert exact == brute_force_cover_number(*f.shape.sizes, boxes)
             checked += 1
 
         for k in range(1_000):

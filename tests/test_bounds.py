@@ -19,7 +19,6 @@ from commlab import (
     xor_function,
 )
 from commlab.bounds import (
-    brute_force_cover_number,
     fooling_set,
     gf2_rank,
     is_fooling_set,
@@ -27,7 +26,7 @@ from commlab.bounds import (
 )
 from commlab.core import Cover
 
-from naive import brute_maximal_monochromatic
+from naive import brute_force_cover_number, brute_maximal_monochromatic
 
 
 def test_catalog_constant_full_box():
@@ -139,7 +138,8 @@ def test_exact_matches_brute_force_oracle():
         if catalog.num_boxes > 20:
             continue
         exact, _ = cover_number(f, "exact", catalog=catalog)
-        assert exact == brute_force_cover_number(f, catalog)
+        boxes = [b.factors() for _, b in catalog.all_boxes()]
+        assert exact == brute_force_cover_number(*f.shape.sizes, boxes)
         checked += 1
 
 

@@ -1,7 +1,10 @@
 """CLI surface: command grammar, exit codes, report formats, determinism."""
 
+import hashlib
 import json
 import os
+
+import pytest
 
 from commlab.cli import main, parse_seeds, parse_sizes
 from commlab.reports import REPORT_COLUMNS, ReportRow, emit_report, margin_histogram_svg
@@ -70,6 +73,33 @@ def test_verify_violation_exit_and_reproducer(tmp_path, capsys):
     assert "violations=" in stdout
     reproducers = [p for p in os.listdir(tmp_path) if p.startswith("reproducer-")]
     assert reproducers
+
+
+# sha256 of the runtime-stripped CSVs of `verify main|tree --seeds 0..199`;
+# a refactor that changes any reported byte changes these
+GOLDEN_CSV_SHA256 = {
+    "main": "945907b5e9782738d9656096586751fe92ee4257c15256f4cbb68e3e33032d15",
+    "tree": "93646bc76d77dd3d5406d1ace983212b000446c353273ad6388184c403e985f8",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_CSV_SHA256))
+def test_verify_csv_golden_digest(suite, tmp_path, capsys):
+    out = str(tmp_path / "r.csv")
+    code, _, _ = run(capsys, "verify", suite, "--seeds", "0..199", "--out", out)
+    assert code == 0
+    digest = hashlib.sha256(strip_runtime(open(out).read()).encode()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[suite]
+
+
+@pytest.mark.parametrize(
+    "bad", [["--rho-max", "a,b"], ["--rho-max", ""], ["--max-bits", "0"], ["--tol", "nan"]]
+)
+def test_verify_bad_option_exits_two(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "main", "--seeds", "0..2", *bad])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_empty_seed_list(tmp_path, capsys):

@@ -225,3 +225,45 @@ def test_random_trees_compile_to_thickness_one_partitions():
         report = validate_cover(protocol.cover)
         assert report.is_partition
         assert thickness(protocol.cover) == 1
+
+
+def _brute_thickness(cover, cell) -> int:
+    return sum(1 for b in cover.boxes if b.contains(cell))
+
+
+@pytest.mark.parametrize("kind", ["min-index", "seeded", "explicit"])
+def test_cached_tables_match_per_cell_reference(kind):
+    from commlab import random_bounded_cover
+
+    for seed, sizes in enumerate([(5, 7), (8, 3), (3, 4, 2)]):
+        shape = DomainShape(sizes)
+        cover = random_bounded_cover(shape, rho_max=3, extra=4, seed=seed)
+        if kind == "min-index":
+            selector = TranscriptSelector.min_index()
+        elif kind == "seeded":
+            selector = TranscriptSelector.seeded(11 + seed)
+        else:
+            # the largest containing box, which no cached rule picks
+            selector = TranscriptSelector.explicit(
+                [max(i for i, b in enumerate(cover.boxes) if b.contains(c)) for c in shape.cells()]
+            )
+        protocol = Protocol(cover, selector)
+        labels = selector_labels(protocol)
+        counts = thickness_table(cover)
+        for lin, cell in enumerate(shape.cells()):
+            assert labels[lin] == select_transcript(protocol, cell)
+            assert counts[lin] == _brute_thickness(cover, cell)
+        for i, b in enumerate(cover.boxes):
+            cells = [c for c in shape.cells() if b.contains(c)]
+            assert box_thickness_table(cover)[i] == max(_brute_thickness(cover, c) for c in cells)
+
+
+def test_cached_tables_are_read_only_and_computed_once():
+    cover = windmill_cover()
+    protocol = Protocol(cover, TranscriptSelector.seeded(3))
+    tables = (thickness_table(cover), box_thickness_table(cover), selector_labels(protocol))
+    for arr in tables:
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert thickness_table(cover) is tables[0]
+    assert selector_labels(protocol) is tables[2]

@@ -34,7 +34,7 @@ from commlab import (
     xor_function,
 )
 from commlab.core import box
-from commlab.verify import run_suite_row
+from commlab.verify import _random_instance, analyze_instance, run_suite_row
 
 
 def diag_dist(shape):
@@ -419,3 +419,20 @@ def test_reproducer_written_on_violation(tmp_path):
         assert bundle.distribution is not None and bundle.function is not None
         row, _ = analyze_instance(bundle)
         assert abs(row.margin_main - original.margin_main) <= 1e-12
+
+def test_analyze_instance_matches_suite_row(tmp_path):
+    # a saved sweep instance goes through the same checks and row building
+    from commlab import InstanceBundle, load_instance, save_instance
+
+    config = SuiteConfig(suite="main")
+    for seed in range(20):
+        expected, _, _ = run_suite_row(config, seed)
+        protocol, function, dist = _random_instance(config, seed)
+        path = str(tmp_path / f"instance-{seed}.json")
+        save_instance(
+            InstanceBundle(protocol=protocol, function=function, distribution=dist), path
+        )
+        row, _ = analyze_instance(load_instance(path))
+        for r in (expected, row):
+            r.seed = r.runtime_ms = None
+        assert row == expected
