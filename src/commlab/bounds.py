@@ -19,6 +19,10 @@ from .functions import ColoredFunction, monochromatic_color
 ENUMERATION_CELL_CAP = 1 << 16
 DEFAULT_CATALOG_CAP = 10**6
 EXACT_FOOLING_CAP = 64
+DEADLINE_CHECK_EVERY = 256  # candidate column sets or search nodes between deadline checks
+DUAL_SCALE = 1 << 20  # dual weights are integers in units of 1 / DUAL_SCALE
+DUAL_ROUNDS = 60  # subgradient steps behind one color's dual weights
+DUAL_AFTER_NODES = 32  # search nodes of a color before it computes dual weights
 
 
 @dataclass
@@ -59,12 +63,25 @@ def _closure(col_sets: list[int], rows_of_color: int, t_mask: int) -> tuple[int,
     return s_mask, t_closed if t_closed is not None else 0
 
 
+def _row_strip_cover_size(f: ColoredFunction) -> int:
+    """Boxes in the row-strip cover: one per (row, color present in the row).
+    Each strip is monochromatic, so this bounds the cover number from above
+    without a catalog."""
+    return sum(len(set(row)) for row in f.colors.tolist())
+
+
 def enumerate_maximal_monochromatic(
-    f: ColoredFunction, cap: int = DEFAULT_CATALOG_CAP
+    f: ColoredFunction, cap: int = DEFAULT_CATALOG_CAP, deadline: float | None = None
 ) -> MonochromaticCatalog:
     """All maximal monochromatic boxes (maximal bicliques of each color's
     bipartite cell graph), via consensus expansion: seed with per-vertex star
-    closures, then close pairwise column intersections until fixpoint."""
+    closures, then close pairwise column intersections until fixpoint.
+
+    A column set is closed once; intersections that repeat one are skipped.
+    `deadline` is a time.monotonic() value, checked every
+    DEADLINE_CHECK_EVERY candidate column sets; past it the enumeration raises
+    SolverTimeoutError with the color count and the row-strip cover size as
+    (lower, upper)."""
     _require_two_party(f)
     if f.shape.num_cells > ENUMERATION_CELL_CAP:
         raise InvalidInputError(
@@ -75,6 +92,7 @@ def enumerate_maximal_monochromatic(
     by_color: dict[int, tuple[Box, ...]] = {}
     partial = False
     total = 0
+    pushed = 0
     for color in range(f.num_colors):
         onset = colors == color
         col_sets = [0] * n_rows  # columns of this color per row
@@ -96,10 +114,24 @@ def enumerate_maximal_monochromatic(
 
         found: dict[tuple[int, int], None] = {}
         queue: list[int] = []  # candidate column sets to close
+        tried: set[int] = set()  # column sets already closed
 
         def push(t_mask: int):
-            if t_mask == 0:
+            nonlocal pushed
+            pushed += 1
+            if (
+                deadline is not None
+                and pushed % DEADLINE_CHECK_EVERY == 0
+                and time.monotonic() > deadline
+            ):
+                raise SolverTimeoutError(
+                    "maximal-box enumeration ran out of budget",
+                    lower=f.num_colors,
+                    upper=_row_strip_cover_size(f),
+                )
+            if t_mask == 0 or t_mask in tried:
                 return
+            tried.add(t_mask)
             s_mask, t_closed = _closure(col_sets, rows_of_color, t_mask)
             if s_mask == 0 or t_closed == 0:
                 return
@@ -143,10 +175,12 @@ def enumerate_maximal_monochromatic(
 # Set cover over the catalog
 
 
-def _cell_mask(b: Box, shape: DomainShape) -> int:
+def _cell_mask(b: Box, n_cols: int) -> int:
+    """Row-major cell bitmask of a two-party box."""
+    rows, cols = b.masks
     mask = 0
-    for i in np.flatnonzero(b.indicator(shape)):
-        mask |= 1 << int(i)
+    for x in indices_from_mask(rows):
+        mask |= cols << (x * n_cols)
     return mask
 
 
@@ -168,20 +202,196 @@ def _greedy_cover(universe: int, masks: list[int]) -> list[int]:
     return chosen
 
 
-def _independent_lower_bound(uncovered: int, cell_boxes: list[int]) -> int:
-    """Greedy set of uncovered cells whose candidate-box sets are pairwise
-    disjoint; each needs its own box."""
-    taken_boxes = 0
+def _color_cells(cells: int, masks: list[int]) -> tuple[list[int], list[int]]:
+    """One color's boxes over that color's cells only, renumbered so that
+    cells in fewer boxes come first (ties: row-major order). Returns the
+    renumbered box masks and, per renumbered cell, the mask of the boxes
+    that contain it."""
+    boxes_of = dict.fromkeys(indices_from_mask(cells), 0)
+    for i, m in enumerate(masks):
+        for cell in indices_from_mask(m):
+            boxes_of[cell] |= 1 << i
+    order = sorted(boxes_of, key=lambda cell: (boxes_of[cell].bit_count(), cell))
+    position = {cell: k for k, cell in enumerate(order)}
+    local = []
+    for m in masks:
+        lm = 0
+        for cell in indices_from_mask(m):
+            lm |= 1 << position[cell]
+        local.append(lm)
+    return local, [boxes_of[cell] for cell in order]
+
+
+def _independent_lower_bound(uncovered: int, cell_boxes: list[int], banned: int = 0) -> int:
+    """Greedy set of uncovered cells, lowest index first, whose candidate
+    boxes outside `banned` are pairwise disjoint; each needs its own box."""
+    taken = 0
     count = 0
     m = uncovered
     while m:
         low = m & -m
-        cell = low.bit_length() - 1
+        live = cell_boxes[low.bit_length() - 1] & ~banned
         m ^= low
-        if cell_boxes[cell] & taken_boxes == 0:
-            taken_boxes |= cell_boxes[cell]
+        if not live & taken:
+            taken |= live
             count += 1
     return count
+
+
+def _root_lower_bound(cells: int, masks: list[int], cell_boxes: list[int]) -> int:
+    """Boxes needed to cover one color's `cells`: the gain bound (no box
+    covers more than the largest box ∩ cells) or the independent-cell bound.
+    The search tests the same two bounds against its incumbent."""
+    max_gain = max((m & cells).bit_count() for m in masks)
+    return max(-(-cells.bit_count() // max_gain), _independent_lower_bound(cells, cell_boxes))
+
+
+def _dual_weights(n_cells: int, masks: list[int], upper: int) -> list[int]:
+    """Integer weights on cells 0..n_cells-1, in units of 1 / DUAL_SCALE,
+    whose sum over the cells of any box is at most DUAL_SCALE. They are a
+    feasible dual of the covering LP, so the weight of a set of cells,
+    rounded up to whole units, lower-bounds the boxes that cover it, also
+    after boxes are banned or cells covered.
+
+    Subgradient steps on the Lagrangian of the covering LP, aimed at the
+    incumbent cover size `upper`, move the multipliers; each step's
+    multipliers, divided per cell by the heaviest box through it, are a
+    feasible dual, and the heaviest of those is kept."""
+    n_bytes = (n_cells + 7) >> 3
+    bits = [
+        np.unpackbits(np.frombuffer(m.to_bytes(n_bytes, "little"), dtype=np.uint8), bitorder="little")
+        for m in masks
+    ]
+    a = np.stack(bits, axis=1)[:n_cells].astype(np.float64)  # cells x boxes incidence
+    lam = 1.0 / (a * a.sum(axis=0)).max(axis=1)  # 1 / largest box through the cell
+    best, best_sum = lam, 0.0
+    step = 2.0
+    for _ in range(DUAL_ROUNDS):
+        load = lam @ a  # per box: multiplier sum over its cells
+        y = lam / np.maximum((a * load).max(axis=1), 1.0)
+        if y.sum() > best_sum:
+            best, best_sum = y, float(y.sum())
+        take = load > 1.0  # boxes with negative reduced cost
+        lagrangian = lam.sum() + (1.0 - load[take]).sum()
+        g = 1.0 - a @ take  # subgradient: 1 - times each cell is covered
+        norm = float(g @ g)
+        if norm == 0.0:
+            break
+        lam = np.maximum(lam + step * (upper - lagrangian) / norm * g, 0.0)
+        step *= 0.95
+    weights = np.floor(best * DUAL_SCALE).astype(np.int64)
+    if (weights @ a.astype(np.int64)).max() > DUAL_SCALE:  # float rounding; not seen
+        return [0] * n_cells
+    return weights.tolist()
+
+
+def _exact_color_cover(
+    universe: int,
+    masks: list[int],
+    cell_boxes: list[int],
+    best: list[int],
+    lower: int,
+    deadline: float,
+) -> list[int]:
+    """Minimum cover of one color's cells `universe` by that color's boxes
+    `masks`, by branch and bound from the incumbent cover `best`; cells
+    are numbered as _color_cells numbers them.
+
+    A node prunes on three lower bounds: independent cells, the weight of
+    the uncovered cells under the color's dual weights (computed once the
+    search passes DUAL_AFTER_NODES nodes), and the gain bound. It branches
+    on the uncovered cell with the fewest live candidate boxes, largest
+    restriction to the uncovered cells first. Each branch bans the
+    candidates before it from its subtree, as a cover using one of them is
+    found in that candidate's branch, and a candidate whose restriction is
+    contained in an earlier one's (equal restrictions: the lower index
+    stays) is skipped. A branch that one more box must complete is checked
+    in place. Past `deadline` it raises SolverTimeoutError with this
+    color's (lower, upper)."""
+    nodes = 0
+    by_size = sorted(range(len(masks)), key=lambda i: -masks[i].bit_count())
+    weights: list[int] = []
+
+    def weight(cells: int) -> int:
+        total = 0
+        while cells:
+            low = cells & -cells
+            total += weights[low.bit_length() - 1]
+            cells ^= low
+        return total
+
+    def completion(rest: int, banned: int) -> int:
+        """The lowest box outside `banned` containing all of `rest`, or -1."""
+        live = ~banned
+        while rest and live:
+            low = rest & -rest
+            live &= cell_boxes[low.bit_length() - 1]
+            rest ^= low
+        return (live & -live).bit_length() - 1 if live else -1
+
+    def search(uncovered: int, chosen: list[int], banned: int, dual: int | None):
+        nonlocal best, nodes, weights
+        nodes += 1
+        if nodes % DEADLINE_CHECK_EVERY == 0 and time.monotonic() > deadline:
+            raise SolverTimeoutError("exact cover search timed out", lower=lower, upper=len(best))
+        if nodes == DUAL_AFTER_NODES:
+            weights = _dual_weights(universe.bit_length(), masks, len(best))
+        need = len(best) - len(chosen)  # boxes left before matching the incumbent
+        if _independent_lower_bound(uncovered, cell_boxes, banned) >= need:
+            return
+        if weights:
+            if dual is None:
+                dual = weight(uncovered)
+            if dual > (need - 1) * DUAL_SCALE:
+                return
+        # gain bound: ceil(|uncovered| / max gain) >= need unless some live
+        # box covers at least |uncovered| / (need - 1) of the uncovered cells
+        n_uncovered = uncovered.bit_count()
+        for i in by_size:
+            if not banned >> i & 1 and (masks[i] & uncovered).bit_count() * (need - 1) >= n_uncovered:
+                break
+        else:
+            return
+        pick = -1
+        pick_count = None
+        m = uncovered
+        while m:
+            low = m & -m
+            cell = low.bit_length() - 1
+            m ^= low
+            c = (cell_boxes[cell] & ~banned).bit_count()
+            if pick_count is None or c < pick_count:
+                pick, pick_count = cell, c
+                if c <= 1:
+                    break
+        restricted = sorted(
+            ((masks[i] & uncovered, i) for i in indices_from_mask(cell_boxes[pick] & ~banned)),
+            key=lambda ri: -ri[0].bit_count(),
+        )
+        kept: list[int] = []
+        for r, i in restricted:
+            banned |= 1 << i
+            if any(r | s == s for s in kept):
+                continue  # dominated: an earlier candidate covers all it would
+            kept.append(r)
+            rest = uncovered & ~r
+            if not rest:
+                best = chosen + [i]
+                return
+            need = len(best) - len(chosen)
+            if need <= 2:
+                continue  # only this box alone would beat the incumbent
+            if need == 3:
+                j = completion(rest, banned)
+                if j >= 0:
+                    best = chosen + [i, j]
+                continue
+            chosen.append(i)
+            search(rest, chosen, banned, None if dual is None else dual - weight(r))
+            chosen.pop()
+
+    search(universe, [], 0, None)
+    return best
 
 
 def cover_number(
@@ -191,99 +401,75 @@ def cover_number(
     catalog: MonochromaticCatalog | None = None,
 ) -> tuple[int, tuple[Box, ...]]:
     """Minimum (exact) or greedy number of monochromatic boxes covering the
-    domain, with the witness cover. Exact search is branch-and-bound over the
-    maximal-box catalog; on timeout it raises SolverTimeoutError carrying the
-    best (lower, upper) bounds."""
+    domain, with the witness cover sorted by catalog index.
+
+    Boxes of different colors never share a cell, so the exact minimum is
+    the sum of per-color minima, each found by branch and bound over that
+    color's maximal boxes from its greedy cover. On timeout it raises
+    SolverTimeoutError carrying (lower, upper): the solved colors' minima
+    plus, for the rest, their root lower bounds and their best covers."""
     _require_two_party(f)
     if catalog is None:
         catalog = enumerate_maximal_monochromatic(f)
     if catalog.partial:
         raise InvalidInputError("catalog is partial; raise the cap first")
-    entries = catalog.all_boxes()
-    boxes = [b for _, b in entries]
+    boxes = [b for _, b in catalog.all_boxes()]
     if not boxes:
         raise InvalidInputError("empty catalog")
     shape = f.shape
-    masks = [_cell_mask(b, shape) for b in boxes]
+    n_cols = shape.sizes[1]
+    masks = [_cell_mask(b, n_cols) for b in boxes]
     universe = (1 << shape.num_cells) - 1
 
-    greedy_idx = _greedy_cover(universe, masks)
     if mode == "greedy":
+        greedy_idx = _greedy_cover(universe, masks)
         return len(greedy_idx), tuple(boxes[i] for i in greedy_idx)
     if mode != "exact":
         raise InvalidInputError(f"unknown cover mode {mode!r}")
 
-    n_cells = shape.num_cells
-    cell_boxes = [0] * n_cells
-    cell_candidates: list[list[int]] = [[] for _ in range(n_cells)]
-    for i, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            cell = low.bit_length() - 1
-            mm ^= low
-            cell_boxes[cell] |= 1 << i
-            cell_candidates[cell].append(i)
-
-    # partitions admit exactly one cover: every box is forced
-    if all(len(c) == 1 for c in cell_candidates):
-        forced = sorted({c[0] for c in cell_candidates})
-        return len(forced), tuple(boxes[i] for i in forced)
-
-    max_box_size = max(m.bit_count() for m in masks)
     deadline = time.monotonic() + timeout_s
-    best_len = len(greedy_idx)
-    best_sol = list(greedy_idx)
-    root_lb = max(
-        -(-universe.bit_count() // max_box_size),
-        _independent_lower_bound(universe, cell_boxes),
-    )
-    nodes = 0
+    parts = []  # per color: (offset, masks, cell boxes, greedy cover, root lower bound)
+    offset = 0
+    n_covered = 0
+    for color in sorted(catalog.boxes_by_color):
+        color_masks = masks[offset : offset + len(catalog.boxes_by_color[color])]
+        cells = 0
+        for m in color_masks:
+            cells |= m
+        if cells:
+            n_covered += cells.bit_count()
+            color_masks, cell_boxes = _color_cells(cells, color_masks)
+            cells = (1 << len(cell_boxes)) - 1
+            greedy = _greedy_cover(cells, color_masks)
+            root_lb = _root_lower_bound(cells, color_masks, cell_boxes)
+            parts.append((offset, color_masks, cell_boxes, greedy, root_lb))
+        offset += len(color_masks)
+    if n_covered != shape.num_cells:
+        raise InvalidInputError("catalog does not cover the domain")
 
-    def search(uncovered: int, chosen: list[int]):
-        nonlocal best_len, best_sol, nodes
-        nodes += 1
-        if nodes % 256 == 0 and time.monotonic() > deadline:
-            raise SolverTimeoutError(
-                f"exact cover search timed out after {timeout_s}s",
-                lower=max(root_lb, 1),
-                upper=best_len,
-            )
-        if uncovered == 0:
-            if len(chosen) < best_len:
-                best_len = len(chosen)
-                best_sol = list(chosen)
-            return
-        lb = max(
-            -(-uncovered.bit_count() // max_box_size),
-            _independent_lower_bound(uncovered, cell_boxes),
-        )
-        if len(chosen) + lb >= best_len:
-            return
-        # branch on the uncovered cell with the fewest candidates
-        pick = -1
-        pick_count = None
-        m = uncovered
-        while m:
-            low = m & -m
-            cell = low.bit_length() - 1
-            m ^= low
-            c = len(cell_candidates[cell])
-            if pick_count is None or c < pick_count:
-                pick, pick_count = cell, c
-                if c == 1:
-                    break
-        for i in cell_candidates[pick]:
-            chosen.append(i)
-            search(uncovered & ~masks[i], chosen)
-            chosen.pop()
-
-    if timeout_s <= 0:
+    if timeout_s <= 0 and any(lb < len(greedy) for *_, greedy, lb in parts):
         raise SolverTimeoutError(
-            "exact cover search given no budget", lower=max(root_lb, 1), upper=best_len
+            "exact cover search given no budget",
+            lower=sum(p[4] for p in parts),
+            upper=sum(len(p[3]) for p in parts),
         )
-    search(universe, [])
-    return best_len, tuple(boxes[i] for i in sorted(best_sol))
+    chosen: list[int] = []
+    for k, (offset, color_masks, cell_boxes, greedy, root_lb) in enumerate(parts):
+        best = greedy
+        if root_lb < len(greedy):
+            try:
+                best = _exact_color_cover(
+                    (1 << len(cell_boxes)) - 1, color_masks, cell_boxes, greedy, root_lb, deadline
+                )
+            except SolverTimeoutError as exc:
+                rest = parts[k + 1 :]
+                raise SolverTimeoutError(
+                    f"exact cover search timed out after {timeout_s}s",
+                    lower=len(chosen) + exc.lower + sum(p[4] for p in rest),
+                    upper=len(chosen) + exc.upper + sum(len(p[3]) for p in rest),
+                ) from None
+        chosen.extend(offset + i for i in best)
+    return len(chosen), tuple(boxes[i] for i in sorted(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +477,12 @@ def cover_number(
 
 
 def _fooling_graph(f: ColoredFunction, color: int) -> tuple[list, np.ndarray]:
-    cells = [tuple(int(v) for v in c) for c in np.argwhere(f.colors == color)]
-    n = len(cells)
-    adj = np.zeros((n, n), dtype=bool)
-    colors = f.colors
-    for i in range(n):
-        x1, y1 = cells[i]
-        for j in range(i + 1, n):
-            x2, y2 = cells[j]
-            if colors[x1, y2] != color or colors[x2, y1] != color:
-                adj[i, j] = adj[j, i] = True
-    return cells, adj
+    """The color's cells and their fooling relation: two cells are adjacent
+    when one of their crossed cells leaves the color."""
+    where = np.argwhere(f.colors == color)
+    cells = [tuple(int(v) for v in c) for c in where]
+    leaves = f.colors[where[:, 0][:, None], where[:, 1][None, :]] != color
+    return cells, leaves | leaves.T
 
 
 def fooling_set(
@@ -473,7 +654,7 @@ class BoundSummary:
     cover_exact: int | None
     cover_witness: tuple[Box, ...] | None
     cover_bounds: tuple[int, int] | None  # (lower, upper) when timed out
-    cover_greedy: int
+    cover_greedy: int | None  # None when the catalog enumeration timed out
     fooling: dict[int, int] = field(default_factory=dict)
     fooling_mode: dict[int, str] = field(default_factory=dict)
     rank_gf2: dict[int, int] = field(default_factory=dict)
@@ -485,6 +666,12 @@ class BoundSummary:
         return max(self.fooling.values()) if self.fooling else 0
 
     @property
+    def fooling_sum(self) -> int:
+        """A fooling set of color c lower-bounds the boxes of color c in any
+        cover, so the sum lower-bounds the cover number."""
+        return sum(self.fooling.values())
+
+    @property
     def rank_gf2_max(self) -> int:
         return max(self.rank_gf2.values()) if self.rank_gf2 else 0
 
@@ -493,65 +680,69 @@ class BoundSummary:
         return max(self.rank_rational.values()) if self.rank_rational else 0
 
 
-def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
-    """Run every bound within the budget and cross-check the internal
-    consistency relations; a broken relation flags an internal error."""
-    _require_two_party(f)
-    catalog = enumerate_maximal_monochromatic(f)
-    status: dict[str, str] = {}
-    greedy_count, _ = cover_number(f, mode="greedy", catalog=catalog)
-    exact = None
-    witness = None
-    bounds_pair = None
-    try:
-        exact, witness = cover_number(f, mode="exact", timeout_s=timeout_s, catalog=catalog)
-        status["cover_exact"] = "ok"
-    except SolverTimeoutError as exc:
-        bounds_pair = (exc.lower, exc.upper)
-        status["cover_exact"] = "timeout"
-    fooling: dict[int, int] = {}
-    fooling_mode: dict[int, str] = {}
-    rank_gf2_by: dict[int, int] = {}
-    rank_rat: dict[int, int] = {}
+def fooling_sizes(f: ColoredFunction) -> tuple[dict[int, int], dict[int, str]]:
+    """Per color: the size of a fooling set and the mode that found it
+    (exact up to EXACT_FOOLING_CAP cells of the color, greedy above)."""
+    sizes: dict[int, int] = {}
+    modes: dict[int, str] = {}
     for color in range(f.num_colors):
-        n_cells_color = int((f.colors == color).sum())
-        if n_cells_color <= EXACT_FOOLING_CAP:
-            fooling[color] = len(fooling_set(f, color, "exact"))
-            fooling_mode[color] = "exact"
-        else:
-            fooling[color] = len(fooling_set(f, color, "greedy"))
-            fooling_mode[color] = "greedy"
-        rank_gf2_by[color] = comm_matrix_rank(f, "gf2", color)
-        rank_rat[color] = comm_matrix_rank(f, "rational", color)
+        modes[color] = "exact" if int((f.colors == color).sum()) <= EXACT_FOOLING_CAP else "greedy"
+        sizes[color] = len(fooling_set(f, color, modes[color]))
+    return sizes, modes
+
+
+def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
+    """Run every bound within one budget and cross-check the internal
+    consistency relations; a broken relation flags an internal error.
+
+    Fooling sets and ranks come first; catalog enumeration and the exact
+    search share what is left of the budget. On timeout `cover_bounds` is
+    (lower, upper) with the lower bound raised to the per-color fooling sum;
+    a catalog timeout leaves `cover_greedy` unset and bounds the cover by
+    the color count and the row-strip cover."""
+    _require_two_party(f)
+    deadline = time.monotonic() + timeout_s
+    fooling, fooling_mode = fooling_sizes(f)
+    rank_gf2_by = {c: comm_matrix_rank(f, "gf2", c) for c in range(f.num_colors)}
+    rank_rat = {c: comm_matrix_rank(f, "rational", c) for c in range(f.num_colors)}
     summary = BoundSummary(
         color_count=f.num_colors,
-        cover_exact=exact,
-        cover_witness=witness,
-        cover_bounds=bounds_pair,
-        cover_greedy=greedy_count,
+        cover_exact=None,
+        cover_witness=None,
+        cover_bounds=None,
+        cover_greedy=None,
         fooling=fooling,
         fooling_mode=fooling_mode,
         rank_gf2=rank_gf2_by,
         rank_rational=rank_rat,
-        status=status,
     )
+    try:
+        catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
+        summary.cover_greedy, _ = cover_number(f, mode="greedy", catalog=catalog)
+        summary.cover_exact, summary.cover_witness = cover_number(
+            f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
+        )
+        summary.status["cover_exact"] = "ok"
+    except SolverTimeoutError as exc:
+        summary.cover_bounds = (max(exc.lower, summary.fooling_sum), exc.upper)
+        summary.status["cover_exact"] = "timeout"
     problems = []
-    if summary.color_count > summary.cover_greedy:
+    exact, greedy, witness = summary.cover_exact, summary.cover_greedy, summary.cover_witness
+    if greedy is not None and summary.color_count > greedy:
         problems.append("color_count > cover_greedy")
+    if summary.cover_bounds is not None and summary.cover_bounds[0] > summary.cover_bounds[1]:
+        problems.append("cover lower bound > upper bound")
     if exact is not None:
-        if exact > greedy_count:
+        if exact > greedy:
             problems.append("cover_exact > cover_greedy")
         if summary.color_count > exact:
             problems.append("color_count > cover_exact")
-        if summary.fooling_best > exact:
-            problems.append("fooling_best > cover_exact")
-        if witness is not None:
-            witness_colors = [monochromatic_color(b, f) for b in witness]
-            for color, size in fooling.items():
-                if fooling_mode[color] == "exact":
-                    have = sum(1 for c in witness_colors if c == color)
-                    if size > have:
-                        problems.append(f"fooling[{color}] exceeds witness boxes of that color")
+        if summary.fooling_sum > exact:
+            problems.append("fooling_sum > cover_exact")
+        witness_colors = [monochromatic_color(b, f) for b in witness]
+        for color, size in fooling.items():
+            if size > witness_colors.count(color):
+                problems.append(f"fooling[{color}] exceeds witness boxes of that color")
     if problems:
-        status["internal"] = "internal-error: " + "; ".join(problems)
+        summary.status["internal"] = "internal-error: " + "; ".join(problems)
     return summary

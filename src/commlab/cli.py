@@ -13,7 +13,7 @@ import math
 import sys
 import time
 
-from .bounds import bound_summary, cover_number, enumerate_maximal_monochromatic
+from .bounds import bound_summary, cover_number, enumerate_maximal_monochromatic, fooling_sizes
 from .core import DomainShape, Protocol, TranscriptSelector
 from .errors import CommlabError, InvalidInputError, SolverTimeoutError
 from .functions import (
@@ -279,31 +279,33 @@ def _cover_target(args):
 
 
 def _cmd_cover(args) -> int:
+    """Greedy (or with --exact, minimum) cover; --timeout-s bounds catalog
+    enumeration and the exact search together."""
     f = _cover_target(args)
-    catalog = enumerate_maximal_monochromatic(f)
     start = time.monotonic()
-    greedy_count, _ = cover_number(f, mode="greedy", catalog=catalog)
+    deadline = start + args.timeout_s
     row = ReportRow(
         instance_id="fn-" + "x".join(str(s) for s in f.shape.sizes),
         status="ok",
         sizes="x".join(str(s) for s in f.shape.sizes),
         color_count=f.num_colors,
-        cover_greedy=greedy_count,
     )
     code = EXIT_OK
-    if args.exact:
-        try:
-            exact, _ = cover_number(
-                f, mode="exact", timeout_s=args.timeout_s, catalog=catalog
+    try:
+        catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
+        row.cover_greedy, _ = cover_number(f, mode="greedy", catalog=catalog)
+        if args.exact:
+            row.cover_exact, _ = cover_number(
+                f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
             )
-            row.cover_exact = exact
-            print(f"cover_exact={exact}")
-        except SolverTimeoutError as exc:
-            row.status = f"timeout:lower={exc.lower},upper={exc.upper}"
-            print(f"timeout: bounds=[{exc.lower}, {exc.upper}]")
-            code = EXIT_TIMEOUT
-    else:
-        print(f"cover_greedy={greedy_count}")
+            print(f"cover_exact={row.cover_exact}")
+        else:
+            print(f"cover_greedy={row.cover_greedy}")
+    except SolverTimeoutError as exc:
+        lower = max(exc.lower, sum(fooling_sizes(f)[0].values()))
+        row.status = f"timeout:lower={lower},upper={exc.upper}"
+        print(f"timeout: bounds=[{lower}, {exc.upper}]")
+        code = EXIT_TIMEOUT
     row.runtime_ms = (time.monotonic() - start) * 1000.0
     _emit([row], args)
     return code
@@ -332,7 +334,11 @@ def _cmd_bounds(args) -> int:
         f"color_count={summary.color_count} cover_exact={summary.cover_exact} "
         f"cover_greedy={summary.cover_greedy} fooling_best={summary.fooling_best}"
     )
-    return EXIT_TIMEOUT if summary.cover_bounds else EXIT_OK
+    if summary.cover_bounds:
+        lower, upper = summary.cover_bounds
+        print(f"timeout: bounds=[{lower}, {upper}]")
+        return EXIT_TIMEOUT
+    return EXIT_OK
 
 
 def _cmd_am(args) -> int:

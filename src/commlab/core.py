@@ -179,11 +179,6 @@ def box(shape: DomainShape, *factors) -> Box:
     return b
 
 
-def _box_index(b: Box) -> tuple[np.ndarray, ...]:
-    """Open-mesh index of a box's cells into a grid-shaped array."""
-    return np.ix_(*(indices_from_mask(m) for m in b.masks))
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr = arr.reshape(-1)
     arr.flags.writeable = False
@@ -209,13 +204,19 @@ class Cover:
         return len(self.boxes)
 
     @cached_property
+    def _box_indices(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per box, the open-mesh (np.ix_) index of its cells into a
+        grid-shaped array."""
+        return tuple(np.ix_(*(indices_from_mask(m) for m in b.masks)) for b in self.boxes)
+
+    @cached_property
     def _cell_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(per-cell thickness, smallest containing box index or -1), flat
         row-major; one pass over the boxes, last to first."""
         counts = np.zeros(self.shape.sizes, dtype=np.int64)
         first = np.full(self.shape.sizes, -1, dtype=np.int64)
         for i in range(self.num_boxes - 1, -1, -1):
-            index = _box_index(self.boxes[i])
+            index = self._box_indices[i]
             counts[index] += 1
             first[index] = i
         return _read_only(counts), _read_only(first)
@@ -225,7 +226,7 @@ class Cover:
         """Max cell thickness inside each box; the second pass."""
         counts = self._cell_tables[0].reshape(self.shape.sizes)
         return _read_only(
-            np.array([counts[_box_index(b)].max() for b in self.boxes], dtype=np.int64)
+            np.array([counts[index].max() for index in self._box_indices], dtype=np.int64)
         )
 
 
@@ -324,9 +325,13 @@ class Protocol:
             table = np.asarray(sel.table, dtype=np.int64)
             if (table < 0).any() or (table >= self.cover.num_boxes).any():
                 raise InvalidSelectorError("explicit selector entry is not a box index")
-            for i, b in enumerate(self.cover.boxes):
-                bad = np.flatnonzero((table == i) & ~b.indicator(self.cover.shape))
-                if bad.size:
+            # a box holds all cells mapped to it iff it finds them all among its own
+            grid = table.reshape(self.cover.shape.sizes)
+            mapped = np.bincount(table, minlength=self.cover.num_boxes)
+            for i, index in enumerate(self.cover._box_indices):
+                if np.count_nonzero(grid[index] == i) != mapped[i]:
+                    b = self.cover.boxes[i]
+                    bad = np.flatnonzero((table == i) & ~b.indicator(self.cover.shape))
                     cell = self.cover.shape.cell_of_linear(int(bad[0]))
                     raise InvalidSelectorError(
                         f"explicit selector maps cell {cell} to box {i}, which does not contain it"
@@ -356,8 +361,7 @@ class Protocol:
         picks = np.array([hash64(sel.seed, i) for i in range(counts.size)], dtype=np.uint64)
         remaining = (picks % counts.astype(np.uint64)).astype(np.int64).reshape(sizes)
         out = np.full(sizes, -1, dtype=np.int64)
-        for i, b in enumerate(self.cover.boxes):
-            index = _box_index(b)
+        for i, index in enumerate(self.cover._box_indices):
             left = remaining[index]
             out[index] = np.where(left == 0, i, out[index])
             remaining[index] = left - 1

@@ -448,15 +448,17 @@ def check_profile(
     return row, violations, stats
 
 
-def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str], dict]:
-    """Run one seeded instance; returns (row, violation tags, gap stats)."""
+def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str], dict, tuple]:
+    """Run one seeded instance; returns (row, violation tags, gap stats, and
+    the instance as (protocol, function, distribution))."""
     start = time.monotonic()
-    protocol, function, dist = _random_instance(config, seed)
+    instance = _random_instance(config, seed)
+    protocol, function, dist = instance
     profile = build_profile(dist, protocol, target=function, f_mode="function")
     row, violations, stats = check_profile(profile, config.suite, config.rho_mode, config.tol)
     row.seed = seed
     row.runtime_ms = (time.monotonic() - start) * 1000.0
-    return row, violations, stats
+    return row, violations, stats, instance
 
 
 def batch_experiment(config: SuiteConfig) -> BatchResult:
@@ -464,7 +466,7 @@ def batch_experiment(config: SuiteConfig) -> BatchResult:
     result = BatchResult()
     for seed in sorted(config.seeds):
         try:
-            row, violations, stats = run_suite_row(config, seed)
+            row, violations, stats, instance = run_suite_row(config, seed)
         except GenerationFailureError as exc:
             result.generation_failures += 1
             result.rows.append(
@@ -489,8 +491,7 @@ def batch_experiment(config: SuiteConfig) -> BatchResult:
                 )
         if violations:
             result.violations += 1
-            protocol, function, dist = _random_instance(config, seed)
-            path = _write_reproducer(config, seed, protocol, function, dist)
+            path = _write_reproducer(config, seed, *instance)
             if path is not None:
                 result.reproducers.append(path)
     return result

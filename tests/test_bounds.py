@@ -1,5 +1,7 @@
 """Catalog enumeration, exact/greedy cover, fooling sets, ranks, summary."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,17 @@ from commlab import (
     xor_function,
 )
 from commlab.bounds import (
+    DUAL_SCALE,
+    _cell_mask,
+    _color_cells,
+    _dual_weights,
+    _greedy_cover,
     fooling_set,
     gf2_rank,
     is_fooling_set,
     rational_rank,
 )
-from commlab.core import Cover
+from commlab.core import Cover, indices_from_mask
 
 from naive import brute_force_cover_number, brute_maximal_monochromatic
 
@@ -141,6 +148,98 @@ def test_exact_matches_brute_force_oracle():
         boxes = [b.factors() for _, b in catalog.all_boxes()]
         assert exact == brute_force_cover_number(*f.shape.sizes, boxes)
         checked += 1
+
+
+def test_cover_number_eq_closed_form():
+    # EQ(n): 2^n diagonal singletons plus the NEQ cover, the least k with
+    # C(k, floor(k/2)) >= 2^n
+    from math import comb
+
+    for n, expected in ((1, 4), (2, 8), (3, 13)):
+        k = next(k for k in range(1, 64) if comb(k, k // 2) >= 2**n)
+        assert 2**n + k == expected
+        count, witness = cover_number(eq_function(n))
+        assert count == expected and len(witness) == expected
+
+
+def test_exact_matches_brute_force_with_valid_witness():
+    rng = np.random.default_rng(41)
+    checked = {}
+    while sum(checked.values()) < 40:
+        side, colors = int(rng.integers(4, 6)), int(rng.integers(2, 4))
+        f = random_function(DomainShape((side, side)), colors, seed=int(rng.integers(1 << 16)))
+        catalog = enumerate_maximal_monochromatic(f)
+        if catalog.num_boxes > 20:
+            continue
+        exact, witness = cover_number(f, "exact", catalog=catalog)
+        boxes = [b.factors() for _, b in catalog.all_boxes()]
+        assert exact == brute_force_cover_number(side, side, boxes)
+        assert len(witness) == exact
+        assert all(monochromatic_color(b, f) is not None for b in witness)
+        assert validate_cover(Cover(f.shape, witness)).covers_domain
+        checked[side, colors] = checked.get((side, colors), 0) + 1
+    assert len(checked) == 4  # 4x4 and 5x5, 2 and 3 colors
+
+
+def test_exact_matches_plain_search_on_long_searches():
+    # answers of the plain branch and bound (no dual weights, no banned
+    # candidates) on searches long enough to use both; a search that bans
+    # every other box through the branch cell misses the 7x7 minimum
+    cases = (
+        ((7, 7), 2, 9300, 12),
+        ((9, 9), 2, 1, 15),
+        ((9, 9), 2, 2, 14),
+        ((9, 9), 2, 3, 16),
+        ((9, 9), 2, 4, 14),
+        ((10, 10), 3, 1, 27),
+        ((10, 10), 3, 2, 27),
+    )
+    for sizes, colors, seed, expected in cases:
+        f = random_function(DomainShape(sizes), colors, seed)
+        count, witness = cover_number(f)
+        assert count == expected == len(witness)
+        assert all(monochromatic_color(b, f) is not None for b in witness)
+        assert validate_cover(Cover(f.shape, witness)).covers_domain
+
+
+def test_dual_weights_are_a_feasible_dual():
+    for seed in (1, 2, 3):
+        f = random_function(DomainShape((12, 12)), 2, seed)
+        catalog = enumerate_maximal_monochromatic(f)
+        _, witness = cover_number(f, catalog=catalog)
+        for color, boxes in catalog.boxes_by_color.items():
+            cells = 0
+            for b in boxes:
+                cells |= _cell_mask(b, 12)
+            masks, cell_boxes = _color_cells(cells, [_cell_mask(b, 12) for b in boxes])
+            n_cells = len(cell_boxes)
+            upper = len(_greedy_cover((1 << n_cells) - 1, masks))
+            weights = _dual_weights(n_cells, masks, upper)
+            assert len(weights) == n_cells and min(weights) >= 0
+            for m in masks:
+                assert sum(weights[c] for c in indices_from_mask(m)) <= DUAL_SCALE
+            bound = -(-sum(weights) // DUAL_SCALE)
+            # LP optimum is about 10 on these colours; the start point, one
+            # over the largest box through each cell, is about 5
+            assert 10 <= bound <= sum(monochromatic_color(b, f) == color for b in witness)
+
+
+def test_catalog_deadline_bounds_cover():
+    f = eq_function(3)  # enough closures to reach a deadline check
+    with pytest.raises(SolverTimeoutError) as err:
+        enumerate_maximal_monochromatic(f, deadline=time.monotonic() - 1.0)
+    # color count below, one strip per (row, color present in the row) above
+    assert (err.value.lower, err.value.upper) == (2, 16)
+
+
+def test_bound_summary_eq4_honours_budget():
+    start = time.monotonic()
+    summary = bound_summary(eq_function(4), timeout_s=1.0)
+    assert time.monotonic() - start < 2.5
+    assert summary.status["cover_exact"] == "timeout"
+    lower, upper = summary.cover_bounds
+    assert summary.fooling_sum <= lower <= 22 <= upper
+    assert "internal" not in summary.status
 
 
 def test_cover_timeout_returns_bounds():
@@ -265,5 +364,5 @@ def test_bound_summary_invariants_random():
         s = bound_summary(f)
         assert s.color_count <= s.cover_greedy
         assert s.cover_exact <= s.cover_greedy
-        assert s.fooling_best <= s.cover_exact
+        assert s.fooling_best <= s.fooling_sum <= s.cover_exact
         assert "internal" not in s.status

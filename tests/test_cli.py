@@ -125,6 +125,17 @@ def test_cover_timeout_exit_three(capsys):
     assert "timeout" in stdout
 
 
+@pytest.mark.parametrize("command", ["bounds", "cover"])
+def test_catalog_timeout_reports_bounds(command, capsys):
+    # EQ(4) has 2^16 - 2 maximal color-0 boxes: enumeration alone outlasts
+    # the budget, and the command still exits 3 with bounds around 22
+    code, stdout, _ = run(capsys, command, "--fn", "eq", "--n", "4", "--timeout-s", "0.3")
+    assert code == 3
+    line = next(l for l in stdout.split("\n") if l.startswith("timeout: bounds="))
+    lower, upper = (int(v) for v in line.split("=[")[1].rstrip("]").split(", "))
+    assert 18 <= lower <= 22 <= upper
+
+
 def test_bounds_eq2(capsys):
     code, stdout, _ = run(capsys, "bounds", "--fn", "eq", "--n", "2")
     assert code == 0

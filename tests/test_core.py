@@ -130,6 +130,38 @@ def test_explicit_selector_rejects_noncontaining_box():
     assert "(0, 0)" in str(err.value)
 
 
+def test_explicit_selector_error_names_first_offending_cell():
+    # reference: the first box, in index order, that is mapped a cell it does
+    # not contain, and the first such cell in row-major order
+    from commlab import random_bounded_cover
+
+    rng = np.random.default_rng(2)
+    shape = DomainShape((6, 5))
+    cover = random_bounded_cover(shape, rho_max=3, extra=4, rng=rng)
+    good = selector_labels(Protocol(cover, TranscriptSelector.min_index()))
+    raised = after_a_contained_cell = 0
+    for _ in range(20):
+        table = np.array(good)
+        cells = rng.choice(shape.num_cells, size=int(rng.integers(1, 4)), replace=False)
+        table[cells] = rng.integers(0, cover.num_boxes, size=cells.size)
+        expected = None
+        for i, b in enumerate(cover.boxes):
+            bad = np.flatnonzero((table == i) & ~b.indicator(shape))
+            if bad.size:
+                cell = shape.cell_of_linear(int(bad[0]))
+                expected = f"explicit selector maps cell {cell} to box {i}, which does not contain it"
+                after_a_contained_cell += int(np.flatnonzero(table == i)[0] != bad[0])
+                break
+        if expected is None:
+            Protocol(cover, TranscriptSelector.explicit(table.tolist()))
+            continue
+        with pytest.raises(InvalidSelectorError) as err:
+            Protocol(cover, TranscriptSelector.explicit(table.tolist()))
+        assert str(err.value) == expected
+        raised += 1
+    assert raised >= 10 and after_a_contained_cell >= 5
+
+
 def test_seeded_selector_deterministic_and_contained():
     shape = DomainShape((3, 3))
     boxes = (

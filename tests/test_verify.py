@@ -1,5 +1,7 @@
 """Inequality checkers, AM analysis, and the batch runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -393,7 +395,7 @@ def test_batch_rows_sorted_and_deterministic():
 
 def test_run_suite_row_multiparty():
     config = SuiteConfig(suite="multiparty", seeds=(), arity=3, max_bits=2)
-    row, violations, stats = run_suite_row(config, 4)
+    row, violations, stats, _ = run_suite_row(config, 4)
     assert violations == []
     assert row.margin_main >= -1e-9
     assert stats["with_f_margin"] == pytest.approx(row.margin_main, abs=1e-9)
@@ -420,14 +422,40 @@ def test_reproducer_written_on_violation(tmp_path):
         row, _ = analyze_instance(bundle)
         assert abs(row.margin_main - original.margin_main) <= 1e-12
 
+def test_violating_seed_generated_once(tmp_path, monkeypatch):
+    # the reproducer is written from the instance the row was computed on,
+    # byte for byte what a fresh generation of that seed writes
+    from commlab import verify
+
+    config = SuiteConfig(
+        suite="tree", seeds=(0, 1, 2), tol=-0.5, out_dir=str(tmp_path / "sweep")
+    )
+    calls = []
+
+    def counted(cfg, seed):
+        calls.append(seed)
+        return _random_instance(cfg, seed)
+
+    monkeypatch.setattr(verify, "_random_instance", counted)
+    result = batch_experiment(config)
+    assert result.violations == 3 and len(result.reproducers) == 3
+    assert sorted(calls) == [0, 1, 2]
+    monkeypatch.undo()
+    for path in result.reproducers:
+        seed = int(path.rsplit("-", 1)[1].split(".")[0])
+        fresh = replace(config, out_dir=str(tmp_path / "fresh"))
+        expected = verify._write_reproducer(fresh, seed, *_random_instance(fresh, seed))
+        with open(path, "rb") as got, open(expected, "rb") as want:
+            assert got.read() == want.read()
+
+
 def test_analyze_instance_matches_suite_row(tmp_path):
     # a saved sweep instance goes through the same checks and row building
     from commlab import InstanceBundle, load_instance, save_instance
 
     config = SuiteConfig(suite="main")
     for seed in range(20):
-        expected, _, _ = run_suite_row(config, seed)
-        protocol, function, dist = _random_instance(config, seed)
+        expected, _, _, (protocol, function, dist) = run_suite_row(config, seed)
         path = str(tmp_path / f"instance-{seed}.json")
         save_instance(
             InstanceBundle(protocol=protocol, function=function, distribution=dist), path
