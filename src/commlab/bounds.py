@@ -7,8 +7,10 @@ deterministic (fixed tie-breaking) so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .functions import ColoredFunction, monochromatic_color
 ENUMERATION_CELL_CAP = 1 << 16
 DEFAULT_CATALOG_CAP = 10**6
 EXACT_FOOLING_CAP = 64
-DEADLINE_CHECK_EVERY = 256  # candidate column sets or search nodes between deadline checks
 DUAL_SCALE = 1 << 20  # dual weights are integers in units of 1 / DUAL_SCALE
 DUAL_ROUNDS = 60  # subgradient steps behind one color's dual weights
 DUAL_AFTER_NODES = 32  # search nodes of a color before it computes dual weights
@@ -32,6 +33,7 @@ class MonochromaticCatalog:
     shape: DomainShape
     boxes_by_color: dict[int, tuple[Box, ...]]
     partial: bool
+    _setups: list[_ColorSetup] | None = field(default=None, init=False, repr=False, compare=False)
 
     def all_boxes(self) -> list[tuple[int, Box]]:
         out = []
@@ -50,19 +52,6 @@ def _require_two_party(f: ColoredFunction) -> None:
         raise InvalidInputError("bound machinery works on two-party functions")
 
 
-def _closure(col_sets: list[int], rows_of_color: int, t_mask: int) -> tuple[int, int]:
-    """Galois closure of a column set: all rows containing it, then the common
-    columns of those rows."""
-    s_mask = 0
-    for x in indices_from_mask(rows_of_color):
-        if col_sets[x] & t_mask == t_mask:
-            s_mask |= 1 << x
-    t_closed = None
-    for x in indices_from_mask(s_mask):
-        t_closed = col_sets[x] if t_closed is None else t_closed & col_sets[x]
-    return s_mask, t_closed if t_closed is not None else 0
-
-
 def _row_strip_cover_size(f: ColoredFunction) -> int:
     """Boxes in the row-strip cover: one per (row, color present in the row).
     Each strip is monochromatic, so this bounds the cover number from above
@@ -70,102 +59,60 @@ def _row_strip_cover_size(f: ColoredFunction) -> int:
     return sum(len(set(row)) for row in f.colors.tolist())
 
 
+def _budget_check(f: ColoredFunction, deadline: float, what: str):
+    """A check for every step of catalog work: once time.monotonic() reaches
+    `deadline` it raises SolverTimeoutError with the bounds that need no
+    catalog, (color count, row-strip cover size)."""
+
+    def check() -> None:
+        if time.monotonic() >= deadline:
+            raise SolverTimeoutError(
+                f"{what} ran out of budget", lower=f.num_colors, upper=_row_strip_cover_size(f)
+            )
+
+    return check
+
+
 def enumerate_maximal_monochromatic(
-    f: ColoredFunction, cap: int = DEFAULT_CATALOG_CAP, deadline: float | None = None
+    f: ColoredFunction, cap: int = DEFAULT_CATALOG_CAP, deadline: float = math.inf
 ) -> MonochromaticCatalog:
     """All maximal monochromatic boxes (maximal bicliques of each color's
-    bipartite cell graph), via consensus expansion: seed with per-vertex star
-    closures, then close pairwise column intersections until fixpoint.
+    bipartite cell graph), sorted by (rows, columns).
 
-    A column set is closed once; intersections that repeat one are skipped.
-    `deadline` is a time.monotonic() value, checked every
-    DEADLINE_CHECK_EVERY candidate column sets; past it the enumeration raises
-    SolverTimeoutError with the color count and the row-strip cover size as
-    (lower, upper)."""
+    The columns of a maximal box are the columns all its rows share, so a
+    color's boxes are the nonempty intersections of its rows' column sets,
+    each with every row that contains it. Each new column set is intersected
+    with every row until no new set appears. `deadline` is a
+    time.monotonic() value checked at every column set (see _budget_check)."""
     _require_two_party(f)
     if f.shape.num_cells > ENUMERATION_CELL_CAP:
         raise InvalidInputError(
             f"domain has {f.shape.num_cells} cells, enumeration cap is {ENUMERATION_CELL_CAP}"
         )
-    n_rows, n_cols = f.shape.sizes
-    colors = f.colors
+    check = _budget_check(f, deadline, "maximal-box enumeration")
     by_color: dict[int, tuple[Box, ...]] = {}
     partial = False
     total = 0
-    pushed = 0
     for color in range(f.num_colors):
-        onset = colors == color
-        col_sets = [0] * n_rows  # columns of this color per row
-        row_sets = [0] * n_cols
-        for x in range(n_rows):
-            mask = 0
-            for y in np.flatnonzero(onset[x]):
-                mask |= 1 << int(y)
-            col_sets[x] = mask
-        for y in range(n_cols):
-            mask = 0
-            for x in np.flatnonzero(onset[:, y]):
-                mask |= 1 << int(x)
-            row_sets[y] = mask
-        rows_of_color = 0
-        for x in range(n_rows):
-            if col_sets[x]:
-                rows_of_color |= 1 << x
+        col_sets = [sum(1 << int(y) for y in np.flatnonzero(row)) for row in f.colors == color]
 
-        found: dict[tuple[int, int], None] = {}
-        queue: list[int] = []  # candidate column sets to close
-        tried: set[int] = set()  # column sets already closed
+        def rows_of(t_mask: int) -> int:
+            return sum(1 << x for x, c in enumerate(col_sets) if c & t_mask == t_mask)
 
-        def push(t_mask: int):
-            nonlocal pushed
-            pushed += 1
-            if (
-                deadline is not None
-                and pushed % DEADLINE_CHECK_EVERY == 0
-                and time.monotonic() > deadline
-            ):
-                raise SolverTimeoutError(
-                    "maximal-box enumeration ran out of budget",
-                    lower=f.num_colors,
-                    upper=_row_strip_cover_size(f),
-                )
-            if t_mask == 0 or t_mask in tried:
-                return
-            tried.add(t_mask)
-            s_mask, t_closed = _closure(col_sets, rows_of_color, t_mask)
-            if s_mask == 0 or t_closed == 0:
-                return
-            key = (s_mask, t_closed)
-            if key not in found:
-                found[key] = None
-                queue.append(t_closed)
-
-        for x in indices_from_mask(rows_of_color):
-            push(col_sets[x])
-        for y in range(n_cols):
-            if row_sets[y]:
-                push(1 << y)
-
-        # consensus: intersect every pair of closed column sets
-        i = 0
-        closed_list = list(queue)
-        while i < len(closed_list):
-            t1 = closed_list[i]
-            before = len(found)
-            for j in range(i):
-                push(t1 & closed_list[j])
-            if len(found) > before:
-                closed_list = list(queue)
-            i += 1
+        found = {t: rows_of(t) for t in col_sets if t}  # column set -> rows containing it
+        queue = list(found)
+        for t_mask in queue:  # also visits the sets appended below
+            check()
+            for c in col_sets:
+                meet = t_mask & c
+                if meet and meet not in found:
+                    found[meet] = rows_of(meet)
+                    queue.append(meet)
             if len(found) + total > cap:
                 partial = True
                 break
-
-        boxes = tuple(
-            Box((s, t)) for s, t in sorted(found.keys())
-        )
-        by_color[color] = boxes
-        total += len(boxes)
+        by_color[color] = tuple(Box((s, t)) for s, t in sorted((s, t) for t, s in found.items()))
+        total += len(found)
         if partial:
             break
     return MonochromaticCatalog(shape=f.shape, boxes_by_color=by_color, partial=partial)
@@ -184,42 +131,64 @@ def _cell_mask(b: Box, n_cols: int) -> int:
     return mask
 
 
-def _greedy_cover(universe: int, masks: list[int]) -> list[int]:
-    chosen: list[int] = []
-    uncovered = universe
-    while uncovered:
-        best = -1
-        best_gain = 0
-        for i, m in enumerate(masks):
-            gain = (m & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best = i
-        if best < 0:
-            raise InvalidInputError("catalog does not cover the domain")
-        chosen.append(best)
-        uncovered &= ~masks[best]
-    return chosen
+class _ColorSetup(NamedTuple):
+    """One color's boxes over that color's cells only, the cells renumbered
+    fewest boxes first (ties: row-major order) so that the independent-cell
+    bound takes constrained cells first."""
+
+    offset: int  # catalog index of the color's first box
+    masks: list[int]  # per box of the color, its renumbered cells
+    cell_boxes: list[int]  # per renumbered cell, the mask of the boxes containing it
+    greedy: list[int]  # a greedy cover, boxes in pick order
+    lower: int  # root lower bound
 
 
-def _color_cells(cells: int, masks: list[int]) -> tuple[list[int], list[int]]:
-    """One color's boxes over that color's cells only, renumbered so that
-    cells in fewer boxes come first (ties: row-major order). Returns the
-    renumbered box masks and, per renumbered cell, the mask of the boxes
-    that contain it."""
-    boxes_of = dict.fromkeys(indices_from_mask(cells), 0)
-    for i, m in enumerate(masks):
-        for cell in indices_from_mask(m):
-            boxes_of[cell] |= 1 << i
-    order = sorted(boxes_of, key=lambda cell: (boxes_of[cell].bit_count(), cell))
-    position = {cell: k for k, cell in enumerate(order)}
-    local = []
-    for m in masks:
-        lm = 0
-        for cell in indices_from_mask(m):
-            lm |= 1 << position[cell]
-        local.append(lm)
-    return local, [boxes_of[cell] for cell in order]
+def _color_setups(
+    f: ColoredFunction, catalog: MonochromaticCatalog, deadline: float
+) -> list[_ColorSetup]:
+    """The _ColorSetup of every color with cells, built once per catalog
+    and kept on it. The deadline is checked at every box and every greedy
+    pick (see _budget_check)."""
+    if catalog._setups is not None:
+        return catalog._setups
+    check = _budget_check(f, deadline, "cover setup")
+    n_cols = f.shape.sizes[1]
+    setups = []
+    offset = 0
+    n_covered = 0
+    for color in sorted(catalog.boxes_by_color):
+        boxes = catalog.boxes_by_color[color]
+        boxes_of: dict[int, int] = {}  # cell -> mask of the boxes containing it
+        masks = []
+        for i, b in enumerate(boxes):
+            check()
+            masks.append(_cell_mask(b, n_cols))
+            for cell in indices_from_mask(masks[-1]):
+                boxes_of[cell] = boxes_of.get(cell, 0) | 1 << i
+        if boxes_of:
+            n_covered += len(boxes_of)
+            order = sorted(boxes_of, key=lambda cell: (boxes_of[cell].bit_count(), cell))
+            position = {cell: k for k, cell in enumerate(order)}
+            local = []
+            for m in masks:
+                check()
+                local.append(sum(1 << position[cell] for cell in indices_from_mask(m)))
+            cell_boxes = [boxes_of[cell] for cell in order]
+            cells = (1 << len(order)) - 1
+            greedy = []
+            uncovered = cells
+            while uncovered:
+                check()
+                gains = [(m & uncovered).bit_count() for m in local]
+                greedy.append(gains.index(max(gains)))
+                uncovered &= ~local[greedy[-1]]
+            lower = _root_lower_bound(cells, local, cell_boxes)
+            setups.append(_ColorSetup(offset, local, cell_boxes, greedy, lower))
+        offset += len(boxes)
+    if n_covered != f.shape.num_cells:
+        raise InvalidInputError("catalog does not cover the domain")
+    catalog._setups = setups
+    return setups
 
 
 def _independent_lower_bound(uncovered: int, cell_boxes: list[int], banned: int = 0) -> int:
@@ -246,8 +215,8 @@ def _root_lower_bound(cells: int, masks: list[int], cell_boxes: list[int]) -> in
     return max(-(-cells.bit_count() // max_gain), _independent_lower_bound(cells, cell_boxes))
 
 
-def _dual_weights(n_cells: int, masks: list[int], upper: int) -> list[int]:
-    """Integer weights on cells 0..n_cells-1, in units of 1 / DUAL_SCALE,
+def _dual_weights(cell_boxes: list[int], n_boxes: int, upper: int, deadline: float) -> list[int]:
+    """Integer weights on the cells of `cell_boxes`, in units of 1 / DUAL_SCALE,
     whose sum over the cells of any box is at most DUAL_SCALE. They are a
     feasible dual of the covering LP, so the weight of a set of cells,
     rounded up to whole units, lower-bounds the boxes that cover it, also
@@ -256,17 +225,20 @@ def _dual_weights(n_cells: int, masks: list[int], upper: int) -> list[int]:
     Subgradient steps on the Lagrangian of the covering LP, aimed at the
     incumbent cover size `upper`, move the multipliers; each step's
     multipliers, divided per cell by the heaviest box through it, are a
-    feasible dual, and the heaviest of those is kept."""
-    n_bytes = (n_cells + 7) >> 3
+    feasible dual, and the heaviest of those is kept. A step that starts
+    past `deadline`, a time.monotonic() value, returns no weights instead."""
+    n_bytes = (n_boxes + 7) >> 3
     bits = [
         np.unpackbits(np.frombuffer(m.to_bytes(n_bytes, "little"), dtype=np.uint8), bitorder="little")
-        for m in masks
+        for m in cell_boxes
     ]
-    a = np.stack(bits, axis=1)[:n_cells].astype(np.float64)  # cells x boxes incidence
+    a = np.stack(bits)[:, :n_boxes].astype(np.float64)  # cells x boxes incidence
     lam = 1.0 / (a * a.sum(axis=0)).max(axis=1)  # 1 / largest box through the cell
     best, best_sum = lam, 0.0
     step = 2.0
     for _ in range(DUAL_ROUNDS):
+        if time.monotonic() >= deadline:
+            return []
         load = lam @ a  # per box: multiplier sum over its cells
         y = lam / np.maximum((a * load).max(axis=1), 1.0)
         if y.sum() > best_sum:
@@ -281,21 +253,13 @@ def _dual_weights(n_cells: int, masks: list[int], upper: int) -> list[int]:
         step *= 0.95
     weights = np.floor(best * DUAL_SCALE).astype(np.int64)
     if (weights @ a.astype(np.int64)).max() > DUAL_SCALE:  # float rounding; not seen
-        return [0] * n_cells
+        return [0] * len(cell_boxes)
     return weights.tolist()
 
 
-def _exact_color_cover(
-    universe: int,
-    masks: list[int],
-    cell_boxes: list[int],
-    best: list[int],
-    lower: int,
-    deadline: float,
-) -> list[int]:
-    """Minimum cover of one color's cells `universe` by that color's boxes
-    `masks`, by branch and bound from the incumbent cover `best`; cells
-    are numbered as _color_cells numbers them.
+def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
+    """Minimum cover of one color's cells by that color's boxes, by branch
+    and bound from its greedy cover.
 
     A node prunes on three lower bounds: independent cells, the weight of
     the uncovered cells under the color's dual weights (computed once the
@@ -306,8 +270,10 @@ def _exact_color_cover(
     found in that candidate's branch, and a candidate whose restriction is
     contained in an earlier one's (equal restrictions: the lower index
     stays) is skipped. A branch that one more box must complete is checked
-    in place. Past `deadline` it raises SolverTimeoutError with this
-    color's (lower, upper)."""
+    in place. The deadline is checked at every node; past it the search
+    raises SolverTimeoutError with this color's (lower, upper)."""
+    _, masks, cell_boxes, best, lower = setup
+    universe = (1 << len(cell_boxes)) - 1
     nodes = 0
     by_size = sorted(range(len(masks)), key=lambda i: -masks[i].bit_count())
     weights: list[int] = []
@@ -332,10 +298,10 @@ def _exact_color_cover(
     def search(uncovered: int, chosen: list[int], banned: int, dual: int | None):
         nonlocal best, nodes, weights
         nodes += 1
-        if nodes % DEADLINE_CHECK_EVERY == 0 and time.monotonic() > deadline:
+        if time.monotonic() >= deadline:
             raise SolverTimeoutError("exact cover search timed out", lower=lower, upper=len(best))
         if nodes == DUAL_AFTER_NODES:
-            weights = _dual_weights(universe.bit_length(), masks, len(best))
+            weights = _dual_weights(cell_boxes, len(masks), len(best), deadline)
         need = len(best) - len(chosen)  # boxes left before matching the incumbent
         if _independent_lower_bound(uncovered, cell_boxes, banned) >= need:
             return
@@ -403,72 +369,45 @@ def cover_number(
     """Minimum (exact) or greedy number of monochromatic boxes covering the
     domain, with the witness cover sorted by catalog index.
 
-    Boxes of different colors never share a cell, so the exact minimum is
-    the sum of per-color minima, each found by branch and bound over that
-    color's maximal boxes from its greedy cover. On timeout it raises
-    SolverTimeoutError carrying (lower, upper): the solved colors' minima
-    plus, for the rest, their root lower bounds and their best covers."""
+    Boxes of different colors never share a cell, so both counts are sums
+    over colors: the greedy count of the per-color greedy covers, the exact
+    minimum of per-color minima, each found by branch and bound over that
+    color's maximal boxes from its greedy cover.
+
+    `timeout_s` is one budget for the whole call, checked at every step of
+    enumeration (when `catalog` is None), setup and search; a budget <= 0
+    times out at the first check. On timeout it raises SolverTimeoutError
+    carrying (lower, upper). During enumeration or setup that is (color
+    count, row-strip cover size); during the search, the solved colors'
+    minima plus, for the rest, their root lower bounds and their best
+    covers, with the upper bound capped at the row-strip cover size."""
     _require_two_party(f)
+    if mode not in ("exact", "greedy"):
+        raise InvalidInputError(f"unknown cover mode {mode!r}")
+    deadline = time.monotonic() + timeout_s
     if catalog is None:
-        catalog = enumerate_maximal_monochromatic(f)
+        catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
     if catalog.partial:
         raise InvalidInputError("catalog is partial; raise the cap first")
     boxes = [b for _, b in catalog.all_boxes()]
     if not boxes:
         raise InvalidInputError("empty catalog")
-    shape = f.shape
-    n_cols = shape.sizes[1]
-    masks = [_cell_mask(b, n_cols) for b in boxes]
-    universe = (1 << shape.num_cells) - 1
-
-    if mode == "greedy":
-        greedy_idx = _greedy_cover(universe, masks)
-        return len(greedy_idx), tuple(boxes[i] for i in greedy_idx)
-    if mode != "exact":
-        raise InvalidInputError(f"unknown cover mode {mode!r}")
-
-    deadline = time.monotonic() + timeout_s
-    parts = []  # per color: (offset, masks, cell boxes, greedy cover, root lower bound)
-    offset = 0
-    n_covered = 0
-    for color in sorted(catalog.boxes_by_color):
-        color_masks = masks[offset : offset + len(catalog.boxes_by_color[color])]
-        cells = 0
-        for m in color_masks:
-            cells |= m
-        if cells:
-            n_covered += cells.bit_count()
-            color_masks, cell_boxes = _color_cells(cells, color_masks)
-            cells = (1 << len(cell_boxes)) - 1
-            greedy = _greedy_cover(cells, color_masks)
-            root_lb = _root_lower_bound(cells, color_masks, cell_boxes)
-            parts.append((offset, color_masks, cell_boxes, greedy, root_lb))
-        offset += len(color_masks)
-    if n_covered != shape.num_cells:
-        raise InvalidInputError("catalog does not cover the domain")
-
-    if timeout_s <= 0 and any(lb < len(greedy) for *_, greedy, lb in parts):
-        raise SolverTimeoutError(
-            "exact cover search given no budget",
-            lower=sum(p[4] for p in parts),
-            upper=sum(len(p[3]) for p in parts),
-        )
+    setups = _color_setups(f, catalog, deadline)
     chosen: list[int] = []
-    for k, (offset, color_masks, cell_boxes, greedy, root_lb) in enumerate(parts):
-        best = greedy
-        if root_lb < len(greedy):
+    for k, setup in enumerate(setups):
+        best = setup.greedy
+        if mode == "exact" and setup.lower < len(best):
             try:
-                best = _exact_color_cover(
-                    (1 << len(cell_boxes)) - 1, color_masks, cell_boxes, greedy, root_lb, deadline
-                )
+                best = _exact_color_cover(setup, deadline)
             except SolverTimeoutError as exc:
-                rest = parts[k + 1 :]
+                rest = setups[k + 1 :]
+                upper = len(chosen) + exc.upper + sum(len(p.greedy) for p in rest)
                 raise SolverTimeoutError(
                     f"exact cover search timed out after {timeout_s}s",
-                    lower=len(chosen) + exc.lower + sum(p[4] for p in rest),
-                    upper=len(chosen) + exc.upper + sum(len(p[3]) for p in rest),
+                    lower=len(chosen) + exc.lower + sum(p.lower for p in rest),
+                    upper=min(upper, _row_strip_cover_size(f)),
                 ) from None
-        chosen.extend(offset + i for i in best)
+        chosen.extend(setup.offset + i for i in best)
     return len(chosen), tuple(boxes[i] for i in sorted(chosen))
 
 
@@ -479,9 +418,10 @@ def cover_number(
 def _fooling_graph(f: ColoredFunction, color: int) -> tuple[list, np.ndarray]:
     """The color's cells and their fooling relation: two cells are adjacent
     when one of their crossed cells leaves the color."""
-    where = np.argwhere(f.colors == color)
+    inside = f.colors == color
+    where = np.argwhere(inside)
     cells = [tuple(int(v) for v in c) for c in where]
-    leaves = f.colors[where[:, 0][:, None], where[:, 1][None, :]] != color
+    leaves = ~inside[where[:, 0][:, None], where[:, 1][None, :]]
     return cells, leaves | leaves.T
 
 
@@ -697,9 +637,10 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
 
     Fooling sets and ranks come first; catalog enumeration and the exact
     search share what is left of the budget. On timeout `cover_bounds` is
-    (lower, upper) with the lower bound raised to the per-color fooling sum;
-    a catalog timeout leaves `cover_greedy` unset and bounds the cover by
-    the color count and the row-strip cover."""
+    (lower, upper) with the lower bound raised to the per-color fooling sum
+    and the upper bound at most the row-strip cover size; a timeout before
+    the greedy covers are built leaves `cover_greedy` unset and bounds the
+    cover by the color count and the row-strip cover."""
     _require_two_party(f)
     deadline = time.monotonic() + timeout_s
     fooling, fooling_mode = fooling_sizes(f)
@@ -718,7 +659,9 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     )
     try:
         catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
-        summary.cover_greedy, _ = cover_number(f, mode="greedy", catalog=catalog)
+        summary.cover_greedy, _ = cover_number(
+            f, mode="greedy", timeout_s=deadline - time.monotonic(), catalog=catalog
+        )
         summary.cover_exact, summary.cover_witness = cover_number(
             f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
         )

@@ -279,11 +279,13 @@ def _cover_target(args):
 
 
 def _cmd_cover(args) -> int:
-    """Greedy (or with --exact, minimum) cover; --timeout-s bounds catalog
-    enumeration and the exact search together."""
+    """Greedy (or with --exact, minimum) cover; --timeout-s bounds the
+    fooling sets behind a timeout's lower bound, catalog enumeration and the
+    cover together."""
     f = _cover_target(args)
     start = time.monotonic()
     deadline = start + args.timeout_s
+    fooling_sum = sum(fooling_sizes(f)[0].values())
     row = ReportRow(
         instance_id="fn-" + "x".join(str(s) for s in f.shape.sizes),
         status="ok",
@@ -293,7 +295,9 @@ def _cmd_cover(args) -> int:
     code = EXIT_OK
     try:
         catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
-        row.cover_greedy, _ = cover_number(f, mode="greedy", catalog=catalog)
+        row.cover_greedy, _ = cover_number(
+            f, mode="greedy", timeout_s=deadline - time.monotonic(), catalog=catalog
+        )
         if args.exact:
             row.cover_exact, _ = cover_number(
                 f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
@@ -302,7 +306,7 @@ def _cmd_cover(args) -> int:
         else:
             print(f"cover_greedy={row.cover_greedy}")
     except SolverTimeoutError as exc:
-        lower = max(exc.lower, sum(fooling_sizes(f)[0].values()))
+        lower = max(exc.lower, fooling_sum)
         row.status = f"timeout:lower={lower},upper={exc.upper}"
         print(f"timeout: bounds=[{lower}, {exc.upper}]")
         code = EXIT_TIMEOUT

@@ -29,8 +29,9 @@ MAX_DIM_SIZE = 1 << 12
 _M64 = (1 << 64) - 1
 
 
-def splitmix64(x: int) -> int:
-    """One round of the splitmix64 output function (public-domain constants)."""
+def splitmix64(x):
+    """One round of the splitmix64 output function (public-domain constants),
+    on a Python int or elementwise on a numpy uint64 array, where it wraps."""
     x = (x + 0x9E3779B97F4A7C15) & _M64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -42,7 +43,8 @@ def hash64(seed: int, value: int) -> int:
     """Portable 64-bit mix of (seed, value): splitmix64(splitmix64(seed) ^ value).
 
     This is the fixed hash behind the seeded-random selector; changing it
-    changes every seeded selection, so it is pinned by tests.
+    changes every seeded selection, so it is pinned by tests. It is the
+    per-cell reference for the selector's vectorised table.
     """
     return splitmix64(splitmix64(seed & _M64) ^ (value & _M64))
 
@@ -358,7 +360,8 @@ class Protocol:
         # counts a cell's position down by one, so exactly one of them finds
         # it at zero.
         sizes = self.shape.sizes
-        picks = np.array([hash64(sel.seed, i) for i in range(counts.size)], dtype=np.uint64)
+        cells = np.arange(counts.size, dtype=np.uint64)
+        picks = splitmix64(cells ^ np.uint64(splitmix64(sel.seed & _M64)))
         remaining = (picks % counts.astype(np.uint64)).astype(np.int64).reshape(sizes)
         out = np.full(sizes, -1, dtype=np.int64)
         for i, index in enumerate(self.cover._box_indices):
@@ -416,8 +419,9 @@ class ProtocolTree:
 
 
 def compile_tree(tree: ProtocolTree) -> Protocol:
-    """Flatten a protocol tree into a partition cover with an explicit
-    selector mapping each cell to its unique leaf."""
+    """Flatten a protocol tree into a partition cover. Its leaves partition
+    the domain by the split discipline, so the min-index selector maps each
+    cell to its unique leaf."""
     shape = tree.shape
     boxes: list[Box] = []
 
@@ -439,11 +443,7 @@ def compile_tree(tree: ProtocolTree) -> Protocol:
         walk(node.right, masks[: node.owner] + (right,) + masks[node.owner + 1 :])
 
     walk(tree.root, tuple((1 << s) - 1 for s in shape.sizes))
-    cover = Cover(shape, tuple(boxes))
-    # leaves partition the domain by the split discipline, so every cell's
-    # smallest containing box is its unique leaf
-    table = cover._cell_tables[1]
-    return Protocol(cover, TranscriptSelector.explicit(table.tolist()))
+    return Protocol(Cover(shape, tuple(boxes)), TranscriptSelector.min_index())
 
 
 def log2_int(value: int) -> float:

@@ -25,7 +25,6 @@ from .core import (
     indices_from_mask,
     mask_from_indices,
     selector_labels,
-    thickness_table,
 )
 from .errors import GenerationFailureError, InvalidInputError
 
@@ -374,7 +373,7 @@ def random_bounded_cover(
         rng = np.random.default_rng(seed)
     base = compile_tree(random_tree(shape, rng=rng)).cover
     boxes = list(base.boxes)
-    counts = thickness_table(base).copy()  # the cover's table is read-only
+    counts = np.ones(shape.num_cells, dtype=np.int64)  # tree leaves partition the grid
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
     added = 0

@@ -1,5 +1,6 @@
 """Catalog enumeration, exact/greedy cover, fooling sets, ranks, summary."""
 
+import math
 import time
 
 import numpy as np
@@ -22,16 +23,15 @@ from commlab import (
 )
 from commlab.bounds import (
     DUAL_SCALE,
-    _cell_mask,
-    _color_cells,
+    MonochromaticCatalog,
+    _color_setups,
     _dual_weights,
-    _greedy_cover,
     fooling_set,
     gf2_rank,
     is_fooling_set,
     rational_rank,
 )
-from commlab.core import Cover, indices_from_mask
+from commlab.core import Box, Cover, indices_from_mask
 
 from naive import brute_force_cover_number, brute_maximal_monochromatic
 
@@ -71,8 +71,10 @@ def test_catalog_eq2_color1_diagonal_singletons():
 
 def test_catalog_matches_brute_force_on_random_functions():
     rng = np.random.default_rng(21)
-    for _ in range(30):
-        shape = DomainShape((int(rng.integers(2, 5)), int(rng.integers(2, 5))))
+    shapes = [(1, n) for n in range(1, 7)] + [(n, 1) for n in range(1, 7)]
+    shapes += [(int(rng.integers(2, 7)), int(rng.integers(2, 7))) for _ in range(40)]
+    for sizes in shapes:
+        shape = DomainShape(sizes)
         f = random_function(shape, int(rng.integers(2, 4)), seed=int(rng.integers(1 << 16)))
         catalog = enumerate_maximal_monochromatic(f)
         expected = brute_maximal_monochromatic(f.colors.tolist())
@@ -207,16 +209,11 @@ def test_dual_weights_are_a_feasible_dual():
         f = random_function(DomainShape((12, 12)), 2, seed)
         catalog = enumerate_maximal_monochromatic(f)
         _, witness = cover_number(f, catalog=catalog)
-        for color, boxes in catalog.boxes_by_color.items():
-            cells = 0
-            for b in boxes:
-                cells |= _cell_mask(b, 12)
-            masks, cell_boxes = _color_cells(cells, [_cell_mask(b, 12) for b in boxes])
-            n_cells = len(cell_boxes)
-            upper = len(_greedy_cover((1 << n_cells) - 1, masks))
-            weights = _dual_weights(n_cells, masks, upper)
+        for color, setup in enumerate(_color_setups(f, catalog, math.inf)):
+            n_cells = len(setup.cell_boxes)
+            weights = _dual_weights(setup.cell_boxes, len(setup.masks), len(setup.greedy), math.inf)
             assert len(weights) == n_cells and min(weights) >= 0
-            for m in masks:
+            for m in setup.masks:
                 assert sum(weights[c] for c in indices_from_mask(m)) <= DUAL_SCALE
             bound = -(-sum(weights) // DUAL_SCALE)
             # LP optimum is about 10 on these colours; the start point, one
@@ -247,6 +244,37 @@ def test_cover_timeout_returns_bounds():
     with pytest.raises(SolverTimeoutError) as err:
         cover_number(f, "exact", timeout_s=0.0)
     assert 1 <= err.value.lower <= err.value.upper
+
+
+def test_zero_budget_times_out_at_the_first_check():
+    # xor(2) needs no search: every color is a partition
+    with pytest.raises(SolverTimeoutError):
+        cover_number(xor_function(2), "exact", timeout_s=0)
+
+
+def test_cover_setup_honours_deadline():
+    # eq(4) by hand: NEQ's boxes S x complement(S) and the diagonal singletons;
+    # setting up NEQ's 65,534 boxes takes several seconds
+    f = eq_function(4)
+    full = (1 << 16) - 1
+    catalog = MonochromaticCatalog(
+        f.shape,
+        {0: tuple(Box((s, full ^ s)) for s in range(1, full)), 1: tuple(Box((1 << i, 1 << i)) for i in range(16))},
+        partial=False,
+    )
+    start = time.monotonic()
+    with pytest.raises(SolverTimeoutError) as err:
+        cover_number(f, "exact", timeout_s=0.5, catalog=catalog)
+    assert time.monotonic() - start < 1.0
+    assert (err.value.lower, err.value.upper) == (2, 32)  # color count, row strips
+
+
+def test_timeout_upper_bound_is_at_most_row_strip_cover():
+    # the greedy covers sum to 35 here; one strip per (row, color) needs 32
+    f = random_function(DomainShape((16, 16)), 2, 1)
+    summary = bound_summary(f, timeout_s=0.5)
+    assert summary.status["cover_exact"] == "timeout"
+    assert summary.cover_bounds[1] <= 32
 
 
 def test_fooling_eq2_diagonal():

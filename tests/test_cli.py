@@ -136,6 +136,19 @@ def test_catalog_timeout_reports_bounds(command, capsys):
     assert 18 <= lower <= 22 <= upper
 
 
+def test_cover_budget_includes_fooling_sets(capsys):
+    # the fooling sets behind the timeout's lower bound come out of the budget
+    code, stdout, _ = run(
+        capsys, "cover", "--fn", "random", "--sizes", "100x100", "--colors", "2",
+        "--seed", "1", "--timeout-s", "1",
+    )
+    assert code == 3
+    row = next(l for l in stdout.split("\n") if l.startswith("fn-100x100"))
+    # runtime_ms is the last column; the timeout status holds a comma itself
+    assert REPORT_COLUMNS[-1] == "runtime_ms"
+    assert float(row.rsplit(",", 1)[1]) <= 1500
+
+
 def test_bounds_eq2(capsys):
     code, stdout, _ = run(capsys, "bounds", "--fn", "eq", "--n", "2")
     assert code == 0

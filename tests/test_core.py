@@ -257,6 +257,10 @@ def test_random_trees_compile_to_thickness_one_partitions():
         report = validate_cover(protocol.cover)
         assert report.is_partition
         assert thickness(protocol.cover) == 1
+        labels = selector_labels(protocol)
+        for lin, cell in enumerate(shape.cells()):
+            assert labels[lin] == select_transcript(protocol, cell)
+            assert protocol.cover.boxes[labels[lin]].contains(cell)
 
 
 def _brute_thickness(cover, cell) -> int:
@@ -267,7 +271,9 @@ def _brute_thickness(cover, cell) -> int:
 def test_cached_tables_match_per_cell_reference(kind):
     from commlab import random_bounded_cover
 
-    for seed, sizes in enumerate([(5, 7), (8, 3), (3, 4, 2)]):
+    # 64x80 has more than 4,096 cells; its seed draws 45 boxes, few enough
+    # for the per-cell reference to stay quick
+    for seed, sizes in ((0, (5, 7)), (1, (8, 3)), (2, (3, 4, 2)), (6, (64, 80))):
         shape = DomainShape(sizes)
         cover = random_bounded_cover(shape, rho_max=3, extra=4, seed=seed)
         if kind == "min-index":
