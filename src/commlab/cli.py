@@ -26,10 +26,7 @@ from .functions import (
     trivial_merlin_am,
     xor_function,
 )
-from .info import JointDistribution
 from .reports import ReportRow, emit_report
-from .serialize import InstanceBundle, load_am, load_instance, save_instance
-from .verify import SuiteConfig, am_analyze, analyze_instance, batch_experiment
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -171,6 +168,9 @@ def _cli_function(args):
 
 
 def _cmd_gen(args) -> int:
+    from .info import JointDistribution
+    from .serialize import InstanceBundle, save_instance
+
     if args.preset == "parity-tightness":
         protocol = parity_tightness_protocol(args.n)
         save_instance(InstanceBundle(protocol=protocol), args.out)
@@ -232,6 +232,9 @@ def _emit(rows, args) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .serialize import load_instance
+    from .verify import SuiteConfig, analyze_instance, batch_experiment
+
     if args.instance:
         bundle = load_instance(args.instance)
         row, violations = analyze_instance(bundle, rho_mode=args.rho_mode, tol=args.tol)
@@ -269,6 +272,8 @@ def _cmd_verify(args) -> int:
 
 def _cover_target(args):
     if args.instance:
+        from .serialize import load_instance
+
         bundle = load_instance(args.instance)
         if bundle.function is None:
             raise InvalidInputError("instance file carries no function")
@@ -346,6 +351,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_am(args) -> int:
+    from .serialize import load_am
+    from .verify import am_analyze
+
     if args.instance:
         bundle = load_am(args.instance)
         if bundle.target is None:

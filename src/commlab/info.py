@@ -29,45 +29,59 @@ NORMALIZATION_TOL = 1e-12
 
 
 def pairwise_sum(values) -> float:
-    """Adjacent-pairwise tree sum of a flat array, left to right."""
+    """Adjacent-pairwise tree sum of a flat array, left to right.
+
+    Level by level, neighbours (0, 1), (2, 3), ... are added and an odd last
+    element is carried unchanged. Padding with -0.0 to a power of two gives
+    the same tree, because x + (-0.0) == x for every float x.
+    """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = arr.size
-    if n == 0:
+    if arr.size == 0:
         return 0.0
-    while n > 1:
-        half = n // 2
-        head = arr[: 2 * half]
-        combined = head[0::2] + head[1::2]
-        if n % 2:
-            arr = np.concatenate([combined, arr[2 * half :]])
-        else:
-            arr = combined
-        n = arr.size
-    return float(arr[0])
+    buf = np.full(1 << (arr.size - 1).bit_length(), -0.0)
+    buf[: arr.size] = arr
+    while buf.size > 1:
+        buf = buf[0::2] + buf[1::2]
+    return float(buf[0])
 
 
 def grouped_pairwise_sums(values: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
-    """Per-group adjacent-pairwise sums. group_ids must be nondecreasing; the
-    result is ordered by group id."""
-    vals = np.asarray(values, dtype=np.float64).copy()
-    ids = np.asarray(group_ids, dtype=np.int64)
-    while vals.size:
-        n = vals.size
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        run_len = np.diff(np.append(starts, n))
-        if (run_len == 1).all():
-            return vals
-        pos = np.arange(n) - np.repeat(starts, run_len)
-        length_here = np.repeat(run_len, run_len)
-        is_left = (pos % 2 == 0) & (pos + 1 < length_here)
-        is_carry = (pos % 2 == 0) & (pos + 1 >= length_here)
-        keep = np.flatnonzero(is_left | is_carry)
-        add = np.zeros(keep.size, dtype=np.float64)
-        left_slots = is_left[keep]
-        add[left_slots] = vals[keep[left_slots] + 1]
-        vals = vals[keep] + add
-        ids = ids[keep]
-    return vals
+    """Per-group adjacent-pairwise sums, each the tree `pairwise_sum` builds
+    over that group's run. group_ids must be nondecreasing; the result is
+    ordered by group id.
+
+    Each run is padded with -0.0 to a power-of-two width, and the runs are laid
+    out widest first, so every run starts at a multiple of its own width and
+    one level of every tree is a single strided add over the runs still wider
+    than one slot.
+    """
+    vals = np.asarray(values, dtype=np.float64).reshape(-1)
+    ids = np.asarray(group_ids).reshape(-1)
+    is_start = np.ones(vals.size + 1, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=is_start[1:-1])
+    bounds = np.flatnonzero(is_start)
+    if bounds.size == vals.size + 1:  # every run is a single term
+        return vals.copy()
+    lengths = bounds[1:] - bounds[:-1]
+    exponents = np.frexp(lengths - 1)[1]  # 2**e is the least power of two >= length
+    order = (-exponents).argsort()
+    widths = np.int64(1) << exponents[order]
+    ends = widths.cumsum()
+    offsets = np.empty_like(lengths)
+    offsets[order] = ends - widths
+    buf = np.full(int(ends[-1]), -0.0)
+    buf[np.repeat(offsets - bounds[:-1], lengths) + np.arange(vals.size)] = vals
+    # level by level, the runs that are down to one slot are the last slots
+    sums = np.empty(lengths.size)
+    done = lengths.size
+    for count in np.bincount(exponents).tolist():
+        head = buf.size - count
+        sums[done - count : done] = buf[head:]
+        buf = buf[0:head:2] + buf[1:head:2]
+        done -= count
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +92,8 @@ class JointDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=np.float64).reshape(-1)
+        # + 0.0 turns -0.0 into 0.0, so no sum over p depends on the sign of zero
+        arr = np.asarray(self.p, dtype=np.float64).reshape(-1) + 0.0
         if arr.size != self.shape.num_cells:
             raise InvalidInputError("probability table length does not match domain")
         if (arr < 0).any():
@@ -176,8 +191,13 @@ class VariableSpec:
 
 
 def _combine_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Labels of the pair (a, b), ordered like the pairs. The mixed-radix key
+    is ranked densely only when it could exceed the cell count, which keeps
+    keys of any number of variables within int64."""
     radix = int(b.max()) + 1
-    key = a.astype(np.int64) * radix + b
+    key = a * radix + b
+    if (int(a.max()) + 1) * radix <= a.size:
+        return key
     _, inverse = np.unique(key, return_inverse=True)
     return inverse.reshape(-1)
 
@@ -211,7 +231,7 @@ class InfoEngine:
         if key in self._joint_cache:
             return self._joint_cache[key]
         labels = self._group_labels(names)
-        order = np.argsort(labels, kind="stable")
+        order = labels.argsort(kind="stable")
         q = grouped_pairwise_sums(self.dist.p[order], labels[order])
         safe = np.where(q > 0.0, q, 1.0)
         value = pairwise_sum(-q * np.log2(safe))

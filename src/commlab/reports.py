@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, fields
 
@@ -70,10 +72,15 @@ def format_value(value) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    lines = [",".join(REPORT_COLUMNS)]
+    """One line per row, "\\n"-terminated; a field that holds a comma (a
+    timeout status with its bounds) is quoted, so every row has one field per
+    column."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
     for row in rows:
-        lines.append(",".join(format_value(getattr(row, col)) for col in REPORT_COLUMNS))
-    return "\n".join(lines) + "\n"
+        writer.writerow([format_value(getattr(row, col)) for col in REPORT_COLUMNS])
+    return out.getvalue()
 
 
 def rows_to_json(rows) -> str:

@@ -7,7 +7,29 @@ code with the implementation under test.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, groupby
+
+
+def pairwise_sum_levels(values) -> float:
+    """Adjacent-pairwise tree sum by its level-by-level definition: add
+    neighbours (0, 1), (2, 3), ..., carry an odd last element unchanged, and
+    repeat until one value is left. Python floats are IEEE doubles, so this
+    is bit-comparable with any implementation of the same tree."""
+    level = [float(v) for v in values]
+    if not level:
+        return 0.0
+    while len(level) > 1:
+        pairs = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            pairs.append(level[-1])
+        level = pairs
+    return level[0]
+
+
+def grouped_pairwise_sums_levels(values, group_ids) -> list:
+    """pairwise_sum_levels over each run of equal consecutive group ids."""
+    runs = groupby(zip(values, group_ids), key=lambda pair: pair[1])
+    return [pairwise_sum_levels([value for value, _ in run]) for _, run in runs]
 
 
 def naive_entropy(prob_by_key: dict) -> float:

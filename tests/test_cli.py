@@ -1,8 +1,12 @@
 """CLI surface: command grammar, exit codes, report formats, determinism."""
 
+import ast
+import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,6 +151,45 @@ def test_cover_budget_includes_fooling_sets(capsys):
     # runtime_ms is the last column; the timeout status holds a comma itself
     assert REPORT_COLUMNS[-1] == "runtime_ms"
     assert float(row.rsplit(",", 1)[1]) <= 1500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main", "--seeds", "0..9"],
+        ["verify", "multiparty", "--seeds", "0..3"],
+        # a timeout status holds a comma: timeout:lower=...,upper=...
+        ["cover", "--fn", "random", "--sizes", "100x100", "--colors", "2", "--seed", "1",
+         "--timeout-s", "1"],
+        ["bounds", "--fn", "eq", "--n", "2"],
+        ["bounds", "--fn", "eq", "--n", "4", "--timeout-s", "0.3"],
+    ],
+)
+def test_csv_rows_keep_every_column(argv, tmp_path, capsys):
+    out = str(tmp_path / "r.csv")
+    run(capsys, *argv, "--out", out)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(REPORT_COLUMNS)
+    assert len(rows) > 1 and all(len(row) == len(REPORT_COLUMNS) for row in rows)
+
+
+def test_bounds_loads_no_entropy_or_instance_modules():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        "from commlab.cli import main\n"
+        "main(['bounds', '--fn', 'xor', '--n', '2'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('commlab')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.strip().splitlines()[-1]))
+    assert "commlab.bounds" in loaded
+    assert not loaded & {"commlab.verify", "commlab.info", "commlab.serialize"}
 
 
 def test_bounds_eq2(capsys):

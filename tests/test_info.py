@@ -1,10 +1,11 @@
 """Entropy engine: exact values, identities, profiles, oracle agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commlab import (
@@ -24,12 +25,19 @@ from commlab import (
     parity_tightness_protocol,
     triple_information,
     trivial_merlin_cover,
+    windmill_cover,
     xor_function,
 )
 from commlab.core import box
 from commlab.info import InfoEngine, grouped_pairwise_sums
 
-from naive import naive_conditional_mi, naive_joint_entropy, naive_mutual_information
+from naive import (
+    grouped_pairwise_sums_levels,
+    naive_conditional_mi,
+    naive_joint_entropy,
+    naive_mutual_information,
+    pairwise_sum_levels,
+)
 
 
 def dist_from_dict(shape, cells):
@@ -49,7 +57,9 @@ def test_pairwise_sum_matches_fsum():
     rng = np.random.default_rng(0)
     for n in (0, 1, 2, 3, 7, 100, 1001):
         values = rng.random(n)
-        assert pairwise_sum(values) == pytest.approx(math.fsum(values), abs=1e-12)
+        got = pairwise_sum(values)
+        assert got.hex() == pairwise_sum_levels(values.tolist()).hex()
+        assert got == pytest.approx(math.fsum(values), abs=1e-12)
 
 
 def test_grouped_pairwise_sums_match_per_group_fsum():
@@ -59,8 +69,47 @@ def test_grouped_pairwise_sums_match_per_group_fsum():
         ids = np.sort(rng.integers(0, 20, size=n))
         vals = rng.random(n)
         got = grouped_pairwise_sums(vals, ids)
-        expected = [math.fsum(vals[ids == g]) for g in np.unique(ids)]
-        assert np.allclose(got, expected, atol=1e-12)
+        expected = grouped_pairwise_sums_levels(vals.tolist(), ids.tolist())
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+        fsums = [math.fsum(vals[ids == g]) for g in np.unique(ids)]
+        assert np.allclose(got, fsums, atol=1e-12)
+
+
+SCALES = st.sampled_from([1e-9, 1.0, 1e9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scale=SCALES,
+    terms=st.lists(
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-1.0, max_value=1.0)),
+        max_size=300,
+    ),
+)
+@example(scale=1.0, terms=[-0.0, -0.0, -0.0])  # a point mass over three groups
+def test_pairwise_sum_is_bit_identical_to_level_oracle(scale, terms):
+    values = [t * scale for t in terms]
+    assert pairwise_sum(np.array(values)).hex() == pairwise_sum_levels(values).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scale=SCALES,
+    runs=st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1.0).map(abs), min_size=1, max_size=300),
+        min_size=1,
+        max_size=20,
+    ),
+    gaps=st.lists(st.integers(min_value=1, max_value=3), min_size=20, max_size=20),
+)
+def test_grouped_pairwise_sums_are_bit_identical_to_level_oracle(scale, runs, gaps):
+    # non-negative terms without -0.0, as JointDistribution stores them;
+    # at most 300 terms, in runs of any length and with gaps between ids
+    values = [v * scale for run in runs for v in run][:300]
+    ids = [gid for run, gid in zip(runs, np.cumsum(gaps).tolist()) for _ in run][:300]
+    got = grouped_pairwise_sums(np.array(values), np.array(ids))
+    expected = grouped_pairwise_sums_levels(values, ids)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +308,25 @@ def test_profile_constant_single_box():
     assert profile["H(T)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["H(F|X0)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["IC"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_negative_zero_probabilities_give_the_same_profile():
+    # a point mass leaves whole label groups at zero; their sums must not
+    # depend on the sign of those zeros
+    shape = DomainShape((4, 4))
+    protocol = Protocol(windmill_cover(), TranscriptSelector.min_index())
+    table = np.zeros(16)
+    table[5] = 1.0
+
+    def fields_of(p):
+        profile = build_profile(JointDistribution.from_table(shape, p), protocol)
+        out = {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
+        out["quantities"] = {k: v.hex() for k, v in out["quantities"].items()}
+        out["expected_log_rho"] = out["expected_log_rho"].hex()
+        out["excluded_mass"] = out["excluded_mass"].hex()
+        return out
+
+    assert fields_of(np.where(table > 0.0, table, -0.0)) == fields_of(table)
 
 
 def test_profile_parity_selector_brute_force():
