@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Box, DomainShape, indices_from_mask
+from .core import Box, DomainShape, indices_from_mask, pack_rows, unpack_rows
 from .errors import InvalidInputError, SolverTimeoutError
 from .functions import ColoredFunction, monochromatic_color
 
@@ -24,6 +25,8 @@ EXACT_FOOLING_CAP = 64
 DUAL_SCALE = 1 << 20  # dual weights are integers in units of 1 / DUAL_SCALE
 DUAL_ROUNDS = 60  # subgradient steps behind one color's dual weights
 DUAL_AFTER_NODES = 32  # search nodes of a color before it computes dual weights
+SETUP_BLOCK_CELLS = 1 << 19  # box-cell pairs per setup deadline check: a few ms on NEQ(16)
+SEARCH_BLOCK = 4096  # branch candidates per search deadline check: a few ms on NEQ(16)
 
 
 @dataclass
@@ -47,9 +50,14 @@ class MonochromaticCatalog:
         return sum(len(v) for v in self.boxes_by_color.values())
 
 
-def _require_two_party(f: ColoredFunction) -> None:
+def _require_bounds_domain(f: ColoredFunction) -> None:
+    """Two parties, at most ENUMERATION_CELL_CAP cells: every bound checks this first."""
     if f.shape.arity != 2:
         raise InvalidInputError("bound machinery works on two-party functions")
+    if f.shape.num_cells > ENUMERATION_CELL_CAP:
+        raise InvalidInputError(
+            f"domain has {f.shape.num_cells} cells, enumeration cap is {ENUMERATION_CELL_CAP}"
+        )
 
 
 def _row_strip_cover_size(f: ColoredFunction) -> int:
@@ -84,17 +92,13 @@ def enumerate_maximal_monochromatic(
     each with every row that contains it. Each new column set is intersected
     with every row until no new set appears. `deadline` is a
     time.monotonic() value checked at every column set (see _budget_check)."""
-    _require_two_party(f)
-    if f.shape.num_cells > ENUMERATION_CELL_CAP:
-        raise InvalidInputError(
-            f"domain has {f.shape.num_cells} cells, enumeration cap is {ENUMERATION_CELL_CAP}"
-        )
+    _require_bounds_domain(f)
     check = _budget_check(f, deadline, "maximal-box enumeration")
     by_color: dict[int, tuple[Box, ...]] = {}
     partial = False
     total = 0
     for color in range(f.num_colors):
-        col_sets = [sum(1 << int(y) for y in np.flatnonzero(row)) for row in f.colors == color]
+        col_sets = pack_rows(f.colors == color)
 
         def rows_of(t_mask: int) -> int:
             return sum(1 << x for x, c in enumerate(col_sets) if c & t_mask == t_mask)
@@ -122,15 +126,6 @@ def enumerate_maximal_monochromatic(
 # Set cover over the catalog
 
 
-def _cell_mask(b: Box, n_cols: int) -> int:
-    """Row-major cell bitmask of a two-party box."""
-    rows, cols = b.masks
-    mask = 0
-    for x in indices_from_mask(rows):
-        mask |= cols << (x * n_cols)
-    return mask
-
-
 class _ColorSetup(NamedTuple):
     """One color's boxes over that color's cells only, the cells renumbered
     fewest boxes first (ties: row-major order) so that the independent-cell
@@ -141,49 +136,62 @@ class _ColorSetup(NamedTuple):
     cell_boxes: list[int]  # per renumbered cell, the mask of the boxes containing it
     greedy: list[int]  # a greedy cover, boxes in pick order
     lower: int  # root lower bound
+    by_size: list[int]  # the boxes, most cells first (ties: lower index first)
 
 
 def _color_setups(
     f: ColoredFunction, catalog: MonochromaticCatalog, deadline: float
 ) -> list[_ColorSetup]:
     """The _ColorSetup of every color with cells, built once per catalog
-    and kept on it. The deadline is checked at every box and every greedy
-    pick (see _budget_check)."""
+    and kept on it. A box is a product, so the boxes through cell (x, y) are
+    those holding row x AND those holding column y, and a box's renumbered
+    cells are a packed row of the gather of its row and column bits. The
+    deadline is checked at every block of boxes (see _budget_check)."""
     if catalog._setups is not None:
         return catalog._setups
     check = _budget_check(f, deadline, "cover setup")
-    n_cols = f.shape.sizes[1]
+    n_rows, n_cols = f.shape.sizes
+    step = max(1, SETUP_BLOCK_CELLS // f.shape.num_cells)
     setups = []
     offset = 0
     n_covered = 0
     for color in sorted(catalog.boxes_by_color):
         boxes = catalog.boxes_by_color[color]
-        boxes_of: dict[int, int] = {}  # cell -> mask of the boxes containing it
-        masks = []
-        for i, b in enumerate(boxes):
+        blocks = [slice(start, start + step) for start in range(0, len(boxes), step)]
+        rows = np.zeros((n_rows, len(boxes)), dtype=bool)  # row x box membership
+        cols = np.zeros((n_cols, len(boxes)), dtype=bool)
+        for block in blocks:
             check()
-            masks.append(_cell_mask(b, n_cols))
-            for cell in indices_from_mask(masks[-1]):
-                boxes_of[cell] = boxes_of.get(cell, 0) | 1 << i
-        if boxes_of:
-            n_covered += len(boxes_of)
-            order = sorted(boxes_of, key=lambda cell: (boxes_of[cell].bit_count(), cell))
-            position = {cell: k for k, cell in enumerate(order)}
-            local = []
-            for m in masks:
+            rows[:, block] = unpack_rows([b.masks[0] for b in boxes[block]], n_rows).T
+            cols[:, block] = unpack_rows([b.masks[1] for b in boxes[block]], n_cols).T
+        col_boxes = pack_rows(cols)
+        meet = [r & c for r in pack_rows(rows) for c in col_boxes]  # per row-major cell
+        order = sorted((k for k, m in enumerate(meet) if m), key=lambda k: meet[k].bit_count())
+        if order:
+            n_covered += len(order)
+            cell_boxes = [meet[k] for k in order]
+            at_row, at_col = np.divmod(order, n_cols)
+            local, sizes = [], np.zeros(len(boxes), dtype=np.int64)
+            for block in blocks:
                 check()
-                local.append(sum(1 << position[cell] for cell in indices_from_mask(m)))
-            cell_boxes = [boxes_of[cell] for cell in order]
+                gathered = rows[at_row, block] & cols[at_col, block]  # cells x boxes
+                local += pack_rows(gathered.T)
+                sizes[block] = gathered.sum(axis=0)
+            check()
+            by_size = np.argsort(-sizes, kind="stable").tolist()
             cells = (1 << len(order)) - 1
             greedy = []
             uncovered = cells
             while uncovered:
-                check()
-                gains = [(m & uncovered).bit_count() for m in local]
+                gains = []
+                for block in blocks:
+                    check()
+                    gains += [(m & uncovered).bit_count() for m in local[block]]
                 greedy.append(gains.index(max(gains)))
                 uncovered &= ~local[greedy[-1]]
-            lower = _root_lower_bound(cells, local, cell_boxes)
-            setups.append(_ColorSetup(offset, local, cell_boxes, greedy, lower))
+            gain_bound = -(-len(order) // int(sizes.max()))  # no box covers more cells
+            lower = max(gain_bound, _independent_lower_bound(cells, cell_boxes))
+            setups.append(_ColorSetup(offset, local, cell_boxes, greedy, lower, by_size))
         offset += len(boxes)
     if n_covered != f.shape.num_cells:
         raise InvalidInputError("catalog does not cover the domain")
@@ -207,14 +215,6 @@ def _independent_lower_bound(uncovered: int, cell_boxes: list[int], banned: int 
     return count
 
 
-def _root_lower_bound(cells: int, masks: list[int], cell_boxes: list[int]) -> int:
-    """Boxes needed to cover one color's `cells`: the gain bound (no box
-    covers more than the largest box ∩ cells) or the independent-cell bound.
-    The search tests the same two bounds against its incumbent."""
-    max_gain = max((m & cells).bit_count() for m in masks)
-    return max(-(-cells.bit_count() // max_gain), _independent_lower_bound(cells, cell_boxes))
-
-
 def _dual_weights(cell_boxes: list[int], n_boxes: int, upper: int, deadline: float) -> list[int]:
     """Integer weights on the cells of `cell_boxes`, in units of 1 / DUAL_SCALE,
     whose sum over the cells of any box is at most DUAL_SCALE. They are a
@@ -225,14 +225,11 @@ def _dual_weights(cell_boxes: list[int], n_boxes: int, upper: int, deadline: flo
     Subgradient steps on the Lagrangian of the covering LP, aimed at the
     incumbent cover size `upper`, move the multipliers; each step's
     multipliers, divided per cell by the heaviest box through it, are a
-    feasible dual, and the heaviest of those is kept. A step that starts
-    past `deadline`, a time.monotonic() value, returns no weights instead."""
-    n_bytes = (n_boxes + 7) >> 3
-    bits = [
-        np.unpackbits(np.frombuffer(m.to_bytes(n_bytes, "little"), dtype=np.uint8), bitorder="little")
-        for m in cell_boxes
-    ]
-    a = np.stack(bits)[:, :n_boxes].astype(np.float64)  # cells x boxes incidence
+    feasible dual, and the heaviest of those is kept. Past `deadline`, a
+    time.monotonic() value checked between stages and steps, it returns []."""
+    a = unpack_rows(cell_boxes, n_boxes).astype(np.float64)  # cells x boxes incidence
+    if time.monotonic() >= deadline:
+        return []
     lam = 1.0 / (a * a.sum(axis=0)).max(axis=1)  # 1 / largest box through the cell
     best, best_sum = lam, 0.0
     step = 2.0
@@ -251,10 +248,13 @@ def _dual_weights(cell_boxes: list[int], n_boxes: int, upper: int, deadline: flo
             break
         lam = np.maximum(lam + step * (upper - lagrangian) / norm * g, 0.0)
         step *= 0.95
-    weights = np.floor(best * DUAL_SCALE).astype(np.int64)
-    if (weights @ a.astype(np.int64)).max() > DUAL_SCALE:  # float rounding; not seen
+    if time.monotonic() >= deadline:
+        return []
+    # exact in float64: box sums are integers below 2^20 weight * 2^24 cells
+    weights = np.floor(best * DUAL_SCALE)
+    if (weights @ a).max() > DUAL_SCALE:  # float rounding; not seen
         return [0] * len(cell_boxes)
-    return weights.tolist()
+    return weights.astype(np.int64).tolist()
 
 
 def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
@@ -270,12 +270,12 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
     found in that candidate's branch, and a candidate whose restriction is
     contained in an earlier one's (equal restrictions: the lower index
     stays) is skipped. A branch that one more box must complete is checked
-    in place. The deadline is checked at every node; past it the search
+    in place. The deadline is checked at every node, every SEARCH_BLOCK
+    candidates scored and every candidate tried; past it the search
     raises SolverTimeoutError with this color's (lower, upper)."""
-    _, masks, cell_boxes, best, lower = setup
+    _, masks, cell_boxes, best, lower, by_size = setup
     universe = (1 << len(cell_boxes)) - 1
     nodes = 0
-    by_size = sorted(range(len(masks)), key=lambda i: -masks[i].bit_count())
     weights: list[int] = []
 
     def weight(cells: int) -> int:
@@ -295,11 +295,14 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
             rest ^= low
         return (live & -live).bit_length() - 1 if live else -1
 
+    def check() -> None:
+        if time.monotonic() >= deadline:
+            raise SolverTimeoutError("exact cover search timed out", lower=lower, upper=len(best))
+
     def search(uncovered: int, chosen: list[int], banned: int, dual: int | None):
         nonlocal best, nodes, weights
         nodes += 1
-        if time.monotonic() >= deadline:
-            raise SolverTimeoutError("exact cover search timed out", lower=lower, upper=len(best))
+        check()
         if nodes == DUAL_AFTER_NODES:
             weights = _dual_weights(cell_boxes, len(masks), len(best), deadline)
         need = len(best) - len(chosen)  # boxes left before matching the incumbent
@@ -330,12 +333,19 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
                 pick, pick_count = cell, c
                 if c <= 1:
                     break
-        restricted = sorted(
-            ((masks[i] & uncovered, i) for i in indices_from_mask(cell_boxes[pick] & ~banned)),
-            key=lambda ri: -ri[0].bit_count(),
-        )
+        candidates = indices_from_mask(cell_boxes[pick] & ~banned)
+        gains = []  # ints only: a list of tuples per node would keep the collector busy
+        for start in range(0, len(candidates), SEARCH_BLOCK):
+            check()
+            block = candidates[start : start + SEARCH_BLOCK]
+            gains += [(masks[i] & uncovered).bit_count() for i in block]
         kept: list[int] = []
-        for r, i in restricted:
+        # largest restriction first; reverse=True keeps equal gains in index order
+        for k in sorted(range(len(candidates)), key=gains.__getitem__, reverse=True):
+            if time.monotonic() >= deadline:  # check() inline: this loop is the hot path
+                check()
+            i = candidates[k]
+            r = masks[i] & uncovered
             banned |= 1 << i
             if any(r | s == s for s in kept):
                 continue  # dominated: an earlier candidate covers all it would
@@ -381,7 +391,7 @@ def cover_number(
     count, row-strip cover size); during the search, the solved colors'
     minima plus, for the rest, their root lower bounds and their best
     covers, with the upper bound capped at the row-strip cover size."""
-    _require_two_party(f)
+    _require_bounds_domain(f)
     if mode not in ("exact", "greedy"):
         raise InvalidInputError(f"unknown cover mode {mode!r}")
     deadline = time.monotonic() + timeout_s
@@ -389,8 +399,7 @@ def cover_number(
         catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
     if catalog.partial:
         raise InvalidInputError("catalog is partial; raise the cap first")
-    boxes = [b for _, b in catalog.all_boxes()]
-    if not boxes:
+    if not catalog.num_boxes:
         raise InvalidInputError("empty catalog")
     setups = _color_setups(f, catalog, deadline)
     chosen: list[int] = []
@@ -408,6 +417,8 @@ def cover_number(
                     upper=min(upper, _row_strip_cover_size(f)),
                 ) from None
         chosen.extend(setup.offset + i for i in best)
+    by_color = catalog.boxes_by_color
+    boxes = tuple(chain.from_iterable(by_color[c] for c in sorted(by_color)))  # catalog order
     return len(chosen), tuple(boxes[i] for i in sorted(chosen))
 
 
@@ -431,7 +442,7 @@ def fooling_set(
     """A set of color-cells such that every crossed pair leaves the color.
     Exact mode finds a maximum such set (clique search on the fooling graph,
     capped at 64 candidate cells); greedy extends in row-major cell order."""
-    _require_two_party(f)
+    _require_bounds_domain(f)
     if not 0 <= color < f.num_colors:
         raise InvalidInputError(f"color {color} not present")
     cells, adj = _fooling_graph(f, color)
@@ -448,11 +459,7 @@ def fooling_set(
         raise InvalidInputError(
             f"{n} candidate cells exceed the exact cap {EXACT_FOOLING_CAP}; use greedy"
         )
-    neighbor = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if adj[i, j]:
-                neighbor[i] |= 1 << j
+    neighbor = pack_rows(adj)
     best: list[int] = []
 
     def expand(current: list[int], allowed: int):
@@ -480,21 +487,6 @@ def fooling_set(
     return tuple(cells[i] for i in best)
 
 
-def is_fooling_set(f: ColoredFunction, color: int, cells) -> bool:
-    colors = f.colors
-    cells = list(cells)
-    for x, y in cells:
-        if colors[x, y] != color:
-            return False
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            x1, y1 = cells[i]
-            x2, y2 = cells[j]
-            if colors[x1, y2] == color and colors[x2, y1] == color:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Matrix rank
 
@@ -510,34 +502,14 @@ def _indicator_matrix(f: ColoredFunction, color: int | None) -> np.ndarray:
 
 
 def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank over GF(2); rows packed into ints."""
-    n_rows, n_cols = matrix.shape
-    rows = []
-    for r in range(n_rows):
-        acc = 0
-        for c in range(n_cols):
-            if matrix[r, c] & 1:
-                acc |= 1 << c
-        rows.append(acc)
-    rank = 0
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if (rows[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and ((rows[r] >> col) & 1):
-                rows[r] ^= rows[pivot_row]
-        rank += 1
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rank
+    """Rank over GF(2): the size of an XOR basis of the rows, keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for row in pack_rows(np.asarray(matrix) & 1):
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        if row:
+            basis[row.bit_length()] = row
+    return len(basis)
 
 
 def rational_rank(matrix: np.ndarray) -> int:
@@ -575,7 +547,7 @@ def comm_matrix_rank(
     f: ColoredFunction, field_name: str = "gf2", color: int | None = None
 ) -> int:
     """Rank of the color-indicator matrix (or of a 0/1-valued f itself)."""
-    _require_two_party(f)
+    _require_bounds_domain(f)
     matrix = _indicator_matrix(f, color)
     if field_name == "gf2":
         return gf2_rank(matrix)
@@ -641,7 +613,7 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     and the upper bound at most the row-strip cover size; a timeout before
     the greedy covers are built leaves `cover_greedy` unset and bounds the
     cover by the color count and the row-strip cover."""
-    _require_two_party(f)
+    _require_bounds_domain(f)
     deadline = time.monotonic() + timeout_s
     fooling, fooling_mode = fooling_sizes(f)
     rank_gf2_by = {c: comm_matrix_rank(f, "gf2", c) for c in range(f.num_colors)}

@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--colors", type=int, default=2)
     cover.add_argument("--seed", type=int, default=0)
     cover.add_argument("--instance")
-    cover.add_argument("--timeout-s", type=float, default=60.0)
+    cover.add_argument("--timeout-s", type=_finite_float, default=60.0)
     cover.add_argument("--out")
     cover.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--colors", type=int, default=2)
     bounds.add_argument("--seed", type=int, default=0)
     bounds.add_argument("--instance")
-    bounds.add_argument("--timeout-s", type=float, default=60.0)
+    bounds.add_argument("--timeout-s", type=_finite_float, default=60.0)
     bounds.add_argument("--out")
     bounds.add_argument("--format", choices=["csv", "json"], default="csv")
 

@@ -60,12 +60,29 @@ def mask_from_indices(indices, size: int) -> int:
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
+    if mask.bit_count() > 64:  # one numpy pass beats a loop per bit from about here
+        return tuple(np.flatnonzero(unpack_rows([mask], mask.bit_length())[0]).tolist())
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def pack_rows(bits) -> list[int]:
+    """Each row of a 2-D bool array as an int bitset (bit j = column j)."""
+    packed = np.packbits(np.ascontiguousarray(bits, dtype=bool), axis=1, bitorder="little")
+    n, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i * n : i * n + n], "little") for i in range(len(packed))]
+
+
+def unpack_rows(sets: list[int], width: int) -> np.ndarray:
+    """The inverse of pack_rows: a len(sets) x width bool array."""
+    n_bytes = (width + 7) >> 3
+    data = b"".join(s.to_bytes(n_bytes, "little") for s in sets)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(sets), n_bytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ from .core import (
     compile_tree,
     indices_from_mask,
     mask_from_indices,
+    pack_rows,
     selector_labels,
+    unpack_rows,
 )
 from .errors import GenerationFailureError, InvalidInputError
 
@@ -242,12 +244,7 @@ def approx_xor_relation(n: int, delta: float) -> Relation:
     shape = DomainShape((size, size))
     values = np.arange(size, dtype=_POPCOUNT_DTYPE)
     dist = np.bitwise_count(np.bitwise_xor.outer(values, values))
-    ball_masks = []
-    for v in range(size):
-        mask = 0
-        for z in np.flatnonzero(dist[v] <= radius):
-            mask |= 1 << int(z)
-        ball_masks.append(mask)
+    ball_masks = pack_rows(dist <= radius)
     target = np.bitwise_xor.outer(np.arange(size), np.arange(size)).reshape(-1)
     return Relation(shape, tuple(ball_masks[int(v)] for v in target), size)
 
@@ -320,13 +317,8 @@ def random_tree(
             side = rng.integers(0, 2, size=len(idxs))
             if 0 < int(side.sum()) < len(idxs):
                 break
-        left = 0
-        right = 0
-        for take, i in zip(side, idxs):
-            if take:
-                left |= 1 << i
-            else:
-                right |= 1 << i
+        left = mask_from_indices([i for t, i in zip(side.tolist(), idxs) if t], shape.sizes[owner])
+        right = masks[owner] ^ left
         return TreeSplit(
             owner,
             left,
@@ -347,11 +339,7 @@ def _random_box(shape: DomainShape, rng: np.random.Generator) -> Box:
             k = 1 + int(rng.integers(s))
         else:
             k = 1 + int(rng.integers(min(s, 3)))
-        picks = rng.choice(s, size=k, replace=False)
-        mask = 0
-        for i in picks:
-            mask |= 1 << int(i)
-        masks.append(mask)
+        masks.append(mask_from_indices(rng.choice(s, size=k, replace=False).tolist(), s))
     return Box(tuple(masks))
 
 
@@ -486,16 +474,12 @@ def error_protocol_from_cover(
     shape = protocol.shape
     if shape.arity != 2:
         raise InvalidInputError("error protocols are two-party")
-    n_boxes = protocol.cover.num_boxes
-    g_a = np.full((shape.sizes[0], n_boxes), -1, dtype=np.int64)
-    g_b = np.full((shape.sizes[1], n_boxes), -1, dtype=np.int64)
-    for i, b in enumerate(protocol.cover.boxes):
-        color = monochromatic_color(b, target)
-        if color is None:
-            raise InvalidInputError(f"box {i} is not monochromatic for the target")
-        g_a[list(indices_from_mask(b.masks[0])), i] = color
-        g_b[list(indices_from_mask(b.masks[1])), i] = color
-    return ErrorProtocol(protocol, g_a, g_b)
+    boxes = protocol.cover.boxes
+    colors = [monochromatic_color(b, target) for b in boxes]
+    if None in colors:
+        raise InvalidInputError(f"box {colors.index(None)} is not monochromatic for the target")
+    in_a, in_b = (unpack_rows([b.masks[k] for b in boxes], shape.sizes[k]).T for k in (0, 1))
+    return ErrorProtocol(protocol, np.where(in_a, colors, -1), np.where(in_b, colors, -1))
 
 
 def trivial_merlin_am(target: ColoredFunction | Relation) -> AMProtocol:

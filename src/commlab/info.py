@@ -96,8 +96,8 @@ class JointDistribution:
         arr = np.asarray(self.p, dtype=np.float64).reshape(-1) + 0.0
         if arr.size != self.shape.num_cells:
             raise InvalidInputError("probability table length does not match domain")
-        if (arr < 0).any():
-            raise InvalidInputError("probabilities must be non-negative")
+        if not np.isfinite(arr).all() or (arr < 0).any():
+            raise InvalidInputError("probabilities must be finite and non-negative")
         total = pairwise_sum(arr)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidInputError(f"probabilities sum to {total!r}, not 1")

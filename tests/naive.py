@@ -102,6 +102,19 @@ def brute_maximal_monochromatic(colors) -> dict:
     return out
 
 
+def is_fooling_set(colors, color: int, cells) -> bool:
+    """Every cell has `color`, and every two cells cross: at least one of
+    their crossed cells (x1, y2), (x2, y1) does not. `colors` is a list of
+    rows."""
+    cells = list(cells)
+    if any(colors[x][y] != color for x, y in cells):
+        return False
+    for (x1, y1), (x2, y2) in combinations(cells, 2):
+        if colors[x1][y2] == color and colors[x2][y1] == color:
+            return False
+    return True
+
+
 def brute_force_cover_number(n_rows: int, n_cols: int, boxes) -> int:
     """Fewest of the given (rows, cols) rectangles whose union is the whole
     grid, by subset enumeration; only for at most 20 rectangles."""

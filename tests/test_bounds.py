@@ -28,12 +28,11 @@ from commlab.bounds import (
     _dual_weights,
     fooling_set,
     gf2_rank,
-    is_fooling_set,
     rational_rank,
 )
 from commlab.core import Box, Cover, indices_from_mask
 
-from naive import brute_force_cover_number, brute_maximal_monochromatic
+from naive import brute_force_cover_number, brute_maximal_monochromatic, is_fooling_set
 
 
 def test_catalog_constant_full_box():
@@ -237,6 +236,14 @@ def test_bound_summary_eq4_honours_budget():
     lower, upper = summary.cover_bounds
     assert summary.fooling_sum <= lower <= 22 <= upper
     assert "internal" not in summary.status
+    # 3 s reach the search: the root bounds of NEQ's 65,534 boxes and a cover
+    start = time.monotonic()
+    summary = bound_summary(eq_function(4), timeout_s=3.0)
+    assert time.monotonic() - start < 3.5
+    assert summary.status["cover_exact"] == "timeout"
+    lower, upper = summary.cover_bounds
+    assert 20 <= lower <= 22 <= upper <= 24
+    assert "internal" not in summary.status
 
 
 def test_cover_timeout_returns_bounds():
@@ -254,7 +261,8 @@ def test_zero_budget_times_out_at_the_first_check():
 
 def test_cover_setup_honours_deadline():
     # eq(4) by hand: NEQ's boxes S x complement(S) and the diagonal singletons;
-    # setting up NEQ's 65,534 boxes takes several seconds
+    # setting up NEQ's 65,534 boxes takes about 0.2 s, so a 0.05 s budget ends
+    # inside setup, before any search bound exists
     f = eq_function(4)
     full = (1 << 16) - 1
     catalog = MonochromaticCatalog(
@@ -264,7 +272,7 @@ def test_cover_setup_honours_deadline():
     )
     start = time.monotonic()
     with pytest.raises(SolverTimeoutError) as err:
-        cover_number(f, "exact", timeout_s=0.5, catalog=catalog)
+        cover_number(f, "exact", timeout_s=0.05, catalog=catalog)
     assert time.monotonic() - start < 1.0
     assert (err.value.lower, err.value.upper) == (2, 32)  # color count, row strips
 
@@ -282,7 +290,7 @@ def test_fooling_eq2_diagonal():
     cells = fooling_set(f, 1, "exact")
     assert len(cells) == 4
     assert sorted(cells) == [(0, 0), (1, 1), (2, 2), (3, 3)]
-    assert is_fooling_set(f, 1, cells)
+    assert is_fooling_set(f.colors.tolist(), 1, cells)
 
 
 def test_fooling_constant_is_single_cell():
@@ -294,7 +302,7 @@ def test_fooling_xor1_color0():
     f = xor_function(1)
     cells = fooling_set(f, 0, "exact")
     assert sorted(cells) == [(0, 0), (1, 1)]
-    assert is_fooling_set(f, 0, cells)
+    assert is_fooling_set(f.colors.tolist(), 0, cells)
 
 
 def test_fooling_greedy_is_valid_and_maximal_under_extension():
@@ -303,10 +311,10 @@ def test_fooling_greedy_is_valid_and_maximal_under_extension():
         f = random_function(DomainShape((4, 4)), 2, seed=int(rng.integers(1 << 16)))
         for color in range(f.num_colors):
             cells = fooling_set(f, color, "greedy")
-            assert is_fooling_set(f, color, cells)
+            assert is_fooling_set(f.colors.tolist(), color, cells)
             exact = fooling_set(f, color, "exact")
             assert len(exact) >= len(cells)
-            assert is_fooling_set(f, color, exact)
+            assert is_fooling_set(f.colors.tolist(), color, exact)
 
 
 def test_fooling_exact_cap():

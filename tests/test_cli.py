@@ -97,11 +97,20 @@ def test_verify_csv_golden_digest(suite, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--rho-max", "a,b"], ["--rho-max", ""], ["--max-bits", "0"], ["--tol", "nan"]]
+    "bad",
+    [
+        ["verify", "main", "--seeds", "0..2", "--rho-max", "a,b"],
+        ["verify", "main", "--seeds", "0..2", "--rho-max", ""],
+        ["verify", "main", "--seeds", "0..2", "--max-bits", "0"],
+        ["verify", "main", "--seeds", "0..2", "--tol", "nan"],
+        # a nan budget would never expire: monotonic() >= nan is always False
+        ["cover", "--fn", "eq", "--n", "2", "--timeout-s", "nan"],
+        ["bounds", "--fn", "eq", "--n", "2", "--timeout-s", "nan"],
+    ],
 )
 def test_verify_bad_option_exits_two(bad, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "main", "--seeds", "0..2", *bad])
+        main(bad)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -227,6 +236,30 @@ def test_invalid_input_exit_two(tmp_path, capsys):
     assert "error" in err.lower()
     code, _, _ = run(capsys, "cover")
     assert code == 2
+    # a NaN probability fails every comparison, so it needs its own check
+    nan_dist = str(tmp_path / "nan.json")
+    assert run(capsys, "gen", "--out", nan_dist, "--cover", "windmill", "--dist", "uniform")[0] == 0
+    obj = json.loads(open(nan_dist).read())
+    obj["distribution"]["p"][0] = float("nan")
+    with open(nan_dist, "w") as fh:
+        json.dump(obj, fh)
+    code, _, err = run(capsys, "verify", "main", "--instance", nan_dist)
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "cover"])
+def test_over_cap_grid_exits_two_before_bound_work(command, capsys, monkeypatch):
+    # 300x300 is 90,000 cells; its fooling graphs alone would take about 4 GB
+    from commlab import bounds
+
+    def no_fooling_graph(*args):
+        raise AssertionError("fooling graph built past the enumeration cap")
+
+    monkeypatch.setattr(bounds, "_fooling_graph", no_fooling_graph)
+    code, _, err = run(capsys, command, "--fn", "random", "--sizes", "300x300", "--colors", "2")
+    assert code == 2
+    assert "enumeration cap is 65536" in err
 
 
 def test_emit_report_csv_json():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab import (
     Box,
@@ -24,7 +26,14 @@ from commlab import (
     validate_cover,
     windmill_cover,
 )
-from commlab.core import box_thickness_table, hash64, thickness_table
+from commlab.core import (
+    box_thickness_table,
+    hash64,
+    mask_from_indices,
+    pack_rows,
+    thickness_table,
+    unpack_rows,
+)
 
 
 def full_box(shape):
@@ -305,3 +314,31 @@ def test_cached_tables_are_read_only_and_computed_once():
             arr[0] = 7
     assert thickness_table(cover) is tables[0]
     assert selector_labels(protocol) is tables[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 130).flatmap(
+        lambda width: st.lists(st.lists(st.booleans(), min_size=width, max_size=width), max_size=5)
+        .map(lambda rows: (width, rows))
+    )
+)
+def test_bitset_codec_round_trip(case):
+    # widths 0..130 cross every byte boundary; zero rows included
+    width, rows = case
+    bits = np.array(rows, dtype=bool).reshape(len(rows), width)
+    sets = pack_rows(bits)
+    assert sets == [mask_from_indices(np.flatnonzero(row), width) for row in bits]
+    back = unpack_rows(sets, width)
+    assert back.shape == bits.shape and back.dtype == bool
+    assert (back == bits).all()
+
+
+def test_bitset_codec_every_width_and_transposed_input():
+    rng = np.random.default_rng(5)
+    for width in range(131):
+        for n_rows in (0, 1, 9):
+            bits = rng.random((width, n_rows)) < 0.5  # packed through a transposed view
+            sets = pack_rows(bits.T)
+            assert sets == [mask_from_indices(np.flatnonzero(row), width) for row in bits.T]
+            assert (unpack_rows(sets, width) == bits.T).all()

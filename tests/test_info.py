@@ -124,6 +124,11 @@ def test_distribution_validation():
         JointDistribution(shape, [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(InvalidInputError):
         JointDistribution(shape, [1.0, 0.0, 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            JointDistribution(shape, [bad, 0.5, 0.5, 0.0])
+    with pytest.raises(InvalidInputError):
+        JointDistribution(shape, [math.nan, 1.0, 0.0, 0.0])
 
 
 def test_uniform_entropy_two_bits():
