@@ -25,6 +25,7 @@ EXACT_FOOLING_CAP = 64
 DUAL_SCALE = 1 << 20  # dual weights are integers in units of 1 / DUAL_SCALE
 DUAL_ROUNDS = 60  # subgradient steps behind one color's dual weights
 DUAL_AFTER_NODES = 32  # search nodes of a color before it computes dual weights
+CATALOG_BLOCK = 64  # boxes built per enumeration deadline check: well under 1 ms
 SETUP_BLOCK_CELLS = 1 << 19  # box-cell pairs per setup deadline check: a few ms on NEQ(16)
 SEARCH_BLOCK = 4096  # branch candidates per search deadline check: a few ms on NEQ(16)
 
@@ -91,7 +92,8 @@ def enumerate_maximal_monochromatic(
     color's boxes are the nonempty intersections of its rows' column sets,
     each with every row that contains it. Each new column set is intersected
     with every row until no new set appears. `deadline` is a
-    time.monotonic() value checked at every column set (see _budget_check)."""
+    time.monotonic() value checked at every column set and every
+    CATALOG_BLOCK boxes built (see _budget_check)."""
     _require_bounds_domain(f)
     check = _budget_check(f, deadline, "maximal-box enumeration")
     by_color: dict[int, tuple[Box, ...]] = {}
@@ -115,7 +117,12 @@ def enumerate_maximal_monochromatic(
             if len(found) + total > cap:
                 partial = True
                 break
-        by_color[color] = tuple(Box((s, t)) for s, t in sorted((s, t) for t, s in found.items()))
+        pairs = sorted((s, t) for t, s in found.items())
+        boxes: list[Box] = []
+        for start in range(0, len(pairs), CATALOG_BLOCK):
+            check()
+            boxes.extend(Box(pair) for pair in pairs[start : start + CATALOG_BLOCK])
+        by_color[color] = tuple(boxes)
         total += len(found)
         if partial:
             break

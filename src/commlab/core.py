@@ -3,15 +3,16 @@ and deterministic protocol trees.
 
 Factor sets are stored as int bitmasks so membership and intersection are
 O(words). All types are immutable after construction; every operation here is
-a pure function. Per-cell and per-box thickness and the selected box of every
-cell are computed once per Cover/Protocol and cached on it as read-only
-arrays; the module-level table functions read that cache.
+a pure function. Each Cover lists its (box, cell) members once; per-cell and
+per-box thickness and the selected box of every cell are derived from that
+list once per Cover/Protocol and cached on it as read-only arrays; the
+module-level table functions read that cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +91,7 @@ class DomainShape:
     """Per-dimension cardinalities of the input grid (one entry per party)."""
 
     sizes: tuple[int, ...]
+    num_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -105,14 +107,11 @@ class DomainShape:
             total *= s
         if total > MAX_CELLS:
             raise InvalidInputError(f"domain has {total} cells, cap is {MAX_CELLS}")
+        object.__setattr__(self, "num_cells", total)
 
     @property
     def arity(self) -> int:
         return len(self.sizes)
-
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.sizes, dtype=np.int64))
 
     def cells(self):
         """Iterate all cells in row-major order."""
@@ -223,30 +222,38 @@ class Cover:
         return len(self.boxes)
 
     @cached_property
-    def _box_indices(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per box, the open-mesh (np.ix_) index of its cells into a
-        grid-shaped array."""
-        return tuple(np.ix_(*(indices_from_mask(m) for m in b.masks)) for b in self.boxes)
+    def _members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(box index, flat row-major cell) of every cell of every box: box by
+        box, each box's cells in row-major order. Position r within a box is
+        split into one digit per factor, the last factor varying fastest."""
+        sizes = self.shape.sizes
+        factors = [unpack_rows([b.masks[k] for b in self.boxes], s) for k, s in enumerate(sizes)]
+        widths = [f.sum(axis=1) for f in factors]
+        per_box = np.prod(widths, axis=0)
+        boxes = np.repeat(np.arange(self.num_boxes), per_box)
+        rest = np.arange(boxes.size) - np.repeat(per_box.cumsum() - per_box, per_box)
+        cells = np.zeros(boxes.size, dtype=np.int64)
+        stride = 1
+        for f, w, s in zip(reversed(factors), reversed(widths), reversed(sizes)):
+            rest, digit = np.divmod(rest, w[boxes])
+            cells += np.nonzero(f)[1][(w.cumsum() - w)[boxes] + digit] * stride
+            stride *= s
+        return boxes, cells
 
     @cached_property
-    def _cell_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(per-cell thickness, smallest containing box index or -1), flat
-        row-major; one pass over the boxes, last to first."""
-        counts = np.zeros(self.shape.sizes, dtype=np.int64)
-        first = np.full(self.shape.sizes, -1, dtype=np.int64)
-        for i in range(self.num_boxes - 1, -1, -1):
-            index = self._box_indices[i]
-            counts[index] += 1
-            first[index] = i
-        return _read_only(counts), _read_only(first)
+    def _by_cell(self) -> tuple[np.ndarray, np.ndarray]:
+        """(per-cell thickness, the members' boxes in cell order): one stable
+        sort by cell, so each cell's boxes stay in ascending index order."""
+        boxes, cells = self._members
+        counts = np.bincount(cells, minlength=self.shape.num_cells)
+        return _read_only(counts), boxes[cells.argsort(kind="stable")]
 
     @cached_property
     def _box_thickness(self) -> np.ndarray:
-        """Max cell thickness inside each box; the second pass."""
-        counts = self._cell_tables[0].reshape(self.shape.sizes)
-        return _read_only(
-            np.array([counts[index].max() for index in self._box_indices], dtype=np.int64)
-        )
+        """Max cell thickness inside each box, over each box's run of members."""
+        boxes, cells = self._members
+        runs = np.searchsorted(boxes, np.arange(self.num_boxes))
+        return _read_only(np.maximum.reduceat(self._by_cell[0][cells], runs))
 
 
 @dataclass(frozen=True)
@@ -258,7 +265,7 @@ class CoverageReport:
 
 def thickness_table(cover: Cover) -> np.ndarray:
     """Per-cell count of covering boxes, flat row-major read-only int array."""
-    return cover._cell_tables[0]
+    return cover._by_cell[0]
 
 
 def validate_cover(cover: Cover) -> CoverageReport:
@@ -344,17 +351,17 @@ class Protocol:
             table = np.asarray(sel.table, dtype=np.int64)
             if (table < 0).any() or (table >= self.cover.num_boxes).any():
                 raise InvalidSelectorError("explicit selector entry is not a box index")
-            # a box holds all cells mapped to it iff it finds them all among its own
-            grid = table.reshape(self.cover.shape.sizes)
-            mapped = np.bincount(table, minlength=self.cover.num_boxes)
-            for i, index in enumerate(self.cover._box_indices):
-                if np.count_nonzero(grid[index] == i) != mapped[i]:
-                    b = self.cover.boxes[i]
-                    bad = np.flatnonzero((table == i) & ~b.indicator(self.cover.shape))
-                    cell = self.cover.shape.cell_of_linear(int(bad[0]))
-                    raise InvalidSelectorError(
-                        f"explicit selector maps cell {cell} to box {i}, which does not contain it"
-                    )
+            # a cell is held when one of its members is the box it is mapped to
+            boxes, cells = self.cover._members
+            held = np.zeros(n, dtype=bool)
+            held[cells[table[cells] == boxes]] = True
+            if not held.all():
+                bad = np.flatnonzero(~held)
+                i = int(table[bad].min())
+                cell = self.cover.shape.cell_of_linear(int(bad[table[bad] == i][0]))
+                raise InvalidSelectorError(
+                    f"explicit selector maps cell {cell} to box {i}, which does not contain it"
+                )
 
     @property
     def shape(self) -> DomainShape:
@@ -365,27 +372,19 @@ class Protocol:
         sel = self.selector
         if sel.kind == "explicit":
             return _read_only(np.array(sel.table, dtype=np.int64))
-        counts, first = self.cover._cell_tables
+        counts, boxes = self.cover._by_cell
         missing = np.flatnonzero(counts == 0)
         if missing.size:
             cell = self.shape.cell_of_linear(int(missing[0]))
             raise UncoveredCellError(f"cell {cell} is covered by no box")
-        if sel.kind == "min-index":
-            return first
-        # seeded-random: pick position hash64(seed, linear) mod rho_cell among
-        # the containing boxes in ascending index order. Each containing box
-        # counts a cell's position down by one, so exactly one of them finds
-        # it at zero.
-        sizes = self.shape.sizes
-        cells = np.arange(counts.size, dtype=np.uint64)
-        picks = splitmix64(cells ^ np.uint64(splitmix64(sel.seed & _M64)))
-        remaining = (picks % counts.astype(np.uint64)).astype(np.int64).reshape(sizes)
-        out = np.full(sizes, -1, dtype=np.int64)
-        for i, index in enumerate(self.cover._box_indices):
-            left = remaining[index]
-            out[index] = np.where(left == 0, i, out[index])
-            remaining[index] = left - 1
-        return _read_only(out)
+        pick = 0
+        if sel.kind == "seeded-random":
+            # position hash64(seed, linear) mod rho_cell among the containing
+            # boxes in ascending index order
+            cells = np.arange(counts.size, dtype=np.uint64)
+            hashes = splitmix64(cells ^ np.uint64(splitmix64(sel.seed & _M64)))
+            pick = (hashes % counts.astype(np.uint64)).astype(np.int64)
+        return _read_only(boxes[counts.cumsum() - counts + pick])
 
 
 def select_transcript(protocol: Protocol, cell) -> int:

@@ -330,17 +330,18 @@ def random_tree(
     return ProtocolTree(shape, build(tuple((1 << s) - 1 for s in shape.sizes)))
 
 
-def _random_box(shape: DomainShape, rng: np.random.Generator) -> Box:
+def _random_box(shape: DomainShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The drawn index array of each factor of one random box."""
     # factor sizes biased small so additions fit under tight thickness caps;
     # occasionally draw a large factor for variety
-    masks = []
+    drawn = []
     for s in shape.sizes:
         if rng.random() < 0.25:
             k = 1 + int(rng.integers(s))
         else:
             k = 1 + int(rng.integers(min(s, 3)))
-        masks.append(mask_from_indices(rng.choice(s, size=k, replace=False).tolist(), s))
-    return Box(tuple(masks))
+        drawn.append(rng.choice(s, size=k, replace=False))
+    return tuple(drawn)
 
 
 def random_bounded_cover(
@@ -361,7 +362,7 @@ def random_bounded_cover(
         rng = np.random.default_rng(seed)
     base = compile_tree(random_tree(shape, rng=rng)).cover
     boxes = list(base.boxes)
-    counts = np.ones(shape.num_cells, dtype=np.int64)  # tree leaves partition the grid
+    counts = np.ones(shape.sizes, dtype=np.int64)  # tree leaves partition the grid
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
     added = 0
@@ -373,12 +374,14 @@ def random_bounded_cover(
                 seed=seed,
             )
         attempts += 1
-        candidate = _random_box(shape, rng)
-        ind = candidate.indicator(shape)
-        if (counts[ind] + 1 > rho_max).any():
+        drawn = _random_box(shape, rng)
+        # the open mesh np.ix_ builds, without its per-call cost; the drawn
+        # indices are distinct, so += adds once per cell
+        cells = tuple(d.reshape((-1,) + (1,) * (len(drawn) - 1 - k)) for k, d in enumerate(drawn))
+        if (counts[cells] >= rho_max).any():
             continue
-        counts[ind] += 1
-        boxes.append(candidate)
+        counts[cells] += 1
+        boxes.append(Box.from_factors(drawn, shape))
         added += 1
     return Cover(shape, tuple(boxes))
 

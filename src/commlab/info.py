@@ -26,6 +26,11 @@ from .core import (
 from .errors import DegenerateInstanceError, InvalidInputError
 
 NORMALIZATION_TOL = 1e-12
+# label cells per batched entropy sort: 256 groups of a 256-cell grid, one
+# group of a 65,536-cell grid, so a batch's sort buffers stay near 2 MB
+BATCH_CELLS = 1 << 16
+# combined labels are ranked densely only past this, far below int64's range
+KEY_LIMIT = 1 << 32
 
 
 def pairwise_sum(values) -> float:
@@ -192,11 +197,11 @@ class VariableSpec:
 
 def _combine_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Labels of the pair (a, b), ordered like the pairs. The mixed-radix key
-    is ranked densely only when it could exceed the cell count, which keeps
-    keys of any number of variables within int64."""
+    is ranked densely only when it could exceed KEY_LIMIT, which keeps keys of
+    any number of variables within int64."""
     radix = int(b.max()) + 1
     key = a * radix + b
-    if (int(a.max()) + 1) * radix <= a.size:
+    if (int(a.max()) + 1) * radix <= KEY_LIMIT:
         return key
     _, inverse = np.unique(key, return_inverse=True)
     return inverse.reshape(-1)
@@ -211,7 +216,7 @@ class InfoEngine:
             raise InvalidInputError("distribution and variables disagree on domain size")
         self.dist = dist
         self.variables = variables
-        self._joint_cache: dict[frozenset, float] = {}
+        self._joint_cache: dict[frozenset, float] = {frozenset(): 0.0}
 
     def _group_labels(self, names: tuple[str, ...]) -> np.ndarray:
         combined = None
@@ -222,21 +227,40 @@ class InfoEngine:
             combined = arr if combined is None else _combine_labels(combined, arr)
         return combined
 
+    def entropies(self, groups) -> list[float]:
+        """Joint entropies H of many groups of named variables, in bits.
+
+        Groups not yet cached are computed in batches of at most BATCH_CELLS
+        label cells. A batch stacks its groups' label rows and sorts every row
+        with one stable argsort; a run of equal labels within a row is one
+        outcome, so one grouped sum gives every outcome's mass and a second
+        one every group's entropy. Each sum is the tree its group gets alone,
+        so no value depends on the batch.
+        """
+        keys = [frozenset(_as_names(g)) for g in groups]
+        todo = [k for k in dict.fromkeys(keys) if k not in self._joint_cache]
+        n = self.dist.p.size
+        step = max(1, BATCH_CELLS // n)
+        for start in range(0, len(todo), step):
+            batch = todo[start : start + step]
+            labels = np.stack([self._group_labels(tuple(k)) for k in batch])
+            order = labels.argsort(axis=1, kind="stable")
+            ranked = np.take_along_axis(labels, order, axis=1)
+            is_start = np.ones(ranked.shape, dtype=bool)
+            np.not_equal(ranked[:, 1:], ranked[:, :-1], out=is_start[:, 1:])
+            is_start = is_start.reshape(-1)
+            q = grouped_pairwise_sums(self.dist.p[order].reshape(-1), is_start.cumsum())
+            terms = -q * np.log2(np.where(q > 0.0, q, 1.0))
+            values = grouped_pairwise_sums(terms, np.flatnonzero(is_start) // n)
+            self._joint_cache.update(zip(batch, values.tolist()))
+        return [self._joint_cache[k] for k in keys]
+
     def entropy(self, names) -> float:
         """Joint entropy H of a group of named variables, in bits."""
-        names = _as_names(names)
-        if not names:
-            return 0.0
-        key = frozenset(names)
-        if key in self._joint_cache:
-            return self._joint_cache[key]
-        labels = self._group_labels(names)
-        order = labels.argsort(kind="stable")
-        q = grouped_pairwise_sums(self.dist.p[order], labels[order])
-        safe = np.where(q > 0.0, q, 1.0)
-        value = pairwise_sum(-q * np.log2(safe))
-        self._joint_cache[key] = value
-        return value
+        key = frozenset(_as_names(names))
+        if key not in self._joint_cache:
+            self.entropies([key])
+        return self._joint_cache[key]
 
     def cond_entropy(self, names, given=()) -> float:
         names = _as_names(names)
@@ -398,6 +422,19 @@ def _profile_fingerprint(
     return h.hexdigest()
 
 
+def _profile_groups(arity: int, with_f: bool) -> list[tuple[str, ...]]:
+    """The variable groups whose joint entropies build_profile reads: T alone;
+    all coordinates, X0 and X1, each coordinate, and each set of all
+    coordinates but one, each with and without T; and with F, F alone, F with
+    all coordinates, and F with each coordinate, with and without T."""
+    xs = tuple(f"X{i}" for i in range(arity))
+    bases = [xs, ("X0", "X1")] + [(x,) for x in xs] + [xs[:i] + xs[i + 1 :] for i in range(arity)]
+    groups = [("T",)] + bases + [g + ("T",) for g in bases]
+    if with_f:
+        groups += [("F",), xs + ("F",)] + [(x, "F") for x in xs] + [(x, "T", "F") for x in xs]
+    return groups
+
+
 def build_profile(
     dist: JointDistribution,
     protocol: Protocol,
@@ -483,6 +520,7 @@ def build_profile(
     expected_log_rho = pairwise_sum(dist.p * np.log2(box_rho[t_labels].astype(np.float64)))
 
     names = [f"X{i}" for i in range(arity)]
+    engine.entropies(_profile_groups(arity, f_labels is not None))
     q: dict[str, float] = {}
     q["H(T)"] = engine.entropy("T")
     for i, name in enumerate(names):

@@ -32,6 +32,20 @@ def grouped_pairwise_sums_levels(values, group_ids) -> list:
     return [pairwise_sum_levels([value for value, _ in run]) for _, run in runs]
 
 
+def entropy_levels(probs, labels, log2) -> float:
+    """Joint entropy summed with the engine's trees: each outcome's mass is
+    pairwise_sum_levels over its cells in index order, and H is
+    pairwise_sum_levels of -q*log2(q) over the outcomes in ascending label
+    order, a zero mass adding -0.0. The caller passes log2, so that both
+    sides take the same elementwise logarithm (numpy's and math's can differ
+    in the last bit)."""
+    cells_of: dict = {}
+    for p, label in zip(probs, labels):
+        cells_of.setdefault(label, []).append(float(p))
+    masses = [pairwise_sum_levels(cells_of[k]) for k in sorted(cells_of)]
+    return pairwise_sum_levels([-q * log2(q) if q > 0.0 else -0.0 for q in masses])
+
+
 def naive_entropy(prob_by_key: dict) -> float:
     """H of a {outcome: probability} table, plain left-to-right sum."""
     total = 0.0

@@ -2,6 +2,7 @@
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,6 +227,25 @@ def test_catalog_deadline_bounds_cover():
         enumerate_maximal_monochromatic(f, deadline=time.monotonic() - 1.0)
     # color count below, one strip per (row, color present in the row) above
     assert (err.value.lower, err.value.upper) == (2, 16)
+
+
+def test_catalog_deadline_is_checked_while_boxes_are_built(monkeypatch):
+    # the clock passes the deadline once the 10th of NEQ(8)'s 254 boxes is
+    # built; at most the rest of that block may be built after it
+    import commlab.bounds as bounds
+
+    built = []
+
+    def counting_box(masks):
+        built.append(masks)
+        return Box(masks)
+
+    monkeypatch.setattr(bounds, "Box", counting_box)
+    monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(len(built) >= 10)))
+    with pytest.raises(SolverTimeoutError):
+        enumerate_maximal_monochromatic(eq_function(3), deadline=0.5)
+    assert 10 <= len(built) < 254
+    assert len(built) - 10 <= bounds.CATALOG_BLOCK
 
 
 def test_bound_summary_eq4_honours_budget():

@@ -1,5 +1,7 @@
 """Core grid/box/cover/selector/tree behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,57 @@ def test_cached_tables_match_per_cell_reference(kind):
         for i, b in enumerate(cover.boxes):
             cells = [c for c in shape.cells() if b.contains(c)]
             assert box_thickness_table(cover)[i] == max(_brute_thickness(cover, c) for c in cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda arity: st.lists(st.integers(1, 4 if arity < 4 else 3), min_size=arity, max_size=arity)
+    ),
+    st.integers(1, 8),  # boxes, so thickness up to 8
+    st.booleans(),  # one of them is the full box, so every cell is covered
+    st.integers(0, 2**32 - 1),  # seed of the factors, the selector and the tables
+)
+def test_cover_tables_match_per_cell_reference_on_overlapping_covers(sizes, n_boxes, full, seed):
+    rng = np.random.default_rng(seed)
+    shape = DomainShape(sizes)
+    boxes = [
+        Box.from_factors([rng.choice(s, size=int(rng.integers(1, s + 1)), replace=False) for s in sizes], shape)
+        for _ in range(n_boxes)
+    ]
+    if full:
+        boxes[int(rng.integers(n_boxes))] = full_box(shape)
+    cover = Cover(shape, tuple(boxes))
+    cells = list(shape.cells())
+    brute = [_brute_thickness(cover, c) for c in cells]
+    assert thickness_table(cover).tolist() == brute
+    for i, b in enumerate(boxes):
+        assert box_thickness_table(cover)[i] == max(n for c, n in zip(cells, brute) if b.contains(c))
+    for selector in (TranscriptSelector.min_index(), TranscriptSelector.seeded(seed)):
+        protocol = Protocol(cover, selector)
+        if 0 in brute:
+            with pytest.raises(UncoveredCellError, match=re.escape(str(cells[brute.index(0)]))):
+                selector_labels(protocol)
+            continue
+        assert selector_labels(protocol).tolist() == [select_transcript(protocol, c) for c in cells]
+    # explicit tables: a valid one (where one exists) with a few cells moved,
+    # checked against the first box, then the first cell, mapped wrongly
+    table = rng.integers(0, n_boxes, size=len(cells))
+    if 0 not in brute:
+        table = np.array([select_transcript(Protocol(cover, TranscriptSelector.min_index()), c) for c in cells])
+        moved = rng.choice(len(cells), size=min(len(cells), int(rng.integers(0, 3))), replace=False)
+        table[moved] = rng.integers(0, n_boxes, size=moved.size)
+    wrong = [(t, lin) for lin, (t, c) in enumerate(zip(table.tolist(), cells)) if not boxes[t].contains(c)]
+    if not wrong:
+        labels = selector_labels(Protocol(cover, TranscriptSelector.explicit(table.tolist())))
+        assert labels.tolist() == table.tolist()
+        return
+    i, lin = min(wrong)
+    with pytest.raises(InvalidSelectorError) as err:
+        Protocol(cover, TranscriptSelector.explicit(table.tolist()))
+    assert str(err.value) == (
+        f"explicit selector maps cell {cells[lin]} to box {i}, which does not contain it"
+    )
 
 
 def test_cached_tables_are_read_only_and_computed_once():

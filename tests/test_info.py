@@ -449,3 +449,92 @@ def test_entropy_engine_matches_naive_on_large_random_dists():
         engine = InfoEngine(dist, variables)
         naive = -sum(p * math.log2(p) for p in dist.p if p > 0)
         assert engine.entropy(("X0", "X1")) == pytest.approx(naive, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Batched entropies
+
+
+def _five_variables(shape, seed):
+    """The coordinates and three small random labels, over a distribution
+    with zero cells whose label A = 0 is an outcome of zero mass."""
+    rng = np.random.default_rng(seed)
+    n = shape.num_cells
+    labels = {name: rng.integers(0, k, size=n) for name, k in (("A", 3), ("B", 5), ("C", 2))}
+    weights = rng.integers(0, 4, size=n).astype(np.float64)
+    weights[labels["A"] == 0] = 0.0
+    weights[labels["A"] != 0] += 1.0
+    dist = JointDistribution(shape, weights / weights.sum())
+    variables = VariableSpec.coordinates(shape)
+    for name, arr in labels.items():
+        variables = variables.with_variable(name, arr)
+    return dist, variables
+
+
+@pytest.mark.parametrize("sizes, batches", [((3, 5), 1), ((64, 64), 2)])
+def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, batches):
+    from itertools import combinations
+
+    from commlab.info import BATCH_CELLS
+
+    from naive import entropy_levels
+
+    shape = DomainShape(sizes)
+    dist, variables = _five_variables(shape, seed=sum(sizes))
+    names = sorted(variables.names())
+    groups = [g for k in range(1, len(names) + 1) for g in combinations(names, k)]
+    assert math.ceil(len(groups) / (BATCH_CELLS // shape.num_cells)) == batches
+    batched = InfoEngine(dist, variables).entropies(groups)
+    alone = [InfoEngine(dist, variables).entropy(g) for g in groups]
+    columns = [variables.labels[name].tolist() for name in names]
+    rows = list(zip(*columns))
+    oracle = [
+        entropy_levels(
+            dist.p.tolist(),
+            [tuple(row[names.index(name)] for name in g) for row in rows],
+            lambda q: float(np.log2(q)),
+        )
+        for g in groups
+    ]
+    assert [v.hex() for v in batched] == [v.hex() for v in alone] == [v.hex() for v in oracle]
+    assert InfoEngine(dist, variables).entropies([("A",), (), "A"])[1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "suite, arity, f_mode",
+    [("main", 2, "function"), ("main", 2, None), ("tree", 2, "function"),
+     ("multiparty", 3, "function"), ("multiparty", 4, None)],
+)
+def test_build_profile_computes_every_entropy_in_its_one_batch(monkeypatch, suite, arity, f_mode):
+    # entropy() calls entropies() only for a group outside the cache, so one
+    # call means the batch held every group read; and every batched group is read
+    from commlab.errors import GenerationFailureError
+    from commlab.verify import SuiteConfig, _random_instance
+
+    batches, reads = [], set()
+    entropies, entropy = InfoEngine.entropies, InfoEngine.entropy
+
+    def record_batch(self, groups):
+        batches.append({frozenset((g,) if isinstance(g, str) else g) for g in groups})
+        return entropies(self, groups)
+
+    def record_read(self, names):
+        reads.add(frozenset((names,) if isinstance(names, str) else names))
+        return entropy(self, names)
+
+    monkeypatch.setattr(InfoEngine, "entropies", record_batch)
+    monkeypatch.setattr(InfoEngine, "entropy", record_read)
+    config = SuiteConfig(suite=suite, arity=arity, max_bits=2)
+    profiles = 0
+    for seed in range(8):
+        try:
+            protocol, function, dist = _random_instance(config, seed)
+        except GenerationFailureError:
+            continue
+        batches.clear()
+        reads.clear()
+        build_profile(dist, protocol, target=function if f_mode else None)
+        assert len(batches) == 1
+        assert batches[0] == reads
+        profiles += 1
+    assert profiles >= 5
