@@ -238,7 +238,9 @@ class Cover:
             rest, digit = np.divmod(rest, w[boxes])
             cells += np.nonzero(f)[1][(w.cumsum() - w)[boxes] + digit] * stride
             stride *= s
-        return boxes, cells
+        # int32 halves what every cover keeps: cells < MAX_CELLS = 2**24, and
+        # box indices stay far below 2**31 (each box is a Python object)
+        return boxes.astype(np.int32), cells.astype(np.int32)
 
     @cached_property
     def _by_cell(self) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +386,7 @@ class Protocol:
             cells = np.arange(counts.size, dtype=np.uint64)
             hashes = splitmix64(cells ^ np.uint64(splitmix64(sel.seed & _M64)))
             pick = (hashes % counts.astype(np.uint64)).astype(np.int64)
-        return _read_only(boxes[counts.cumsum() - counts + pick])
+        return _read_only(boxes[counts.cumsum() - counts + pick].astype(np.int64))
 
 
 def select_transcript(protocol: Protocol, cell) -> int:

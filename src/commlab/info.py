@@ -245,11 +245,13 @@ class InfoEngine:
             batch = todo[start : start + step]
             labels = np.stack([self._group_labels(tuple(k)) for k in batch])
             order = labels.argsort(axis=1, kind="stable")
-            ranked = np.take_along_axis(labels, order, axis=1)
-            is_start = np.ones(ranked.shape, dtype=bool)
-            np.not_equal(ranked[:, 1:], ranked[:, :-1], out=is_start[:, 1:])
+            labels = np.take_along_axis(labels, order, axis=1)
+            is_start = np.ones(labels.shape, dtype=bool)
+            np.not_equal(labels[:, 1:], labels[:, :-1], out=is_start[:, 1:])
             is_start = is_start.reshape(-1)
-            q = grouped_pairwise_sums(self.dist.p[order].reshape(-1), is_start.cumsum())
+            # run ids count runs, fewer than max(BATCH_CELLS, MAX_CELLS) = 2**24
+            runs = is_start.cumsum(dtype=np.int32)
+            q = grouped_pairwise_sums(self.dist.p[order].reshape(-1), runs)
             terms = -q * np.log2(np.where(q > 0.0, q, 1.0))
             values = grouped_pairwise_sums(terms, np.flatnonzero(is_start) // n)
             self._joint_cache.update(zip(batch, values.tolist()))
