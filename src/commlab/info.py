@@ -26,11 +26,8 @@ from .core import (
 from .errors import DegenerateInstanceError, InvalidInputError
 
 NORMALIZATION_TOL = 1e-12
-# label cells per batched entropy sort: 256 groups of a 256-cell grid, one
-# group of a 65,536-cell grid, so a batch's sort buffers stay near 2 MB
-BATCH_CELLS = 1 << 16
-# combined labels are ranked densely only past this, far below int64's range
-KEY_LIMIT = 1 << 32
+BATCH_CELLS = 1 << 16  # label cells per batched entropy sort: one group of a 65,536-cell grid
+KEY_LIMIT = 1 << 32  # combined label keys past this are ranked densely; well inside int64
 
 
 def pairwise_sum(values) -> float:
@@ -230,13 +227,11 @@ class InfoEngine:
     def entropies(self, groups) -> list[float]:
         """Joint entropies H of many groups of named variables, in bits.
 
-        Groups not yet cached are computed in batches of at most BATCH_CELLS
-        label cells. A batch stacks its groups' label rows and sorts every row
-        with one stable argsort; a run of equal labels within a row is one
-        outcome, so one grouped sum gives every outcome's mass and a second
-        one every group's entropy. Each sum is the tree its group gets alone,
-        so no value depends on the batch.
-        """
+        Uncached groups are computed in batches of at most BATCH_CELLS label
+        cells: one stable argsort of the stacked label rows, then one grouped
+        sum for the mass of every outcome (a run of equal labels in a row)
+        and one for the entropy of every group. Each sum is the tree its
+        group gets alone, so no value depends on the batch."""
         keys = [frozenset(_as_names(g)) for g in groups]
         todo = [k for k in dict.fromkeys(keys) if k not in self._joint_cache]
         n = self.dist.p.size
@@ -249,7 +244,7 @@ class InfoEngine:
             is_start = np.ones(labels.shape, dtype=bool)
             np.not_equal(labels[:, 1:], labels[:, :-1], out=is_start[:, 1:])
             is_start = is_start.reshape(-1)
-            # run ids count runs, fewer than max(BATCH_CELLS, MAX_CELLS) = 2**24
+            # int32 run ids: a batch holds at most max(BATCH_CELLS, MAX_CELLS) = 2**24 cells
             runs = is_start.cumsum(dtype=np.int32)
             q = grouped_pairwise_sums(self.dist.p[order].reshape(-1), runs)
             terms = -q * np.log2(np.where(q > 0.0, q, 1.0))
@@ -425,10 +420,9 @@ def _profile_fingerprint(
 
 
 def _profile_groups(arity: int, with_f: bool) -> list[tuple[str, ...]]:
-    """The variable groups whose joint entropies build_profile reads: T alone;
-    all coordinates, X0 and X1, each coordinate, and each set of all
-    coordinates but one, each with and without T; and with F, F alone, F with
-    all coordinates, and F with each coordinate, with and without T."""
+    """The groups whose joint entropies build_profile reads: T; all, X0 and X1,
+    each and all but each coordinate, with and without T; and with F, F alone,
+    with all coordinates, and with each coordinate, with and without T."""
     xs = tuple(f"X{i}" for i in range(arity))
     bases = [xs, ("X0", "X1")] + [(x,) for x in xs] + [xs[:i] + xs[i + 1 :] for i in range(arity)]
     groups = [("T",)] + bases + [g + ("T",) for g in bases]

@@ -51,6 +51,9 @@ def test_shape_validation():
         DomainShape((1 << 13, 2))
     shape = DomainShape((3, 5))
     assert shape.num_cells == 15
+    # the stored cell count stays out of equality, hashing and repr
+    assert shape == DomainShape([3, 5]) and hash(shape) == hash(DomainShape([3, 5]))
+    assert repr(shape) == "DomainShape(sizes=(3, 5))"
     assert shape.linear_index((2, 4)) == 14
     assert shape.cell_of_linear(14) == (2, 4)
 

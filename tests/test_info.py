@@ -456,11 +456,14 @@ def test_entropy_engine_matches_naive_on_large_random_dists():
 
 
 def _five_variables(shape, seed):
-    """The coordinates and three small random labels, over a distribution
-    with zero cells whose label A = 0 is an outcome of zero mass."""
+    """The coordinates and three random labels, over a distribution with zero
+    cells whose label A = 0 is an outcome of zero mass. C takes the values 0
+    and 2**20, so on 64x64 the keys of groups with both coordinates and C pass
+    KEY_LIMIT and are ranked densely."""
     rng = np.random.default_rng(seed)
     n = shape.num_cells
     labels = {name: rng.integers(0, k, size=n) for name, k in (("A", 3), ("B", 5), ("C", 2))}
+    labels["C"] <<= 20
     weights = rng.integers(0, 4, size=n).astype(np.float64)
     weights[labels["A"] == 0] = 0.0
     weights[labels["A"] != 0] += 1.0
