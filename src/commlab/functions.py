@@ -353,7 +353,11 @@ def random_bounded_cover(
     attempt_budget: int | None = None,
 ) -> Cover:
     """Random tree partition plus `extra` random boxes, rejecting any addition
-    that would push a cell's thickness above rho_max."""
+    that would push a cell's thickness above rho_max.
+
+    Sampling stops as soon as every cell is at rho_max. Until then a draw can
+    still be accepted (any single cell is a possible box), so stopping early
+    changes no outcome and no RNG call of a successful seed."""
     if rho_max < 1:
         raise InvalidInputError("rho_max must be >= 1")
     if extra < 0:
@@ -363,24 +367,27 @@ def random_bounded_cover(
     base = compile_tree(random_tree(shape, rng=rng)).cover
     boxes = list(base.boxes)
     counts = np.ones(shape.sizes, dtype=np.int64)  # tree leaves partition the grid
+    open_cells = counts.size if rho_max > 1 else 0  # cells still below rho_max
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
     added = 0
     while added < extra:
-        if attempts >= budget:
+        if open_cells == 0 or attempts >= budget:
+            why = "every cell is at the cap" if open_cells == 0 else f"no fit in {attempts} attempts"
             raise GenerationFailureError(
-                f"could not add {extra} boxes under rho_max={rho_max} "
-                f"after {attempts} attempts (seed={seed})",
+                f"could not add {extra} boxes under rho_max={rho_max}: {why} (seed={seed})",
                 seed=seed,
             )
         attempts += 1
         drawn = _random_box(shape, rng)
         # the open mesh np.ix_ builds, without its per-call cost; the drawn
-        # indices are distinct, so += adds once per cell
+        # indices are distinct, so each cell is written once
         cells = tuple(d.reshape((-1,) + (1,) * (len(drawn) - 1 - k)) for k, d in enumerate(drawn))
-        if (counts[cells] >= rho_max).any():
+        sub = counts[cells]
+        if (sub >= rho_max).any():
             continue
-        counts[cells] += 1
+        counts[cells] = sub + 1
+        open_cells -= int(np.count_nonzero(sub == rho_max - 1))
         boxes.append(Box.from_factors(drawn, shape))
         added += 1
     return Cover(shape, tuple(boxes))
@@ -432,13 +439,17 @@ def monochromatic_color(b: Box, target: ColoredFunction | Relation) -> int | Non
     """Function: the unique color on the box, if any. Relation: the smallest
     color admissible at every cell of the box, if any."""
     b.validate(target.shape)
-    ind = b.indicator(target.shape)
+    factors = b.factors()
     if isinstance(target, ColoredFunction):
-        values = np.unique(target.flat()[ind])
-        return int(values[0]) if len(values) == 1 else None
+        sub = target.colors[np.ix_(*factors)]
+        first = sub.flat[0]
+        return int(first) if (sub == first).all() else None
+    cells = [0]  # the box's row-major flat indices, one factor at a time
+    for f, s in zip(factors, target.shape.sizes):
+        cells = [i * s + c for i in cells for c in f]
     common = (1 << target.num_colors) - 1
-    for i in np.flatnonzero(ind):
-        common &= target.admissible[int(i)]
+    for i in cells:
+        common &= target.admissible[i]
         if common == 0:
             return None
     return (common & -common).bit_length() - 1

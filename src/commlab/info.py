@@ -195,12 +195,15 @@ class VariableSpec:
 def _combine_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Labels of the pair (a, b), ordered like the pairs. The mixed-radix key
     is ranked densely only when it could exceed KEY_LIMIT, which keeps keys of
-    any number of variables within int64."""
+    any number of variables within int64. Past the limit each side is ranked
+    densely first, so the key cannot wrap; ranking keeps the order of the
+    pairs, and with it the dense labels."""
     radix = int(b.max()) + 1
-    key = a * radix + b
     if (int(a.max()) + 1) * radix <= KEY_LIMIT:
-        return key
-    _, inverse = np.unique(key, return_inverse=True)
+        return a * radix + b
+    a = np.unique(a, return_inverse=True)[1].reshape(-1)
+    b = np.unique(b, return_inverse=True)[1].reshape(-1)
+    _, inverse = np.unique(a * (int(b.max()) + 1) + b, return_inverse=True)
     return inverse.reshape(-1)
 
 

@@ -7,7 +7,7 @@ code with the implementation under test.
 from __future__ import annotations
 
 import math
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 
 
 def pairwise_sum_levels(values) -> float:
@@ -144,3 +144,31 @@ def brute_force_cover_number(n_rows: int, n_cols: int, boxes) -> int:
             if acc == universe:
                 return k
     raise ValueError("rectangles do not cover the grid")
+
+
+def bounded_additions_full_budget(sizes, base_counts: dict, rho_max: int, extra: int, budget: int, rng):
+    """Rejection sampling of `extra` boxes under a thickness cap, run to the
+    end of its budget: draw a random box (per factor, with probability 1/4 a
+    size uniform in 1..s, else uniform in 1..min(s, 3), then that many
+    distinct indices), keep it if every cell stays at or below rho_max, and
+    give up only after `budget` draws. base_counts maps each cell tuple to its
+    thickness before the additions. Returns each kept box as a tuple of
+    sorted index tuples, or None when the budget runs out first."""
+    counts = dict(base_counts)
+    kept = []
+    for _ in range(budget):
+        if len(kept) == extra:
+            break
+        drawn = []
+        for s in sizes:
+            if rng.random() < 0.25:
+                k = 1 + int(rng.integers(s))
+            else:
+                k = 1 + int(rng.integers(min(s, 3)))
+            drawn.append([int(i) for i in rng.choice(s, size=k, replace=False)])
+        cells = list(product(*drawn))
+        if all(counts[c] < rho_max for c in cells):
+            for c in cells:
+                counts[c] += 1
+            kept.append(tuple(tuple(sorted(d)) for d in drawn))
+    return kept if len(kept) == extra else None

@@ -1,7 +1,13 @@
 """Function/relation tables, generators, error protocols, GOOD sets."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commlab import functions
 
 from commlab import (
     ColoredFunction,
@@ -11,6 +17,7 @@ from commlab import (
     GenerationFailureError,
     InvalidInputError,
     Protocol,
+    Relation,
     TranscriptSelector,
     approx_xor_relation,
     constant_function,
@@ -29,9 +36,9 @@ from commlab import (
     validate_cover,
     xor_function,
 )
-from commlab.core import box
+from commlab.core import Box, box, compile_tree
 
-from naive import enumerate_all_boxes
+from naive import bounded_additions_full_budget, enumerate_all_boxes
 
 
 def test_xor1_table():
@@ -145,6 +152,65 @@ def test_random_bounded_reports_failure_with_seed():
     assert err.value.seed == 13
 
 
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from([(r, c) for r in range(2, 9) for c in range(2, 9)] + [(2, 2, 2), (3, 2, 4), (4, 3, 2)]),
+    st.integers(1, 3),  # rho_max
+    st.integers(1, 8),  # extra
+    st.integers(0, 2**32 - 1),  # seed
+)
+def test_random_bounded_matches_sampling_to_the_full_budget(sizes, rho_max, extra, seed):
+    # a small budget makes failures with only part of the grid at the cap
+    # common; stopping early must not change which seeds fail or what the
+    # others draw
+    shape = DomainShape(sizes)
+    rng = np.random.default_rng(seed)
+    try:
+        cover = random_bounded_cover(shape, rho_max, extra, rng=rng, attempt_budget=20)
+    except GenerationFailureError:
+        cover = None
+    ref_rng = np.random.default_rng(seed)
+    base = compile_tree(functions.random_tree(shape, rng=ref_rng)).cover.boxes
+    ones = {cell: 1 for cell in product(*(range(s) for s in sizes))}
+    kept = bounded_additions_full_budget(sizes, ones, rho_max, extra, 20, ref_rng)
+    assert (cover is None) == (kept is None)
+    if cover is not None:
+        expected = base + tuple(Box.from_factors(factors, shape) for factors in kept)
+        assert [b.masks for b in cover.boxes] == [b.masks for b in expected]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _count_draws(monkeypatch, first=None):
+    """Patch functions._random_box to count its calls; `first`, if given,
+    replaces the first draw."""
+    calls = []
+    draw = functions._random_box
+
+    def counted(shape, rng):
+        calls.append(None)
+        drawn = draw(shape, rng)
+        return first if first is not None and len(calls) == 1 else drawn
+
+    monkeypatch.setattr(functions, "_random_box", counted)
+    return calls
+
+
+def test_random_bounded_fails_without_drawing_when_the_cap_is_one(monkeypatch):
+    calls = _count_draws(monkeypatch)
+    with pytest.raises(GenerationFailureError, match="every cell is at the cap"):
+        random_bounded_cover(DomainShape((4, 4)), rho_max=1, extra=3, seed=5)
+    assert len(calls) == 0
+
+
+def test_random_bounded_stops_once_every_cell_is_at_the_cap(monkeypatch):
+    full = (np.arange(2), np.arange(2))
+    calls = _count_draws(monkeypatch, first=full)
+    with pytest.raises(GenerationFailureError, match="seed=3") as err:
+        random_bounded_cover(DomainShape((2, 2)), rho_max=2, extra=2, seed=3)
+    assert "every cell is at the cap" in str(err.value)
+    assert len(calls) == 1
+
+
 def test_monochromatic_color_function_cases():
     shape = DomainShape((2, 2))
     full = box(shape, [0, 1], [0, 1])
@@ -160,6 +226,40 @@ def test_monochromatic_color_relation_smallest():
     assert monochromatic_color(singleton, rel) == 0
     # whole domain has no common admissible value
     assert monochromatic_color(box(shape, range(4), range(4)), rel) is None
+
+
+def _indicator_color(b, target):
+    """monochromatic_color read off the box's full-grid indicator."""
+    ind = b.indicator(target.shape)
+    if isinstance(target, ColoredFunction):
+        values = np.unique(target.flat()[ind])
+        return int(values[0]) if len(values) == 1 else None
+    common = (1 << target.num_colors) - 1
+    for i in np.flatnonzero(ind):
+        common &= target.admissible[int(i)]
+    return (common & -common).bit_length() - 1 if common else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=2, max_size=3),
+    st.integers(1, 3),  # colors
+    st.integers(0, 2**32 - 1),
+)
+def test_monochromatic_color_matches_the_indicator_reference(sizes, num_colors, seed):
+    # few colors, so that many boxes are monochromatic
+    rng = np.random.default_rng(seed)
+    shape = DomainShape(sizes)
+    f = random_function(shape, num_colors, seed)
+    full = (1 << num_colors) - 1
+    admissible = [int(m) | (1 << int(rng.integers(num_colors))) for m in rng.integers(0, full + 1, size=shape.num_cells)]
+    rel = Relation(shape, tuple(admissible), num_colors)
+    for _ in range(10):
+        b = Box.from_factors(
+            [rng.choice(s, size=int(rng.integers(1, s + 1)), replace=False) for s in sizes], shape
+        )
+        assert monochromatic_color(b, f) == _indicator_color(b, f)
+        assert monochromatic_color(b, rel) == _indicator_color(b, rel)
 
 
 def test_xor_has_no_multicell_monochromatic_box():

@@ -503,6 +503,55 @@ def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, batches)
     assert InfoEngine(dist, variables).entropies([("A",), (), "A"])[1] == 0.0
 
 
+def test_combined_keys_past_int64_do_not_merge_outcomes():
+    # 4 * (2**62 + 1) wraps in int64; a wrapped key made (4, 0) and (0, 4)
+    # one outcome and gave 0.918 bits
+    shape = DomainShape((3, 1))
+    variables = VariableSpec(shape, {"A": [0, 4, 0], "B": [2**62, 0, 4]})
+    engine = InfoEngine(JointDistribution.uniform(shape), variables)
+    assert engine.entropy(("A", "B")) == pytest.approx(math.log2(3), abs=1e-15)
+
+
+_NEAR_2_62 = st.one_of(st.integers(0, 6), st.integers(2**62 - 6, 2**62 + 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda sizes: st.tuples(
+            st.just(sizes),
+            st.lists(
+                st.lists(_NEAR_2_62, min_size=sizes[0] * sizes[1], max_size=sizes[0] * sizes[1]),
+                min_size=3,
+                max_size=3,
+            ),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_entropies_of_labels_near_2_62_match_the_level_oracle(case, seed):
+    from itertools import combinations
+
+    from naive import entropy_levels
+
+    sizes, columns = case
+    shape = DomainShape(sizes)
+    dist = JointDistribution.random_integer_weights(shape, seed=seed)
+    names = ("A", "B", "C")
+    variables = VariableSpec(shape, dict(zip(names, columns)))
+    groups = [g for k in (1, 2, 3) for g in combinations(names, k)]
+    got = InfoEngine(dist, variables).entropies(groups)
+    oracle = [
+        entropy_levels(
+            dist.p.tolist(),
+            list(zip(*(columns[names.index(name)] for name in g))),
+            lambda q: float(np.log2(q)),
+        )
+        for g in groups
+    ]
+    assert [v.hex() for v in got] == [v.hex() for v in oracle]
+
+
 @pytest.mark.parametrize(
     "suite, arity, f_mode",
     [("main", 2, "function"), ("main", 2, None), ("tree", 2, "function"),
