@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab import functions
-
 from commlab import (
     ColoredFunction,
     Cover,
@@ -24,6 +22,7 @@ from commlab import (
     eq_function,
     error_protocol_from_cover,
     error_rate,
+    functions,
     gen_cover,
     gen_function,
     good_set,
@@ -251,8 +250,8 @@ def test_monochromatic_color_matches_the_indicator_reference(sizes, num_colors, 
     rng = np.random.default_rng(seed)
     shape = DomainShape(sizes)
     f = random_function(shape, num_colors, seed)
-    full = (1 << num_colors) - 1
-    admissible = [int(m) | (1 << int(rng.integers(num_colors))) for m in rng.integers(0, full + 1, size=shape.num_cells)]
+    masks = rng.integers(0, 1 << num_colors, size=shape.num_cells)
+    admissible = [int(m) | (1 << int(rng.integers(num_colors))) for m in masks]  # never empty
     rel = Relation(shape, tuple(admissible), num_colors)
     for _ in range(10):
         b = Box.from_factors(
