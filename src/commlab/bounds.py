@@ -99,6 +99,8 @@ def enumerate_maximal_monochromatic(
     by_color: dict[int, tuple[Box, ...]] = {}
     partial = False
     total = 0
+    n_cols = f.shape.sizes[1]
+    low = (1 << n_cols) - 1
     for color in range(f.num_colors):
         col_sets = pack_rows(f.colors == color)
 
@@ -117,11 +119,14 @@ def enumerate_maximal_monochromatic(
             if len(found) + total > cap:
                 partial = True
                 break
-        pairs = sorted((s, t) for t, s in found.items())
+        # one int per box sorts like its (rows, columns) pair, as columns < 2**n_cols
+        keys = [s << n_cols | t for t, s in found.items()]
+        check()
+        keys.sort()
         boxes: list[Box] = []
-        for start in range(0, len(pairs), CATALOG_BLOCK):
+        for start in range(0, len(keys), CATALOG_BLOCK):
             check()
-            boxes.extend(Box(pair) for pair in pairs[start : start + CATALOG_BLOCK])
+            boxes.extend(Box((k >> n_cols, k & low)) for k in keys[start : start + CATALOG_BLOCK])
         by_color[color] = tuple(boxes)
         total += len(found)
         if partial:

@@ -47,8 +47,8 @@ class ColoredFunction:
             raise InvalidInputError("color table shape does not match domain")
         if arr.min() < 0:
             raise InvalidInputError("color ids must be non-negative")
-        distinct = np.unique(arr)
-        if not np.array_equal(distinct, np.arange(len(distinct))):
+        # k contiguous ids need k cells, so the max bounds the bincount's length
+        if arr.max() >= arr.size or not np.bincount(arr.reshape(-1)).all():
             raise InvalidInputError("color ids must be contiguous from 0")
         arr.flags.writeable = False
         object.__setattr__(self, "colors", arr)
@@ -59,6 +59,15 @@ class ColoredFunction:
 
     def flat(self) -> np.ndarray:
         return self.colors.reshape(-1)
+
+
+def dense_ids(values: np.ndarray, bound: int) -> np.ndarray:
+    """Each value's rank among the distinct values, for non-negative ints
+    below `bound`: np.unique's inverse, from a presence table instead of a
+    sort."""
+    present = np.zeros(bound, dtype=bool)
+    present[values] = True
+    return (present.cumsum() - 1)[values]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +217,7 @@ def random_function(shape: DomainShape, num_colors: int, seed: int) -> ColoredFu
         raise InvalidInputError("need at least one color")
     rng = np.random.default_rng(seed)
     raw = rng.integers(0, num_colors, size=shape.sizes)
-    _, inverse = np.unique(raw, return_inverse=True)
-    return ColoredFunction(shape, inverse.reshape(shape.sizes))
+    return ColoredFunction(shape, dense_ids(raw, num_colors))
 
 
 def gen_function(kind: str, **params) -> ColoredFunction:
@@ -306,18 +314,23 @@ def random_tree(
         rng = np.random.default_rng(seed)
     if split_prob is None:
         split_prob = int(rng.integers(30, 91)) / 100.0
+    random, integers = rng.random, rng.integers
 
     def build(masks: tuple[int, ...]):
-        splittable = [i for i in range(shape.arity) if masks[i].bit_count() >= 2]
-        if not splittable or rng.random() >= split_prob:
+        splittable = [i for i, m in enumerate(masks) if m.bit_count() >= 2]
+        if not splittable or random() >= split_prob:
             return TreeLeaf()
-        owner = splittable[int(rng.integers(len(splittable)))]
+        # integers(1) is always 0 and draws nothing, so a lone candidate skips it
+        owner = splittable[int(integers(len(splittable)))] if len(splittable) > 1 else splittable[0]
         idxs = indices_from_mask(masks[owner])
         while True:
-            side = rng.integers(0, 2, size=len(idxs))
-            if 0 < int(side.sum()) < len(idxs):
+            side = integers(0, 2, size=len(idxs)).tolist()
+            if 0 < sum(side) < len(idxs):
                 break
-        left = mask_from_indices([i for t, i in zip(side.tolist(), idxs) if t], shape.sizes[owner])
+        left = 0
+        for t, i in zip(side, idxs):
+            if t:
+                left |= 1 << i
         right = masks[owner] ^ left
         return TreeSplit(
             owner,

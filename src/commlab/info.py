@@ -165,9 +165,10 @@ class VariableSpec:
 
     shape: DomainShape
     labels: dict[str, np.ndarray] = field(default_factory=dict)
+    radices: dict[str, int] = field(init=False, repr=False)  # max label + 1
 
     def __post_init__(self):
-        clean = {}
+        clean, radices = {}, {}
         for name, arr in self.labels.items():
             arr = np.asarray(arr, dtype=np.int64).reshape(-1)
             if arr.size != self.shape.num_cells:
@@ -176,7 +177,9 @@ class VariableSpec:
                 raise InvalidInputError(f"variable {name!r} has negative labels")
             arr.flags.writeable = False
             clean[name] = arr
+            radices[name] = int(arr.max()) + 1
         object.__setattr__(self, "labels", clean)
+        object.__setattr__(self, "radices", radices)
 
     @classmethod
     def coordinates(cls, shape: DomainShape) -> "VariableSpec":
@@ -219,12 +222,22 @@ class InfoEngine:
         self._joint_cache: dict[frozenset, float] = {frozenset(): 0.0}
 
     def _group_labels(self, names: tuple[str, ...]) -> np.ndarray:
-        combined = None
-        for name in sorted(names):
-            if name not in self.variables.labels:
+        """Labels of the group, combined in sorted name order. While the
+        product of the radices stays within KEY_LIMIT, every step's key fits
+        and _combine_labels would take its plain mixed-radix branch, so the
+        keys are built from the radices without reading a max."""
+        names = sorted(names)
+        labels, radices = self.variables.labels, self.variables.radices
+        for name in names:
+            if name not in labels:
                 raise InvalidInputError(f"unknown variable {name!r}")
-            arr = self.variables.labels[name]
-            combined = arr if combined is None else _combine_labels(combined, arr)
+        combined = labels[names[0]]
+        if math.prod(radices[name] for name in names) <= KEY_LIMIT:
+            for name in names[1:]:
+                combined = combined * radices[name] + labels[name]
+            return combined
+        for name in names[1:]:
+            combined = _combine_labels(combined, labels[name])
         return combined
 
     def entropies(self, groups) -> list[float]:
@@ -263,25 +276,33 @@ class InfoEngine:
         return self._joint_cache[key]
 
     def cond_entropy(self, names, given=()) -> float:
-        names = _as_names(names)
-        given = _as_names(given)
-        if not given:
-            return self.entropy(names)
-        return self.entropy(names + given) - self.entropy(given)
+        return _cond_entropy(self.entropy, _as_names(names), _as_names(given))
 
     def mutual_information(self, a, b, given=()) -> float:
-        a, b, given = _as_names(a), _as_names(b), _as_names(given)
-        return (
-            self.cond_entropy(a, given)
-            + self.cond_entropy(b, given)
-            - self.cond_entropy(a + b, given)
-        )
+        return _mutual_information(self.entropy, _as_names(a), _as_names(b), _as_names(given))
 
 
 def _as_names(value) -> tuple[str, ...]:
     if isinstance(value, str):
         return (value,)
     return tuple(value)
+
+
+# The quantities below read joint entropies through h, a function from a tuple
+# of variable names to their joint entropy: InfoEngine.entropy, or a profile's
+# read of its batch. Either way each quantity is the same float expression.
+
+
+def _cond_entropy(h, names: tuple[str, ...], given: tuple[str, ...]) -> float:
+    if not given:
+        return h(names)
+    return h(names + given) - h(given)
+
+
+def _mutual_information(
+    h, a: tuple[str, ...], b: tuple[str, ...], given: tuple[str, ...] = ()
+) -> float:
+    return _cond_entropy(h, a, given) + _cond_entropy(h, b, given) - _cond_entropy(h, a + b, given)
 
 
 _EXPR_RE = re.compile(r"^\s*(H|I)\s*\((.*)\)\s*$", re.S)
@@ -318,7 +339,7 @@ def info_quantity(dist: JointDistribution, variables: VariableSpec, expr: str) -
     if len(groups) == 3:
         if given:
             raise InvalidInputError("triple information does not take a condition here")
-        return _triple(engine, *(_parse_group(g) for g in groups)).value
+        return _triple(engine.entropy, *(_parse_group(g) for g in groups)).value
     raise InvalidInputError(f"I takes 2 or 3 groups, got {len(groups)}")
 
 
@@ -339,15 +360,10 @@ class TripleInformation:
     formula_gap: float
 
 
-def _triple(engine: InfoEngine, x, y, w) -> TripleInformation:
+def _triple(h, x, y, w) -> TripleInformation:
     x, y, w = _as_names(x), _as_names(y), _as_names(w)
-    first = engine.mutual_information(x, y) - engine.mutual_information(x, y, given=w)
-    second = (
-        engine.entropy(w)
-        - engine.cond_entropy(w, x)
-        - engine.cond_entropy(w, y)
-        + engine.cond_entropy(w, x + y)
-    )
+    first = _mutual_information(h, x, y) - _mutual_information(h, x, y, w)
+    second = h(w) - _cond_entropy(h, w, x) - _cond_entropy(h, w, y) + _cond_entropy(h, w, x + y)
     return TripleInformation(value=first, formula_gap=abs(first - second))
 
 
@@ -357,19 +373,19 @@ def triple_information(
     """I(X:Y:W) via I(X:Y) - I(X:Y|W), plus the absolute gap against the
     inclusion-exclusion form H(W) - H(W|X) - H(W|Y) + H(W|X,Y). Both are exact
     identities for Shannon entropy, so the gap is floating-point noise."""
-    return _triple(InfoEngine(dist, variables), x_group, y_group, w_group)
+    return _triple(InfoEngine(dist, variables).entropy, x_group, y_group, w_group)
 
 
 # ---------------------------------------------------------------------------
 # Protocol-aware quantities
 
 
-def _information_cost(engine: InfoEngine, arity: int) -> float:
+def _information_cost(h, arity: int) -> float:
     names = [f"X{i}" for i in range(arity)]
     total = 0.0
     for i in range(arity):
         rest = tuple(n for j, n in enumerate(names) if j != i)
-        total += engine.mutual_information((names[i],), ("T",), given=rest)
+        total += _mutual_information(h, (names[i],), ("T",), rest)
     return total
 
 
@@ -507,42 +523,49 @@ def build_profile(
         else:
             raise InvalidInputError(f"unknown f mode {f_mode!r}")
 
-    variables = VariableSpec.coordinates(shape).with_variable("T", t_labels)
+    labels = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
+    labels["T"] = t_labels
     if f_labels is not None:
-        variables = variables.with_variable("F", f_labels)
-    engine = InfoEngine(dist, variables)
+        labels["F"] = f_labels
+    engine = InfoEngine(dist, VariableSpec(shape, labels))
 
     rho_global = int(counts.max())
     box_rho = box_thickness_table(protocol.cover)
-    selected_boxes = np.unique(t_labels)
-    rho_box_max = int(box_rho[selected_boxes].max())
-    expected_log_rho = pairwise_sum(dist.p * np.log2(box_rho[t_labels].astype(np.float64)))
+    rho_box_max = int(box_rho[t_labels].max())
+    expected_log_rho = pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels])
 
-    names = [f"X{i}" for i in range(arity)]
-    engine.entropies(_profile_groups(arity, f_labels is not None))
+    # every quantity reads the one batch: the group's position, found by its names
+    groups = _profile_groups(arity, f_labels is not None)
+    values = engine.entropies(groups)
+    slot = {frozenset(g): k for k, g in enumerate(groups)}
+
+    def h(names: tuple[str, ...]) -> float:
+        return values[slot[frozenset(names)]]
+
+    xs = tuple(f"X{i}" for i in range(arity))
     q: dict[str, float] = {}
-    q["H(T)"] = engine.entropy("T")
-    for i, name in enumerate(names):
-        q[f"H(X{i})"] = engine.entropy(name)
-        q[f"H(T|X{i})"] = engine.cond_entropy("T", name)
-    q["H(X0,X1)"] = engine.entropy(("X0", "X1"))
-    q["H(X1|X0)"] = engine.cond_entropy("X1", "X0")
+    q["H(T)"] = h(("T",))
+    for x in xs:
+        q[f"H({x})"] = h((x,))
+        q[f"H(T|{x})"] = _cond_entropy(h, ("T",), (x,))
+    q["H(X0,X1)"] = h(("X0", "X1"))
+    q["H(X1|X0)"] = _cond_entropy(h, ("X1",), ("X0",))
     q["chain_gap"] = abs(q["H(X0,X1)"] - q["H(X0)"] - q["H(X1|X0)"])
 
-    triple = _triple(engine, "X0", "X1", "T")
+    triple = _triple(h, "X0", "X1", "T")
     if arity == 2:
-        q["I(X0:X1)"] = engine.mutual_information("X0", "X1")
-        q["I(X0:X1|T)"] = engine.mutual_information("X0", "X1", given="T")
+        q["I(X0:X1)"] = _mutual_information(h, ("X0",), ("X1",))
+        q["I(X0:X1|T)"] = _mutual_information(h, ("X0",), ("X1",), ("T",))
         q["I(X0:X1:T)"] = triple.value
     q["triple_gap"] = triple.formula_gap
-    q["IC"] = _information_cost(engine, arity)
+    q["IC"] = _information_cost(h, arity)
 
     if f_labels is not None:
-        q["H(F)"] = engine.entropy("F")
-        for i, name in enumerate(names):
-            q[f"H(F|X{i})"] = engine.cond_entropy("F", name)
-            q[f"H(T|X{i},F)"] = engine.cond_entropy("T", (name, "F"))
-        q["H(F|X0,X1)"] = engine.cond_entropy("F", tuple(names))
+        q["H(F)"] = h(("F",))
+        for x in xs:
+            q[f"H(F|{x})"] = _cond_entropy(h, ("F",), (x,))
+            q[f"H(T|{x},F)"] = _cond_entropy(h, ("T",), (x, "F"))
+        q["H(F|X0,X1)"] = _cond_entropy(h, ("F",), xs)
 
     return InfoProfile(
         arity=arity,

@@ -26,6 +26,7 @@ from .functions import (
     AMProtocol,
     ColoredFunction,
     Relation,
+    dense_ids,
     good_set,
     random_bounded_cover,
     random_tree,
@@ -363,8 +364,7 @@ def _random_instance(config: SuiteConfig, seed: int):
 
     box_colors = rng.integers(0, config.max_colors, size=cover.num_boxes)
     raw = box_colors[selector_labels(protocol)]
-    _, contiguous = np.unique(raw, return_inverse=True)
-    function = ColoredFunction(shape, contiguous.reshape(shape.sizes))
+    function = ColoredFunction(shape, dense_ids(raw, config.max_colors).reshape(shape.sizes))
     dist = JointDistribution.random_integer_weights(shape, rng=rng)
     return protocol, function, dist
 

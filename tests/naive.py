@@ -172,3 +172,36 @@ def bounded_additions_full_budget(sizes, base_counts: dict, rho_max: int, extra:
                 counts[c] += 1
             kept.append(tuple(tuple(sorted(d)) for d in drawn))
     return kept if len(kept) == extra else None
+
+
+def random_tree_reference(sizes, rng, split_prob=None):
+    """A random protocol tree by the recursion of its first version: at each
+    node, with probability split_prob, a party that holds two or more indices
+    is picked uniformly, always with integers(number of such parties), and its
+    indices are cut by fair coins redrawn until both halves are nonempty.
+    split_prob defaults to integers(30, 91) / 100. A leaf is None and a split
+    is (owner, left mask, right mask, left subtree, right subtree)."""
+    if split_prob is None:
+        split_prob = int(rng.integers(30, 91)) / 100.0
+
+    def build(masks):
+        splittable = [i for i in range(len(sizes)) if bin(masks[i]).count("1") >= 2]
+        if not splittable or rng.random() >= split_prob:
+            return None
+        owner = splittable[int(rng.integers(len(splittable)))]
+        idxs = [i for i in range(sizes[owner]) if (masks[owner] >> i) & 1]
+        while True:
+            side = rng.integers(0, 2, size=len(idxs))
+            if 0 < int(side.sum()) < len(idxs):
+                break
+        left = sum(1 << i for t, i in zip(side.tolist(), idxs) if t)
+        right = masks[owner] ^ left
+        return (
+            owner,
+            left,
+            right,
+            build(masks[:owner] + (left,) + masks[owner + 1 :]),
+            build(masks[:owner] + (right,) + masks[owner + 1 :]),
+        )
+
+    return build(tuple((1 << s) - 1 for s in sizes))

@@ -1,5 +1,6 @@
 """Function/relation tables, generators, error protocols, GOOD sets."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -35,9 +36,9 @@ from commlab import (
     validate_cover,
     xor_function,
 )
-from commlab.core import Box, box, compile_tree
+from commlab.core import Box, TreeLeaf, box, compile_tree
 
-from naive import bounded_additions_full_budget, enumerate_all_boxes
+from naive import bounded_additions_full_budget, enumerate_all_boxes, random_tree_reference
 
 
 def test_xor1_table():
@@ -77,10 +78,30 @@ def test_random_function_deterministic_and_contiguous():
     assert not np.array_equal(f1.colors, f3.colors)
 
 
-def test_colored_function_rejects_gaps():
+@pytest.mark.parametrize("colors", [[[0, 2], [2, 0]], [[1, 1], [2, 1]], [[0, 1], [1, 2**40]]])
+def test_colored_function_rejects_gaps(colors):
+    # ids past the cell count cannot be contiguous, and are rejected before
+    # any table of that length is built
     shape = DomainShape((2, 2))
-    with pytest.raises(InvalidInputError):
-        ColoredFunction(shape, np.array([[0, 2], [2, 0]]))
+    with pytest.raises(InvalidInputError, match="^color ids must be contiguous from 0$"):
+        ColoredFunction(shape, np.array(colors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 70).flatmap(
+        lambda bound: st.tuples(
+            st.just(bound), st.lists(st.integers(0, bound - 1), min_size=1, max_size=300)
+        )
+    )
+)
+def test_dense_ids_match_np_unique_inverse(case):
+    bound, values = case
+    values = np.array(values, dtype=np.int64)
+    got = functions.dense_ids(values, bound)
+    expected = np.unique(values, return_inverse=True)[1]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
 
 
 def test_approx_xor_delta_zero_singletons():
@@ -177,6 +198,29 @@ def test_random_bounded_matches_sampling_to_the_full_budget(sizes, rho_max, extr
         expected = base + tuple(Box.from_factors(factors, shape) for factors in kept)
         assert [b.masks for b in cover.boxes] == [b.masks for b in expected]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _as_tuples(node):
+    if isinstance(node, TreeLeaf):
+        return None
+    children = _as_tuples(node.left), _as_tuples(node.right)
+    return (node.owner, node.left_mask, node.right_mask) + children
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # a tree has at most one leaf per cell; the cap keeps each example small
+    st.lists(st.integers(1, 32), min_size=2, max_size=4).filter(lambda s: math.prod(s) <= 2048),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_random_tree_matches_the_reference_recursion(sizes, seed, split_prob):
+    # the same tree and the same RNG state after it: random_tree skips only
+    # the owner draw of a lone splittable party, which draws nothing
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = functions.random_tree(DomainShape(tuple(sizes)), rng=rng, split_prob=split_prob)
+    assert _as_tuples(tree.root) == random_tree_reference(tuple(sizes), ref_rng, split_prob)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _count_draws(monkeypatch, first=None):

@@ -558,24 +558,25 @@ def test_entropies_of_labels_near_2_62_match_the_level_oracle(case, seed):
      ("multiparty", 3, "function"), ("multiparty", 4, None)],
 )
 def test_build_profile_computes_every_entropy_in_its_one_batch(monkeypatch, suite, arity, f_mode):
-    # entropy() calls entropies() only for a group outside the cache, so one
-    # call means the batch held every group read; and every batched group is read
+    # the profile reads its quantities by position from the list that its
+    # entropies() call returns: one call means the batch held every group
+    # read, and recording the positions read shows every batched group is read
     from commlab.errors import GenerationFailureError
     from commlab.verify import SuiteConfig, _random_instance
 
     batches, reads = [], set()
-    entropies, entropy = InfoEngine.entropies, InfoEngine.entropy
+    entropies = InfoEngine.entropies
+
+    class RecordedReads(list):
+        def __getitem__(self, k):
+            reads.add(batches[-1][k])
+            return list.__getitem__(self, k)
 
     def record_batch(self, groups):
-        batches.append({frozenset((g,) if isinstance(g, str) else g) for g in groups})
-        return entropies(self, groups)
-
-    def record_read(self, names):
-        reads.add(frozenset((names,) if isinstance(names, str) else names))
-        return entropy(self, names)
+        batches.append([frozenset((g,) if isinstance(g, str) else g) for g in groups])
+        return RecordedReads(entropies(self, groups))
 
     monkeypatch.setattr(InfoEngine, "entropies", record_batch)
-    monkeypatch.setattr(InfoEngine, "entropy", record_read)
     config = SuiteConfig(suite=suite, arity=arity, max_bits=2)
     profiles = 0
     for seed in range(8):
@@ -587,6 +588,96 @@ def test_build_profile_computes_every_entropy_in_its_one_batch(monkeypatch, suit
         reads.clear()
         build_profile(dist, protocol, target=function if f_mode else None)
         assert len(batches) == 1
-        assert batches[0] == reads
+        assert set(batches[0]) == reads
         profiles += 1
     assert profiles >= 5
+
+
+def _engine_profile_quantities(dist, protocol, f_labels):
+    """Every quantity of a profile, each read through the name-keyed engine."""
+    from commlab.core import selector_labels
+    from commlab.info import _information_cost, _triple
+
+    arity = protocol.shape.arity
+    t_labels = selector_labels(protocol)
+    variables = VariableSpec.coordinates(protocol.shape).with_variable("T", t_labels)
+    if f_labels is not None:
+        variables = variables.with_variable("F", f_labels)
+    engine = InfoEngine(dist, variables)
+    xs = tuple(f"X{i}" for i in range(arity))
+    q = {"H(T)": engine.entropy("T")}
+    for x in xs:
+        q[f"H({x})"] = engine.entropy(x)
+        q[f"H(T|{x})"] = engine.cond_entropy("T", x)
+    q["H(X0,X1)"] = engine.entropy(("X0", "X1"))
+    q["H(X1|X0)"] = engine.cond_entropy("X1", "X0")
+    q["chain_gap"] = abs(q["H(X0,X1)"] - q["H(X0)"] - q["H(X1|X0)"])
+    triple = _triple(engine.entropy, "X0", "X1", "T")
+    if arity == 2:
+        q["I(X0:X1)"] = engine.mutual_information("X0", "X1")
+        q["I(X0:X1|T)"] = engine.mutual_information("X0", "X1", given="T")
+        q["I(X0:X1:T)"] = triple.value
+    q["triple_gap"] = triple.formula_gap
+    q["IC"] = _information_cost(engine.entropy, arity)
+    if f_labels is not None:
+        q["H(F)"] = engine.entropy("F")
+        for x in xs:
+            q[f"H(F|{x})"] = engine.cond_entropy("F", x)
+            q[f"H(T|{x},F)"] = engine.cond_entropy("T", (x, "F"))
+        q["H(F|X0,X1)"] = engine.cond_entropy("F", xs)
+    return q
+
+
+def _profile_cases():
+    """(dist, protocol, build_profile keywords, f labels, dist the profile
+    reads) for sweep instances of every suite, a box-colour relation profile
+    with a colourless selected box, and F labels past KEY_LIMIT."""
+    from commlab import approx_xor_relation, monochromatic_color, random_bounded_cover
+    from commlab.core import selector_labels
+    from commlab.errors import GenerationFailureError
+    from commlab.info import KEY_LIMIT
+    from commlab.verify import SuiteConfig, _random_instance
+
+    for suite, arity in (("main", 2), ("tree", 2), ("multiparty", 3), ("multiparty", 4)):
+        config = SuiteConfig(suite=suite, arity=arity, max_bits=3 if arity == 2 else 2)
+        for seed in range(6):
+            try:
+                protocol, function, dist = _random_instance(config, seed)
+            except GenerationFailureError:
+                continue
+            yield dist, protocol, {"target": function}, function.flat(), dist
+            yield dist, protocol, {}, None, dist
+
+    shape = DomainShape((4, 4))
+    relation = approx_xor_relation(2, 0.5)
+    protocol = Protocol(random_bounded_cover(shape, 3, 6, seed=3), TranscriptSelector.seeded(9))
+    t = selector_labels(protocol)
+    colors = {i: monochromatic_color(protocol.cover.boxes[i], relation) for i in set(t.tolist())}
+    colored = [c for c in colors.values() if c is not None]
+    assert None in colors.values() and colored
+    f_labels = np.array([colors[i] if colors[i] is not None else max(colored) + 1 for i in t])
+    dist = JointDistribution.random_integer_weights(shape, seed=5, allow_zero=False)
+    kept, _ = dist.condition_on(np.array([colors[i] is not None for i in t]))
+    yield dist, protocol, {"target": relation, "f_mode": "box-color"}, f_labels, kept
+
+    big = np.arange(shape.num_cells) % 3 * (KEY_LIMIT // 2)
+    yield dist, protocol, {"f_table": big}, big, dist
+
+
+def test_profile_quantities_equal_the_name_keyed_engine_bit_for_bit():
+    from commlab.core import box_thickness_table, selector_labels
+
+    cases = 0
+    for dist, protocol, kwargs, f_labels, read_dist in _profile_cases():
+        profile = build_profile(dist, protocol, **kwargs)
+        expected = _engine_profile_quantities(read_dist, protocol, f_labels)
+        assert list(profile.quantities) == list(expected)
+        got = [v.hex() for v in profile.quantities.values()]
+        assert got == [v.hex() for v in expected.values()]
+        t = selector_labels(protocol)
+        box_rho = box_thickness_table(protocol.cover)
+        assert profile.rho_box_max == int(box_rho[np.unique(t)].max())
+        log_rho = pairwise_sum(read_dist.p * np.log2(box_rho[t].astype(np.float64)))
+        assert profile.expected_log_rho.hex() == log_rho.hex()
+        cases += 1
+    assert cases >= 40
