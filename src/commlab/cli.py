@@ -13,7 +13,6 @@ import math
 import sys
 import time
 
-from .bounds import bound_summary, cover_number, enumerate_maximal_monochromatic, fooling_sizes
 from .core import DomainShape, Protocol, TranscriptSelector
 from .errors import CommlabError, InvalidInputError, SolverTimeoutError
 from .functions import (
@@ -109,8 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-bits", type=_positive_int, default=4)
     verify.add_argument("--rho-max", type=parse_rho_max, default=(2, 4, 8))
     verify.add_argument("--extra", type=int, default=4)
-    verify.add_argument("--rho-mode", choices=["global", "max-box", "expected"],
-                        default="global")
+    verify.add_argument(
+        "--rho-mode", choices=["global", "max-box", "expected"], default="global",
+        help="the log2(rho) term: global, the largest cell thickness; max-box, the "
+        "largest thickness among the selected boxes, which always equals global; "
+        "expected, the expected log2 thickness of the selected box",
+    )
     verify.add_argument("--tol", type=_finite_float, default=1e-9)
     verify.add_argument("--out")
     verify.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -232,10 +235,11 @@ def _emit(rows, args) -> None:
 
 
 def _cmd_verify(args) -> int:
-    from .serialize import load_instance
     from .verify import SuiteConfig, analyze_instance, batch_experiment
 
     if args.instance:
+        from .serialize import load_instance
+
         bundle = load_instance(args.instance)
         row, violations = analyze_instance(bundle, rho_mode=args.rho_mode, tol=args.tol)
         _emit([row], args)
@@ -287,6 +291,8 @@ def _cmd_cover(args) -> int:
     """Greedy (or with --exact, minimum) cover; --timeout-s bounds the
     fooling sets behind a timeout's lower bound, catalog enumeration and the
     cover together."""
+    from .bounds import cover_number, enumerate_maximal_monochromatic, fooling_sizes
+
     f = _cover_target(args)
     start = time.monotonic()
     deadline = start + args.timeout_s
@@ -321,6 +327,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import bound_summary
+
     f = _cover_target(args)
     start = time.monotonic()
     summary = bound_summary(f, timeout_s=args.timeout_s)

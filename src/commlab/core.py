@@ -71,6 +71,20 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """keys.argsort(axis=-1, kind="stable") for integer keys in [0, 2**32).
+
+    numpy sorts keys of 16 bits or fewer by radix. So the keys are sorted by
+    their low 16 bits, then stably by their high 16 bits when any key has
+    them: two stable passes, least significant first, give the order of one
+    stable sort of the whole key."""
+    order = keys.astype(np.uint16).argsort(axis=-1, kind="stable")  # the cast keeps the low 16 bits
+    if keys.size and int(keys.max()) >> 16:
+        high = np.take_along_axis((keys >> 16).astype(np.uint16), order, axis=-1)
+        order = np.take_along_axis(order, high.argsort(axis=-1, kind="stable"), axis=-1)
+    return order
+
+
 def pack_rows(bits) -> list[int]:
     """Each row of a 2-D bool array as an int bitset (bit j = column j)."""
     packed = np.packbits(np.ascontiguousarray(bits, dtype=bool), axis=1, bitorder="little")
@@ -248,7 +262,7 @@ class Cover:
         sort by cell, so each cell's boxes stay in ascending index order."""
         boxes, cells = self._members
         counts = np.bincount(cells, minlength=self.shape.num_cells)
-        return _read_only(counts), boxes[cells.argsort(kind="stable")]
+        return _read_only(counts), boxes[stable_argsort(cells)]
 
     @cached_property
     def _box_thickness(self) -> np.ndarray:

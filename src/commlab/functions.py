@@ -315,6 +315,13 @@ def random_tree(
     if split_prob is None:
         split_prob = int(rng.integers(30, 91)) / 100.0
     random, integers = rng.random, rng.integers
+    # integers(0, 2, size=k) is the top bits of k next_uint32() draws: for a
+    # range of 2, Lemire's bounded draw never rejects, as 2 divides 2**32.
+    # Drawing them straight from the bit generator gives the same bits and
+    # state without numpy's per-call cost, and skips the Generator's lock:
+    # no commlab code shares a generator between threads.
+    bits = rng.bit_generator.ctypes
+    next_uint32, state = bits.next_uint32, bits.state
 
     def build(masks: tuple[int, ...]):
         splittable = [i for i, m in enumerate(masks) if m.bit_count() >= 2]
@@ -324,7 +331,7 @@ def random_tree(
         owner = splittable[int(integers(len(splittable)))] if len(splittable) > 1 else splittable[0]
         idxs = indices_from_mask(masks[owner])
         while True:
-            side = integers(0, 2, size=len(idxs)).tolist()
+            side = [next_uint32(state) >> 31 for _ in idxs]
             if 0 < sum(side) < len(idxs):
                 break
         left = 0

@@ -21,6 +21,7 @@ from .core import (
     Protocol,
     box_thickness_table,
     selector_labels,
+    stable_argsort,
     thickness_table,
 )
 from .errors import DegenerateInstanceError, InvalidInputError
@@ -222,10 +223,12 @@ class InfoEngine:
         self._joint_cache: dict[frozenset, float] = {frozenset(): 0.0}
 
     def _group_labels(self, names: tuple[str, ...]) -> np.ndarray:
-        """Labels of the group, combined in sorted name order. While the
-        product of the radices stays within KEY_LIMIT, every step's key fits
-        and _combine_labels would take its plain mixed-radix branch, so the
-        keys are built from the radices without reading a max."""
+        """Labels of the group, combined in sorted name order, every one
+        below KEY_LIMIT. While the product of the radices stays within
+        KEY_LIMIT, every step's key fits and _combine_labels would take its
+        plain mixed-radix branch, so the keys are built from the radices
+        without reading a max. Past it, a lone variable's labels, which may
+        be any int64, are ranked densely; ranking keeps their order."""
         names = sorted(names)
         labels, radices = self.variables.labels, self.variables.radices
         for name in names:
@@ -236,6 +239,8 @@ class InfoEngine:
             for name in names[1:]:
                 combined = combined * radices[name] + labels[name]
             return combined
+        if radices[names[0]] > KEY_LIMIT:
+            combined = np.unique(combined, return_inverse=True)[1].reshape(-1)
         for name in names[1:]:
             combined = _combine_labels(combined, labels[name])
         return combined
@@ -244,9 +249,9 @@ class InfoEngine:
         """Joint entropies H of many groups of named variables, in bits.
 
         Uncached groups are computed in batches of at most BATCH_CELLS label
-        cells: one stable argsort of the stacked label rows, then one grouped
-        sum for the mass of every outcome (a run of equal labels in a row)
-        and one for the entropy of every group. Each sum is the tree its
+        cells: one stable radix argsort of the stacked label rows, then one
+        grouped sum for the mass of every outcome (a run of equal labels in a
+        row) and one for the entropy of every group. Each sum is the tree its
         group gets alone, so no value depends on the batch."""
         keys = [frozenset(_as_names(g)) for g in groups]
         todo = [k for k in dict.fromkeys(keys) if k not in self._joint_cache]
@@ -255,7 +260,7 @@ class InfoEngine:
         for start in range(0, len(todo), step):
             batch = todo[start : start + step]
             labels = np.stack([self._group_labels(tuple(k)) for k in batch])
-            order = labels.argsort(axis=1, kind="stable")
+            order = stable_argsort(labels)  # every key is below KEY_LIMIT = 2**32
             labels = np.take_along_axis(labels, order, axis=1)
             is_start = np.ones(labels.shape, dtype=bool)
             np.not_equal(labels[:, 1:], labels[:, :-1], out=is_start[:, 1:])

@@ -96,6 +96,20 @@ def test_verify_csv_golden_digest(suite, tmp_path, capsys):
     assert digest == GOLDEN_CSV_SHA256[suite]
 
 
+# the same for `verify main --max-bits 8 --seeds 0..59`: grids up to 256x256,
+# where entropy keys reach 2**16 and the radix sort takes its high pass, which
+# the max_bits 4 runs above never reach
+GOLDEN_LARGE_CSV_SHA256 = "b2217334350b7ea5a0eeb0cecc13ed0163b312996a5d37d37090dc73c63239cb"
+
+
+def test_verify_large_grid_csv_golden_digest(tmp_path, capsys):
+    out = str(tmp_path / "r.csv")
+    code, _, _ = run(capsys, "verify", "main", "--max-bits", "8", "--seeds", "0..59", "--out", out)
+    assert code == 0
+    digest = hashlib.sha256(strip_runtime(open(out).read()).encode()).hexdigest()
+    assert digest == GOLDEN_LARGE_CSV_SHA256
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -33,6 +33,7 @@ from commlab.core import (
     hash64,
     mask_from_indices,
     pack_rows,
+    stable_argsort,
     thickness_table,
     unpack_rows,
 )
@@ -398,3 +399,32 @@ def test_bitset_codec_every_width_and_transposed_input():
             sets = pack_rows(bits.T)
             assert sets == [mask_from_indices(np.flatnonzero(row), width) for row in bits.T]
             assert (unpack_rows(sets, width) == bits.T).all()
+
+
+
+# the radix boundaries and any 32-bit key; a few of them fill rows with ties
+_KEYS = st.one_of(
+    st.sampled_from([0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_KEYS, min_size=1, max_size=8),
+    st.integers(1, 4),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([np.int64, np.int32]),
+)
+def test_stable_argsort_matches_numpy_stable_argsort(alphabet, n_rows, width, seed, one_d, dtype):
+    if dtype is np.int32:  # cell indices: int32 and below 2**24
+        alphabet = [v % (1 << 24) for v in alphabet]
+    picks = np.random.default_rng(seed).integers(len(alphabet), size=(n_rows, width))
+    keys = np.array(alphabet, dtype=dtype)[picks]
+    if one_d:
+        keys = keys[0]
+    order = stable_argsort(keys)
+    assert order.shape == keys.shape
+    assert (order == keys.argsort(axis=-1, kind="stable")).all()

@@ -216,11 +216,36 @@ def _as_tuples(node):
 )
 def test_random_tree_matches_the_reference_recursion(sizes, seed, split_prob):
     # the same tree and the same RNG state after it: random_tree skips only
-    # the owner draw of a lone splittable party, which draws nothing
+    # the owner draw of a lone splittable party, which draws nothing, and
+    # takes its coins from the bit generator, where the reference calls
+    # rng.integers(0, 2, size=k)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     tree = functions.random_tree(DomainShape(tuple(sizes)), rng=rng, split_prob=split_prob)
     assert _as_tuples(tree.root) == random_tree_reference(tuple(sizes), ref_rng, split_prob)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so that states
+    compare with ==: MT19937, Philox and SFC64 keep parts of theirs in arrays."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]),
+    st.lists(st.integers(1, 32), min_size=2, max_size=3).filter(lambda s: math.prod(s) <= 1024),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_random_tree_matches_the_reference_under_every_bit_generator(bits, sizes, seed, split_prob):
+    # the coins are next_uint32() >> 31 on any bit generator, not only PCG64
+    rng, ref_rng = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+    tree = functions.random_tree(DomainShape(tuple(sizes)), rng=rng, split_prob=split_prob)
+    assert _as_tuples(tree.root) == random_tree_reference(tuple(sizes), ref_rng, split_prob)
+    assert _plain(rng.bit_generator.state) == _plain(ref_rng.bit_generator.state)
 
 
 def _count_draws(monkeypatch, first=None):

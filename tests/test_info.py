@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from commlab import (
     Cover,
     DomainShape,
+    GenerationFailureError,
     InvalidInputError,
     JointDistribution,
     Protocol,
@@ -18,11 +19,14 @@ from commlab import (
     VariableSpec,
     binary_entropy,
     build_profile,
+    compile_tree,
     constant_function,
     info_quantity,
     internal_information_cost,
     pairwise_sum,
     parity_tightness_protocol,
+    random_bounded_cover,
+    random_tree,
     triple_information,
     trivial_merlin_cover,
     windmill_cover,
@@ -681,3 +685,33 @@ def test_profile_quantities_equal_the_name_keyed_engine_bit_for_bit():
         assert profile.expected_log_rho.hex() == log_rho.hex()
         cases += 1
     assert cases >= 40
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["random-bounded", "tree"]),
+    st.lists(st.integers(1, 8), min_size=2, max_size=3),
+    st.integers(2, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+)
+def test_max_box_thickness_is_the_global_thickness(kind, sizes, rho_max, extra, seed, selector_seed):
+    # every cell lies in its selected box, and a box's thickness is the
+    # largest among its cells, so --rho-mode max-box charges the global rho
+    shape = DomainShape(tuple(sizes))
+    if kind == "tree":
+        cover = compile_tree(random_tree(shape, seed=seed)).cover
+    else:
+        try:
+            cover = random_bounded_cover(shape, rho_max, extra, seed=seed, attempt_budget=200)
+        except GenerationFailureError:
+            return
+    selector = (
+        TranscriptSelector.min_index()
+        if selector_seed is None
+        else TranscriptSelector.seeded(selector_seed)
+    )
+    dist = JointDistribution.random_integer_weights(shape, seed=seed)
+    profile = build_profile(dist, Protocol(cover, selector))
+    assert profile.rho_box_max == profile.rho_global
