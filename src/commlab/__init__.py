@@ -44,8 +44,8 @@ _EXPORTS = {
     ),
     "verify": (
         "AMReport", "MarginReport", "SuiteConfig", "am_analyze",
-        "batch_experiment", "check_deterministic_monotonicity", "check_ic",
-        "check_main_inequality", "check_multiparty", "check_transcript_bound",
+        "batch_experiment", "check_ic", "check_main_inequality",
+        "check_multiparty", "check_transcript_bound",
     ),
     "serialize": (
         "AMBundle", "InstanceBundle", "load_am", "load_instance", "save_am",

@@ -39,13 +39,6 @@ class MonochromaticCatalog:
     partial: bool
     _setups: list[_ColorSetup] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def all_boxes(self) -> list[tuple[int, Box]]:
-        out = []
-        for color in sorted(self.boxes_by_color):
-            for b in self.boxes_by_color[color]:
-                out.append((color, b))
-        return out
-
     @property
     def num_boxes(self) -> int:
         return sum(len(v) for v in self.boxes_by_color.values())
@@ -575,12 +568,11 @@ def comm_matrix_rank(
 @dataclass
 class BoundSummary:
     color_count: int
-    cover_exact: int | None
-    cover_witness: tuple[Box, ...] | None
-    cover_bounds: tuple[int, int] | None  # (lower, upper) when timed out
-    cover_greedy: int | None  # None when the catalog enumeration timed out
+    cover_exact: int | None = None
+    cover_witness: tuple[Box, ...] | None = None
+    cover_bounds: tuple[int, int] | None = None  # (lower, upper) when timed out
+    cover_greedy: int | None = None  # None when the catalog enumeration timed out
     fooling: dict[int, int] = field(default_factory=dict)
-    fooling_mode: dict[int, str] = field(default_factory=dict)
     rank_gf2: dict[int, int] = field(default_factory=dict)
     rank_rational: dict[int, int] = field(default_factory=dict)
     status: dict[str, str] = field(default_factory=dict)
@@ -604,15 +596,37 @@ class BoundSummary:
         return max(self.rank_rational.values()) if self.rank_rational else 0
 
 
-def fooling_sizes(f: ColoredFunction) -> tuple[dict[int, int], dict[int, str]]:
-    """Per color: the size of a fooling set and the mode that found it
-    (exact up to EXACT_FOOLING_CAP cells of the color, greedy above)."""
+def fooling_sizes(f: ColoredFunction) -> dict[int, int]:
+    """Per color, the size of a fooling set: exact up to EXACT_FOOLING_CAP
+    cells of the color, greedy above."""
     sizes: dict[int, int] = {}
-    modes: dict[int, str] = {}
     for color in range(f.num_colors):
-        modes[color] = "exact" if int((f.colors == color).sum()) <= EXACT_FOOLING_CAP else "greedy"
-        sizes[color] = len(fooling_set(f, color, modes[color]))
-    return sizes, modes
+        mode = "exact" if int((f.colors == color).sum()) <= EXACT_FOOLING_CAP else "greedy"
+        sizes[color] = len(fooling_set(f, color, mode))
+    return sizes
+
+
+def solve_cover(
+    f: ColoredFunction, deadline: float, fooling_sum: int, exact: bool = True
+) -> tuple[int | None, int | None, tuple[Box, ...] | None, tuple[int, int] | None]:
+    """(greedy count, exact count, exact witness, timeout bounds) of f's
+    cover, from one catalog within `deadline`, a time.monotonic() value; the
+    exact search runs only with `exact`. A timeout leaves every count not yet
+    found at None and gives (lower, upper) with the lower bound raised to
+    `fooling_sum`, a per-color fooling set sum."""
+    greedy = count = witness = None
+    try:
+        catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
+        greedy, _ = cover_number(
+            f, mode="greedy", timeout_s=deadline - time.monotonic(), catalog=catalog
+        )
+        if exact:
+            count, witness = cover_number(
+                f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
+            )
+    except SolverTimeoutError as exc:
+        return greedy, None, None, (max(exc.lower, fooling_sum), exc.upper)
+    return greedy, count, witness, None
 
 
 def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
@@ -620,39 +634,24 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     consistency relations; a broken relation flags an internal error.
 
     Fooling sets and ranks come first; catalog enumeration and the exact
-    search share what is left of the budget. On timeout `cover_bounds` is
-    (lower, upper) with the lower bound raised to the per-color fooling sum
-    and the upper bound at most the row-strip cover size; a timeout before
-    the greedy covers are built leaves `cover_greedy` unset and bounds the
-    cover by the color count and the row-strip cover."""
+    search share what is left of the budget (see solve_cover). On timeout
+    `cover_bounds` is (lower, upper) with the upper bound at most the
+    row-strip cover size; a timeout before the greedy covers are built
+    leaves `cover_greedy` unset and bounds the cover by the color count and
+    the row-strip cover."""
     _require_bounds_domain(f)
     deadline = time.monotonic() + timeout_s
-    fooling, fooling_mode = fooling_sizes(f)
-    rank_gf2_by = {c: comm_matrix_rank(f, "gf2", c) for c in range(f.num_colors)}
-    rank_rat = {c: comm_matrix_rank(f, "rational", c) for c in range(f.num_colors)}
+    fooling = fooling_sizes(f)
     summary = BoundSummary(
         color_count=f.num_colors,
-        cover_exact=None,
-        cover_witness=None,
-        cover_bounds=None,
-        cover_greedy=None,
         fooling=fooling,
-        fooling_mode=fooling_mode,
-        rank_gf2=rank_gf2_by,
-        rank_rational=rank_rat,
+        rank_gf2={c: comm_matrix_rank(f, "gf2", c) for c in range(f.num_colors)},
+        rank_rational={c: comm_matrix_rank(f, "rational", c) for c in range(f.num_colors)},
     )
-    try:
-        catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
-        summary.cover_greedy, _ = cover_number(
-            f, mode="greedy", timeout_s=deadline - time.monotonic(), catalog=catalog
-        )
-        summary.cover_exact, summary.cover_witness = cover_number(
-            f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
-        )
-        summary.status["cover_exact"] = "ok"
-    except SolverTimeoutError as exc:
-        summary.cover_bounds = (max(exc.lower, summary.fooling_sum), exc.upper)
-        summary.status["cover_exact"] = "timeout"
+    summary.cover_greedy, summary.cover_exact, summary.cover_witness, summary.cover_bounds = (
+        solve_cover(f, deadline, summary.fooling_sum)
+    )
+    summary.status["cover_exact"] = "timeout" if summary.cover_bounds else "ok"
     problems = []
     exact, greedy, witness = summary.cover_exact, summary.cover_greedy, summary.cover_witness
     if greedy is not None and summary.color_count > greedy:

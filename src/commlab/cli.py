@@ -109,9 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rho-max", type=parse_rho_max, default=(2, 4, 8))
     verify.add_argument("--extra", type=int, default=4)
     verify.add_argument(
-        "--rho-mode", choices=["global", "max-box", "expected"], default="global",
-        help="the log2(rho) term: global, the largest cell thickness; max-box, the "
-        "largest thickness among the selected boxes, which always equals global; "
+        "--rho-mode", choices=["global", "expected"], default="global",
+        help="the log2(rho) term: global, the largest cell thickness; "
         "expected, the expected log2 thickness of the selected box",
     )
     verify.add_argument("--tol", type=_finite_float, default=1e-9)
@@ -291,39 +290,29 @@ def _cmd_cover(args) -> int:
     """Greedy (or with --exact, minimum) cover; --timeout-s bounds the
     fooling sets behind a timeout's lower bound, catalog enumeration and the
     cover together."""
-    from .bounds import cover_number, enumerate_maximal_monochromatic, fooling_sizes
+    from .bounds import fooling_sizes, solve_cover
 
     f = _cover_target(args)
     start = time.monotonic()
     deadline = start + args.timeout_s
-    fooling_sum = sum(fooling_sizes(f)[0].values())
+    fooling_sum = sum(fooling_sizes(f).values())
     row = ReportRow(
         instance_id="fn-" + "x".join(str(s) for s in f.shape.sizes),
         status="ok",
         sizes="x".join(str(s) for s in f.shape.sizes),
         color_count=f.num_colors,
     )
-    code = EXIT_OK
-    try:
-        catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
-        row.cover_greedy, _ = cover_number(
-            f, mode="greedy", timeout_s=deadline - time.monotonic(), catalog=catalog
-        )
-        if args.exact:
-            row.cover_exact, _ = cover_number(
-                f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
-            )
-            print(f"cover_exact={row.cover_exact}")
-        else:
-            print(f"cover_greedy={row.cover_greedy}")
-    except SolverTimeoutError as exc:
-        lower = max(exc.lower, fooling_sum)
-        row.status = f"timeout:lower={lower},upper={exc.upper}"
-        print(f"timeout: bounds=[{lower}, {exc.upper}]")
-        code = EXIT_TIMEOUT
+    row.cover_greedy, row.cover_exact, _, bounds = solve_cover(f, deadline, fooling_sum, args.exact)
+    if bounds is not None:
+        row.status = f"timeout:lower={bounds[0]},upper={bounds[1]}"
+        print(f"timeout: bounds=[{bounds[0]}, {bounds[1]}]")
+    elif args.exact:
+        print(f"cover_exact={row.cover_exact}")
+    else:
+        print(f"cover_greedy={row.cover_greedy}")
     row.runtime_ms = (time.monotonic() - start) * 1000.0
     _emit([row], args)
-    return code
+    return EXIT_OK if bounds is None else EXIT_TIMEOUT
 
 
 def _cmd_bounds(args) -> int:

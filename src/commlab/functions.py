@@ -93,9 +93,6 @@ class Relation:
                 raise InvalidInputError("admissible set contains out-of-range color id")
         object.__setattr__(self, "admissible", masks)
 
-    def admits(self, cell, color: int) -> bool:
-        return bool((self.admissible[self.shape.linear_index(cell)] >> color) & 1)
-
     def admissible_ids(self, cell) -> tuple[int, ...]:
         return indices_from_mask(self.admissible[self.shape.linear_index(cell)])
 

@@ -4,7 +4,8 @@ Everything is in bits (log base 2) with 0*log(0) = 0. Conditional quantities
 are joint-entropy differences, never per-condition renormalizations, so
 zero-probability branches cost nothing. All reductions are adjacent-pairwise
 tree sums in a fixed index order, which makes results independent of any
-parallel schedule.
+parallel schedule. The one exception to both is the chain-rule check's second
+route to H(X1|X0): per-row conditionals and plain numpy sums.
 """
 
 from __future__ import annotations
@@ -196,19 +197,10 @@ class VariableSpec:
         return tuple(self.labels)
 
 
-def _combine_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Labels of the pair (a, b), ordered like the pairs. The mixed-radix key
-    is ranked densely only when it could exceed KEY_LIMIT, which keeps keys of
-    any number of variables within int64. Past the limit each side is ranked
-    densely first, so the key cannot wrap; ranking keeps the order of the
-    pairs, and with it the dense labels."""
-    radix = int(b.max()) + 1
-    if (int(a.max()) + 1) * radix <= KEY_LIMIT:
-        return a * radix + b
-    a = np.unique(a, return_inverse=True)[1].reshape(-1)
-    b = np.unique(b, return_inverse=True)[1].reshape(-1)
-    _, inverse = np.unique(a * (int(b.max()) + 1) + b, return_inverse=True)
-    return inverse.reshape(-1)
+def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the labels, which keep their order, and their count."""
+    values, ranks = np.unique(labels, return_inverse=True)
+    return ranks.reshape(-1), values.size
 
 
 class InfoEngine:
@@ -223,26 +215,25 @@ class InfoEngine:
         self._joint_cache: dict[frozenset, float] = {frozenset(): 0.0}
 
     def _group_labels(self, names: tuple[str, ...]) -> np.ndarray:
-        """Labels of the group, combined in sorted name order, every one
-        below KEY_LIMIT. While the product of the radices stays within
-        KEY_LIMIT, every step's key fits and _combine_labels would take its
-        plain mixed-radix branch, so the keys are built from the radices
-        without reading a max. Past it, a lone variable's labels, which may
-        be any int64, are ranked densely; ranking keeps their order."""
+        """Labels of the group, ordered like the tuples of its variables'
+        labels in sorted name order: a mixed-radix key built variable by
+        variable, where `radix` bounds the key so far. A step whose key could
+        pass KEY_LIMIT ranks both sides densely first, and a key still past it
+        is ranked at the end, so every label is below KEY_LIMIT and no key
+        wraps int64 (a side has at most MAX_CELLS = 2**24 ranks)."""
         names = sorted(names)
         labels, radices = self.variables.labels, self.variables.radices
         for name in names:
             if name not in labels:
                 raise InvalidInputError(f"unknown variable {name!r}")
-        combined = labels[names[0]]
-        if math.prod(radices[name] for name in names) <= KEY_LIMIT:
-            for name in names[1:]:
-                combined = combined * radices[name] + labels[name]
-            return combined
-        if radices[names[0]] > KEY_LIMIT:
-            combined = np.unique(combined, return_inverse=True)[1].reshape(-1)
+        combined, radix = labels[names[0]], radices[names[0]]
         for name in names[1:]:
-            combined = _combine_labels(combined, labels[name])
+            b, b_radix = labels[name], radices[name]
+            if radix * b_radix > KEY_LIMIT:
+                (combined, radix), (b, b_radix) = _dense(combined), _dense(b)
+            combined, radix = combined * b_radix + b, radix * b_radix
+        if radix > KEY_LIMIT:
+            combined, _ = _dense(combined)
         return combined
 
     def entropies(self, groups) -> list[float]:
@@ -407,10 +398,8 @@ class InfoProfile:
 
     arity: int
     sizes: tuple[int, ...]
-    num_boxes: int
     quantities: dict[str, float]
     rho_global: int
-    rho_box_max: int
     expected_log_rho: float
     f_mode: str | None
     excluded_mass: float
@@ -441,6 +430,17 @@ def _profile_fingerprint(
         h.update(np.asarray(f_labels, dtype=np.int64).tobytes())
     h.update(repr(f_mode).encode())
     return h.hexdigest()
+
+
+def _row_conditional_entropy(dist: JointDistribution) -> float:
+    """H(X1|X0) from the per-row conditionals p(x1|x0) of the (X0, X1)
+    marginal: a route apart from the difference H(X0,X1) - H(X0), so that the
+    chain-rule check compares two computations."""
+    sizes = dist.shape.sizes
+    joint = dist.p.reshape(sizes[0], sizes[1], -1).sum(axis=2)
+    rows = joint.sum(axis=1, keepdims=True)
+    conditional = joint / np.where(rows > 0.0, rows, 1.0)
+    return float(-(joint * np.log2(np.where(conditional > 0.0, conditional, 1.0))).sum())
 
 
 def _profile_groups(arity: int, with_f: bool) -> list[tuple[str, ...]]:
@@ -536,7 +536,6 @@ def build_profile(
 
     rho_global = int(counts.max())
     box_rho = box_thickness_table(protocol.cover)
-    rho_box_max = int(box_rho[t_labels].max())
     expected_log_rho = pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels])
 
     # every quantity reads the one batch: the group's position, found by its names
@@ -554,7 +553,7 @@ def build_profile(
         q[f"H({x})"] = h((x,))
         q[f"H(T|{x})"] = _cond_entropy(h, ("T",), (x,))
     q["H(X0,X1)"] = h(("X0", "X1"))
-    q["H(X1|X0)"] = _cond_entropy(h, ("X1",), ("X0",))
+    q["H(X1|X0)"] = _row_conditional_entropy(dist)
     q["chain_gap"] = abs(q["H(X0,X1)"] - q["H(X0)"] - q["H(X1|X0)"])
 
     triple = _triple(h, "X0", "X1", "T")
@@ -575,10 +574,8 @@ def build_profile(
     return InfoProfile(
         arity=arity,
         sizes=shape.sizes,
-        num_boxes=protocol.cover.num_boxes,
         quantities=q,
         rho_global=rho_global,
-        rho_box_max=rho_box_max,
         expected_log_rho=expected_log_rho,
         f_mode=mode,
         excluded_mass=excluded_mass,

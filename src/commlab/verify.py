@@ -34,7 +34,7 @@ from .functions import (
 from .info import InfoProfile, JointDistribution, build_profile
 from .reports import ReportRow
 
-RHO_MODES = ("global", "max-box", "expected")
+RHO_MODES = ("global", "expected")
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class MarginReport:
     components: dict
     rho_mode: str
     fingerprint: str
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ class AMReport:
 def _rho_bits(profile: InfoProfile, rho_mode: str) -> float:
     if rho_mode == "global":
         return log2_int(profile.rho_global)
-    if rho_mode == "max-box":
-        return log2_int(profile.rho_box_max)
     if rho_mode == "expected":
         return profile.expected_log_rho
     raise InvalidInputError(f"unknown rho mode {rho_mode!r}")
@@ -92,24 +89,17 @@ def check_main_inequality(profile: InfoProfile, rho_mode: str = "global") -> Mar
     )
 
 
-_TRANSCRIPT_MODES = {"function": "function", "relation": "box-color", "restricted": None}
+# the transcript mode, which names the inequality, by the profile's f_mode
+_TRANSCRIPT_MODES = {"function": "function", "box-color": "relation", "explicit": "restricted"}
 
 
-def check_transcript_bound(
-    profile: InfoProfile, mode: str = "function", rho_mode: str = "global"
-) -> MarginReport:
+def check_transcript_bound(profile: InfoProfile, rho_mode: str = "global") -> MarginReport:
     """Margin of H(T) >= H(F|X) + H(F|Y) + H(T|X,F) + H(T|Y,F) - log2(rho)."""
     if profile.arity != 2:
         raise InvalidInputError("transcript bound checker is two-party")
-    if mode not in _TRANSCRIPT_MODES:
-        raise InvalidInputError(f"unknown transcript mode {mode!r}")
     if profile.f_mode is None:
         raise InvalidInputError("profile carries no output variable F")
-    wanted = _TRANSCRIPT_MODES[mode]
-    if wanted is not None and profile.f_mode != wanted:
-        raise InvalidInputError(
-            f"mode {mode!r} needs an f_mode={wanted!r} profile, got {profile.f_mode!r}"
-        )
+    mode = _TRANSCRIPT_MODES[profile.f_mode]
     rho = _rho_bits(profile, rho_mode)
     h_t = profile["H(T)"]
     parts = {
@@ -167,19 +157,11 @@ def check_ic(profile: InfoProfile, rho_mode: str = "global") -> tuple[MarginRepo
 
 
 def check_multiparty(
-    profile: InfoProfile,
-    arity: int,
-    mode: str = "transcript-only",
-    rho_mode: str = "global",
+    profile: InfoProfile, mode: str = "transcript-only", rho_mode: str = "global"
 ) -> MarginReport:
     """Margin of H(T) >= (1/(l-1)) * [sum_i H(T|X_i) - log2(rho)], or the
     with-f variant replacing H(T|X_i) by H(F|X_i) + H(T|X_i,F)."""
-    if arity != profile.arity:
-        raise InvalidInputError(
-            f"profile has arity {profile.arity}, checker asked for {arity}"
-        )
-    if arity < 2:
-        raise InvalidInputError("multiparty checker needs arity >= 2")
+    arity = profile.arity
     rho = _rho_bits(profile, rho_mode)
     h_t = profile["H(T)"]
     components = {"H(T)": h_t, "log2_rho": rho}
@@ -205,24 +187,6 @@ def check_multiparty(
         margin=margin,
         components=components,
         rho_mode=rho_mode,
-        fingerprint=profile.fingerprint,
-    )
-
-
-def check_deterministic_monotonicity(tree, dist: JointDistribution) -> MarginReport:
-    """I(X:Y) - I(X:Y|T) for the leaf variable of a compiled protocol tree;
-    the chain-rule argument makes this non-negative for every distribution."""
-    protocol = compile_tree(tree)
-    if protocol.shape.arity != 2:
-        raise InvalidInputError("monotonicity checker is two-party")
-    profile = build_profile(dist, protocol)
-    i_xy = profile["I(X0:X1)"]
-    i_xy_t = profile["I(X0:X1|T)"]
-    return MarginReport(
-        inequality_id="tree-monotonicity",
-        margin=i_xy - i_xy_t,
-        components={"I(X0:X1)": i_xy, "I(X0:X1|T)": i_xy_t},
-        rho_mode="global",
         fingerprint=profile.fingerprint,
     )
 
@@ -286,7 +250,7 @@ def am_analyze(
         f_table = np.where(f_table < 0, target.num_colors, f_table)
 
     profile = build_profile(restricted_dist, branch.protocol, f_table=f_table)
-    restricted = check_transcript_bound(profile, mode="restricted")
+    restricted = check_transcript_bound(profile)
     rho_bits = log2_int(profile.rho_global)
     estimated = profile["H(F|X0)"] + profile["H(F|X1)"] - rho_bits
     return AMReport(
@@ -403,7 +367,10 @@ def check_profile(
         status="ok",
         sizes="x".join(str(s) for s in profile.sizes),
         rho_global=profile.rho_global,
-        rho_box_max=profile.rho_box_max,
+        # every cell lies in its selected box and a box's thickness is the
+        # largest among its cells, so the largest selected-box thickness is
+        # the largest cell thickness
+        rho_box_max=profile.rho_global,
         H_T=profile["H(T)"],
     )
 
@@ -421,8 +388,7 @@ def check_profile(
         if -identity.margin > tol:
             violations.append("ic-identity")
         if profile.f_mode is not None:
-            mode = "function" if profile.f_mode == "function" else "relation"
-            transcript = check_transcript_bound(profile, mode, rho_mode)
+            transcript = check_transcript_bound(profile, rho_mode)
             stats["transcript_margin"] = transcript.margin
             if main.margin >= 0.0 and transcript.margin < -tol:
                 violations.append("transcript")
@@ -430,13 +396,13 @@ def check_profile(
         if bound.margin < -deficit - tol:
             violations.append("ic-bound")
     elif suite == "multiparty":
-        multi = check_multiparty(profile, profile.arity, "transcript-only", rho_mode)
+        multi = check_multiparty(profile, "transcript-only", rho_mode)
         row.margin_main = multi.margin
         row.ic = profile["IC"]
         if multi.margin < -tol:
             violations.append("multiparty")
         if profile.f_mode is not None:
-            with_f = check_multiparty(profile, profile.arity, "with-f", rho_mode)
+            with_f = check_multiparty(profile, "with-f", rho_mode)
             stats["with_f_margin"] = with_f.margin
             if with_f.margin < -tol:
                 violations.append("multiparty-with-f")
@@ -498,7 +464,7 @@ def batch_experiment(config: SuiteConfig) -> BatchResult:
 
 
 def analyze_instance(
-    bundle, rho_mode: str = "global", tol: float = 1e-9, seed: int | None = None
+    bundle, rho_mode: str = "global", tol: float = 1e-9
 ) -> tuple[ReportRow, list[str]]:
     """Checks for one loaded instance bundle (uniform distribution when the
     file does not carry one): the main-suite checks for two parties, the
@@ -513,6 +479,5 @@ def analyze_instance(
     profile = build_profile(dist, protocol, target=target, f_mode=f_mode)
     suite = "main" if profile.arity == 2 else "multiparty"
     row, violations, _ = check_profile(profile, suite, rho_mode, tol)
-    row.seed = seed
     row.runtime_ms = (time.monotonic() - start) * 1000.0
     return row, violations

@@ -155,7 +155,7 @@ def test_criterion_07_transcript_bound_consistency(tree_batch, bounded_batch):
         f = xor_function(1)
         protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
         profile = build_profile(JointDistribution.uniform(f.shape), protocol, target=f)
-        assert abs(check_transcript_bound(profile, "function").margin) <= TOL
+        assert abs(check_transcript_bound(profile).margin) <= TOL
 
 
 def test_criterion_08_multiparty(multiparty_batch):
@@ -163,7 +163,7 @@ def test_criterion_08_multiparty(multiparty_batch):
         shape = DomainShape((2, 2, 2))
         protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
         profile = build_profile(JointDistribution.uniform(shape), protocol)
-        report = check_multiparty(profile, 3, "transcript-only")
+        report = check_multiparty(profile, "transcript-only")
         assert abs(report.margin) <= TOL
         ok_rows = [
             r for r in multiparty_batch.rows if not r.status.startswith("generation")
@@ -199,7 +199,7 @@ def test_criterion_10_oracle_equivalence():
             if catalog.num_boxes > 20:
                 continue
             exact, _ = cover_number(f, "exact", catalog=catalog)
-            boxes = [b.factors() for _, b in catalog.all_boxes()]
+            boxes = [b.factors() for group in catalog.boxes_by_color.values() for b in group]
             assert exact == brute_force_cover_number(*f.shape.sizes, boxes)
             checked += 1
 

@@ -147,7 +147,7 @@ def test_exact_matches_brute_force_oracle():
         if catalog.num_boxes > 20:
             continue
         exact, _ = cover_number(f, "exact", catalog=catalog)
-        boxes = [b.factors() for _, b in catalog.all_boxes()]
+        boxes = [b.factors() for group in catalog.boxes_by_color.values() for b in group]
         assert exact == brute_force_cover_number(*f.shape.sizes, boxes)
         checked += 1
 
@@ -174,7 +174,7 @@ def test_exact_matches_brute_force_with_valid_witness():
         if catalog.num_boxes > 20:
             continue
         exact, witness = cover_number(f, "exact", catalog=catalog)
-        boxes = [b.factors() for _, b in catalog.all_boxes()]
+        boxes = [b.factors() for group in catalog.boxes_by_color.values() for b in group]
         assert exact == brute_force_cover_number(side, side, boxes)
         assert len(witness) == exact
         assert all(monochromatic_color(b, f) is not None for b in witness)

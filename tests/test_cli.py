@@ -110,6 +110,26 @@ def test_verify_large_grid_csv_golden_digest(tmp_path, capsys):
     assert digest == GOLDEN_LARGE_CSV_SHA256
 
 
+# the same for the paths behind the multiparty checker and the expected rho mode
+GOLDEN_OPTION_CSV_SHA256 = {
+    "multiparty --arity 3 --seeds 0..99": (
+        "da0a24387abf808ecf6f052b9e878c56f8cfa7061288400bca8cac999d9fcb4c"
+    ),
+    "main --rho-mode expected --seeds 0..199": (
+        "3d1ad367a3136c32bd5608e92b302c69a74a9002cfebb84bbac5e623d0d8c51f"
+    ),
+}
+
+
+@pytest.mark.parametrize("options", sorted(GOLDEN_OPTION_CSV_SHA256))
+def test_verify_option_csv_golden_digest(options, tmp_path, capsys):
+    out = str(tmp_path / "r.csv")
+    code, _, _ = run(capsys, "verify", *options.split(), "--out", out)
+    assert code == 0
+    digest = hashlib.sha256(strip_runtime(open(out).read()).encode()).hexdigest()
+    assert digest == GOLDEN_OPTION_CSV_SHA256[options]
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -120,6 +140,8 @@ def test_verify_large_grid_csv_golden_digest(tmp_path, capsys):
         # a nan budget would never expire: monotonic() >= nan is always False
         ["cover", "--fn", "eq", "--n", "2", "--timeout-s", "nan"],
         ["bounds", "--fn", "eq", "--n", "2", "--timeout-s", "nan"],
+        # max-box would be the global mode under a second name, so it is not a mode
+        ["verify", "main", "--seeds", "0..2", "--rho-mode", "max-box"],
     ],
 )
 def test_verify_bad_option_exits_two(bad, capsys):
@@ -161,6 +183,36 @@ def test_catalog_timeout_reports_bounds(command, capsys):
     line = next(l for l in stdout.split("\n") if l.startswith("timeout: bounds="))
     lower, upper = (int(v) for v in line.split("=[")[1].rstrip("]").split(", "))
     assert 18 <= lower <= 22 <= upper
+
+
+def test_cover_and_bounds_agree_on_a_zero_budget(capsys):
+    for command in ("cover", "bounds"):
+        code, stdout, _ = run(capsys, command, "--fn", "eq", "--n", "4", "--timeout-s", "0")
+        assert code == 3
+        assert "timeout: bounds=[18, 32]" in stdout.split("\n")
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        ["--fn", "xor", "--n", "4"],
+        ["--fn", "eq", "--n", "3"],
+        ["--fn", "random", "--sizes", "10x10", "--colors", "2", "--seed", "1"],
+    ],
+)
+def test_cover_reports_the_counts_of_bounds(fn, tmp_path, capsys):
+    rows = {}
+    commands = {"bounds": ["bounds"], "exact": ["cover"], "greedy": ["cover", "--greedy"]}
+    for name, command in commands.items():
+        out = str(tmp_path / f"{name}.csv")
+        code, _, _ = run(capsys, *command, *fn, "--out", out)
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows[name] = next(csv.DictReader(fh))
+    assert rows["exact"]["cover_exact"] == rows["bounds"]["cover_exact"] != ""
+    assert rows["greedy"]["cover_exact"] == ""
+    for name in ("exact", "greedy"):
+        assert rows[name]["cover_greedy"] == rows["bounds"]["cover_greedy"] != ""
 
 
 def test_cover_budget_includes_fooling_sets(capsys):

@@ -32,12 +32,13 @@ from commlab import (
     windmill_cover,
     xor_function,
 )
-from commlab.core import box
+from commlab.core import box, box_thickness_table, selector_labels, thickness_table
 from commlab.info import InfoEngine, grouped_pairwise_sums
 
 from naive import (
     grouped_pairwise_sums_levels,
     naive_conditional_mi,
+    naive_entropy,
     naive_joint_entropy,
     naive_mutual_information,
     pairwise_sum_levels,
@@ -196,10 +197,19 @@ def test_chain_rule_exact(weights):
     dist = JointDistribution(shape, p / p.sum())
     variables = VariableSpec.coordinates(shape)
     engine = InfoEngine(dist, variables)
-    gap = abs(
-        engine.entropy(("X0", "X1")) - engine.entropy("X0") - engine.cond_entropy("X1", "X0")
+    # H(X1|X0) row by row, the way build_profile's chain-rule check reads it
+    table = dist.p.reshape(4, 4)
+    h_rows = sum(
+        row.sum() * naive_entropy({y: q / row.sum() for y, q in enumerate(row)})
+        for row in table
+        if row.sum() > 0.0
     )
+    gap = abs(engine.entropy(("X0", "X1")) - engine.entropy("X0") - h_rows)
     assert gap <= 1e-9
+    protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
+    profile = build_profile(dist, protocol)
+    assert profile["H(X1|X0)"] == pytest.approx(h_rows, abs=1e-12)
+    assert profile["chain_gap"] <= 1e-9
 
 
 def test_triple_information_constant_w():
@@ -516,6 +526,25 @@ def test_combined_keys_past_int64_do_not_merge_outcomes():
     assert engine.entropy(("A", "B")) == pytest.approx(math.log2(3), abs=1e-15)
 
 
+def test_group_labels_stay_below_key_limit_and_order_like_tuples():
+    # the radix sort needs every label below KEY_LIMIT, and the entropy sums
+    # need the outcomes in the order of their label tuples
+    from commlab.info import KEY_LIMIT
+
+    rng = np.random.default_rng(11)
+    shape = DomainShape((8, 8))
+    shifts = {"A": 40, "B": 0, "C": 33}
+    labels = {name: rng.integers(0, 4, size=64) << bits for name, bits in shifts.items()}
+    variables = VariableSpec(shape, labels)
+    engine = InfoEngine(JointDistribution.uniform(shape), variables)
+    for names in (("A",), ("C", "A"), ("A", "B", "C"), ("B", "C"), ("B",)):
+        got = engine._group_labels(names)
+        assert got.min() >= 0 and got.max() < KEY_LIMIT
+        tuples = np.stack([variables.labels[name] for name in sorted(names)], axis=1)
+        want = np.unique(tuples, axis=0, return_inverse=True)[1].reshape(-1)
+        assert (np.unique(got, return_inverse=True)[1].reshape(-1) == want).all()
+
+
 _NEAR_2_62 = st.one_of(st.integers(0, 6), st.integers(2**62 - 6, 2**62 + 6))
 
 
@@ -600,7 +629,7 @@ def test_build_profile_computes_every_entropy_in_its_one_batch(monkeypatch, suit
 def _engine_profile_quantities(dist, protocol, f_labels):
     """Every quantity of a profile, each read through the name-keyed engine."""
     from commlab.core import selector_labels
-    from commlab.info import _information_cost, _triple
+    from commlab.info import _information_cost, _row_conditional_entropy, _triple
 
     arity = protocol.shape.arity
     t_labels = selector_labels(protocol)
@@ -614,7 +643,7 @@ def _engine_profile_quantities(dist, protocol, f_labels):
         q[f"H({x})"] = engine.entropy(x)
         q[f"H(T|{x})"] = engine.cond_entropy("T", x)
     q["H(X0,X1)"] = engine.entropy(("X0", "X1"))
-    q["H(X1|X0)"] = engine.cond_entropy("X1", "X0")
+    q["H(X1|X0)"] = _row_conditional_entropy(dist)
     q["chain_gap"] = abs(q["H(X0,X1)"] - q["H(X0)"] - q["H(X1|X0)"])
     triple = _triple(engine.entropy, "X0", "X1", "T")
     if arity == 2:
@@ -680,7 +709,6 @@ def test_profile_quantities_equal_the_name_keyed_engine_bit_for_bit():
         assert got == [v.hex() for v in expected.values()]
         t = selector_labels(protocol)
         box_rho = box_thickness_table(protocol.cover)
-        assert profile.rho_box_max == int(box_rho[np.unique(t)].max())
         log_rho = pairwise_sum(read_dist.p * np.log2(box_rho[t].astype(np.float64)))
         assert profile.expected_log_rho.hex() == log_rho.hex()
         cases += 1
@@ -698,7 +726,8 @@ def test_profile_quantities_equal_the_name_keyed_engine_bit_for_bit():
 )
 def test_max_box_thickness_is_the_global_thickness(kind, sizes, rho_max, extra, seed, selector_seed):
     # every cell lies in its selected box, and a box's thickness is the
-    # largest among its cells, so --rho-mode max-box charges the global rho
+    # largest among its cells, so the largest selected-box thickness is the
+    # global rho: the reason the rho_box_max column reports rho_global
     shape = DomainShape(tuple(sizes))
     if kind == "tree":
         cover = compile_tree(random_tree(shape, seed=seed)).cover
@@ -712,6 +741,5 @@ def test_max_box_thickness_is_the_global_thickness(kind, sizes, rho_max, extra, 
         if selector_seed is None
         else TranscriptSelector.seeded(selector_seed)
     )
-    dist = JointDistribution.random_integer_weights(shape, seed=seed)
-    profile = build_profile(dist, Protocol(cover, selector))
-    assert profile.rho_box_max == profile.rho_global
+    labels = selector_labels(Protocol(cover, selector))
+    assert box_thickness_table(cover)[labels].max() == thickness_table(cover).max()

@@ -23,11 +23,11 @@ from commlab import (
     am_analyze,
     batch_experiment,
     build_profile,
-    check_deterministic_monotonicity,
     check_ic,
     check_main_inequality,
     check_multiparty,
     check_transcript_bound,
+    compile_tree,
     constant_function,
     error_protocol_from_cover,
     parity_tightness_protocol,
@@ -91,12 +91,13 @@ def test_rho_modes_differ_on_mixed_cover():
     protocol = Protocol(cover, TranscriptSelector.explicit([2, 2, 0, 1]))
     profile = build_profile(JointDistribution.uniform(shape), protocol)
     r_global = check_main_inequality(profile, "global")
-    r_box = check_main_inequality(profile, "max-box")
     r_exp = check_main_inequality(profile, "expected")
     assert r_global.components["log2_rho"] == pytest.approx(np.log2(3), abs=1e-12)
-    assert r_box.components["log2_rho"] == pytest.approx(np.log2(3), abs=1e-12)
     # half the mass sits on the thickness-3 singleton-row box
     assert r_exp.components["log2_rho"] == pytest.approx(np.log2(3), abs=1e-12)
+    # max-box would be the global rho under a second name, so it is not a mode
+    with pytest.raises(InvalidInputError):
+        check_main_inequality(profile, "max-box")
 
 
 def test_rho_mode_expected_weighting():
@@ -124,7 +125,7 @@ def test_transcript_xor_singletons_tight():
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     profile = build_profile(JointDistribution.uniform(f.shape), protocol, target=f)
-    report = check_transcript_bound(profile, "function")
+    report = check_transcript_bound(profile)
     assert report.margin == pytest.approx(0.0, abs=1e-9)
     assert report.components["H(T)"] == pytest.approx(2.0, abs=1e-12)
 
@@ -134,7 +135,7 @@ def test_transcript_constant_function():
     f = constant_function(shape)
     protocol = single_full_box()
     profile = build_profile(JointDistribution.uniform(shape), protocol, target=f)
-    assert check_transcript_bound(profile, "function").margin == pytest.approx(
+    assert check_transcript_bound(profile).margin == pytest.approx(
         0.0, abs=1e-9
     )
 
@@ -148,19 +149,34 @@ def test_transcript_relation_delta_zero_matches_function():
     dist = JointDistribution.uniform(f.shape)
     p_rel = build_profile(dist, protocol, target=rel, f_mode="box-color")
     p_fun = build_profile(dist, protocol, target=f, f_mode="function")
-    r_rel = check_transcript_bound(p_rel, "relation")
-    r_fun = check_transcript_bound(p_fun, "function")
+    r_rel = check_transcript_bound(p_rel)
+    r_fun = check_transcript_bound(p_fun)
     assert r_rel.margin == pytest.approx(r_fun.margin, abs=1e-12)
     assert r_rel.components["H(F|X0)"] == pytest.approx(
         r_fun.components["H(F|X0)"], abs=1e-12
     )
 
 
+def test_transcript_mode_follows_the_profile():
+    f = xor_function(1)
+    protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
+    dist = JointDistribution.uniform(f.shape)
+    cases = (
+        ({"target": f}, "transcript-function"),
+        ({"target": f, "f_mode": "box-color"}, "transcript-relation"),
+        ({"f_table": f.flat()}, "transcript-restricted"),
+    )
+    for kwargs, inequality_id in cases:
+        report = check_transcript_bound(build_profile(dist, protocol, **kwargs))
+        assert report.inequality_id == inequality_id
+        assert report.margin == pytest.approx(0.0, abs=1e-9)
+
+
 def test_transcript_mode_validation():
     protocol = single_full_box()
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
     with pytest.raises(InvalidInputError):
-        check_transcript_bound(profile, "function")  # no F in profile
+        check_transcript_bound(profile)  # no F in profile
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +219,7 @@ def test_multiparty_three_party_singletons_tight():
     shape = DomainShape((2, 2, 2))
     protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
     profile = build_profile(JointDistribution.uniform(shape), protocol)
-    report = check_multiparty(profile, 3, "transcript-only")
+    report = check_multiparty(profile, "transcript-only")
     assert profile["H(T)"] == pytest.approx(3.0, abs=1e-12)
     assert report.margin == pytest.approx(0.0, abs=1e-9)
 
@@ -213,27 +229,25 @@ def test_multiparty_single_box_zero():
     full = Box(((1 << 2) - 1,) * 3)
     protocol = Protocol(Cover(shape, (full,)), TranscriptSelector.min_index())
     profile = build_profile(JointDistribution.uniform(shape), protocol)
-    report = check_multiparty(profile, 3, "transcript-only")
+    report = check_multiparty(profile, "transcript-only")
     assert report.margin == pytest.approx(0.0, abs=1e-9)
 
 
 def test_multiparty_two_party_matches_ic_bound():
     protocol = parity_tightness_protocol(1)
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    multi = check_multiparty(profile, 2, "transcript-only")
+    multi = check_multiparty(profile, "transcript-only")
     _, ic_bound = check_ic(profile)
     assert multi.margin == pytest.approx(ic_bound.margin, abs=1e-12)
 
 
-def test_multiparty_arity_mismatch():
-    protocol = alice_sends_x()
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    with pytest.raises(InvalidInputError):
-        check_multiparty(profile, 3)
-
-
 # ---------------------------------------------------------------------------
-# Tree monotonicity
+# Tree monotonicity: a tree's leaves partition the grid, so rho = 1 and the
+# main margin is I(X:Y) - I(X:Y|T), which the chain rule keeps non-negative
+
+
+def tree_margin(tree, dist):
+    return check_main_inequality(build_profile(dist, compile_tree(tree)))
 
 
 def full_communication_tree(shape):
@@ -243,9 +257,7 @@ def full_communication_tree(shape):
 
 def test_monotonicity_full_tree_diagonal():
     shape = DomainShape((2, 2))
-    report = check_deterministic_monotonicity(
-        full_communication_tree(shape), diag_dist(shape)
-    )
+    report = tree_margin(full_communication_tree(shape), diag_dist(shape))
     assert report.margin == pytest.approx(1.0, abs=1e-9)
 
 
@@ -255,7 +267,7 @@ def test_monotonicity_alice_tree_any_dist():
     rng = np.random.default_rng(3)
     for _ in range(20):
         dist = JointDistribution.random_integer_weights(shape, rng=rng)
-        report = check_deterministic_monotonicity(tree, dist)
+        report = tree_margin(tree, dist)
         assert report.margin >= -1e-9
         # I(X:Y|T) = I(X:Y|X) = 0, so the margin equals I(X:Y)
         assert report.margin == pytest.approx(report.components["I(X0:X1)"], abs=1e-9)
@@ -268,7 +280,7 @@ def test_monotonicity_independent_dist_zero():
         full_communication_tree(shape),
         ProtocolTree(shape, TreeSplit(0, 0b01, 0b10, TreeLeaf(), TreeLeaf())),
     ):
-        report = check_deterministic_monotonicity(tree, dist)
+        report = tree_margin(tree, dist)
         assert report.margin == pytest.approx(0.0, abs=1e-9)
 
 
@@ -376,6 +388,24 @@ def test_batch_small_main_suite_clean():
     assert result.max_ic_gap <= 1e-9
     assert result.min_margin_main >= -1e-9
     assert result.min_transcript_margin_given_main_ok >= -1e-9
+
+
+def test_chain_rule_check_can_fail(monkeypatch):
+    # H(X1|X0) is computed row by row, not as H(X0,X1) - H(X0), so moving the
+    # batched H(X0,X1) opens the chain-rule gap
+    from commlab.info import InfoEngine
+
+    entropies = InfoEngine.entropies
+
+    def shifted(self, groups):
+        values = entropies(self, groups)
+        return [v + 1e-6 if set(g) == {"X0", "X1"} else v for g, v in zip(groups, values)]
+
+    monkeypatch.setattr(InfoEngine, "entropies", shifted)
+    for suite in ("tree", "main"):
+        row, violations, stats, _ = run_suite_row(SuiteConfig(suite=suite), 0)
+        assert "chain-rule" in violations and "chain-rule" in row.status
+        assert stats["chain_gap"] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_batch_empty_seed_list():
