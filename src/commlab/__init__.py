@@ -43,7 +43,7 @@ _EXPORTS = {
         "fooling_set",
     ),
     "verify": (
-        "AMReport", "MarginReport", "SuiteConfig", "am_analyze",
+        "AMReport", "SuiteConfig", "am_analyze",
         "batch_experiment", "check_ic", "check_main_inequality",
         "check_multiparty", "check_transcript_bound",
     ),

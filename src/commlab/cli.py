@@ -367,13 +367,13 @@ def _cmd_am(args) -> int:
         f"branches={len(report.branch_errors)} r0={report.r0} "
         f"cost={format(report.cost, '.17g')} error={format(report.overall_error, '.17g')} "
         f"estimated_lower_bound={format(report.estimated_lower_bound, '.17g')} "
-        f"restricted_margin={format(report.restricted.margin, '.17g')}"
+        f"restricted_margin={format(report.restricted_margin, '.17g')}"
     )
     row = ReportRow(
         instance_id=report.fingerprint[:12],
         status="ok",
         sizes="x".join(str(s) for s in am.shape.sizes),
-        margin_main=report.restricted.margin,
+        margin_main=report.restricted_margin,
         runtime_ms=(time.monotonic() - start) * 1000.0,
     )
     _emit([row], args)

@@ -11,7 +11,6 @@ module-level table functions read that cache.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -477,9 +476,3 @@ def compile_tree(tree: ProtocolTree) -> Protocol:
     walk(tree.root, tuple((1 << s) - 1 for s in shape.sizes))
     return Protocol(Cover(shape, tuple(boxes)), TranscriptSelector.min_index())
 
-
-def log2_int(value: int) -> float:
-    """log base 2 of a positive integer (thickness statistics)."""
-    if value < 1:
-        raise InvalidInputError(f"log2 of non-positive count {value}")
-    return math.log2(value)

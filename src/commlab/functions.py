@@ -472,29 +472,31 @@ def monochromatic_color(b: Box, target: ColoredFunction | Relation) -> int | Non
     return (common & -common).bit_length() - 1
 
 
-def good_set(ep: ErrorProtocol, target: ColoredFunction | Relation) -> set[tuple[int, int]]:
-    """Cells where both parties output the same value and that value is
-    correct (function) or admissible (relation)."""
+def good_mask(ep: ErrorProtocol, target: ColoredFunction | Relation) -> np.ndarray:
+    """Flat bool mask of the cells where both parties output the same value
+    and that value is correct (function) or admissible (relation)."""
     shape = ep.shape
     if target.shape.sizes != shape.sizes:
         raise InvalidInputError("target shape does not match protocol domain")
     t = selector_labels(ep.protocol)
     rows, cols = shape.coordinate_labels()
     a = ep.g_a[rows, t]
-    b_vals = ep.g_b[cols, t]
-    agree = (a == b_vals) & (a >= 0)
+    ok = (a == ep.g_b[cols, t]) & (a >= 0)
     if isinstance(target, ColoredFunction):
-        ok = agree & (a == target.flat())
-    else:
-        admissible = np.zeros(shape.num_cells, dtype=bool)
-        for i in np.flatnonzero(agree):
-            admissible[i] = bool((target.admissible[int(i)] >> int(a[i])) & 1)
-        ok = agree & admissible
-    return {shape.cell_of_linear(int(i)) for i in np.flatnonzero(ok)}
+        return ok & (a == target.flat())
+    for i in np.flatnonzero(ok).tolist():
+        ok[i] = (target.admissible[i] >> int(a[i])) & 1
+    return ok
+
+
+def good_set(ep: ErrorProtocol, target: ColoredFunction | Relation) -> set[tuple[int, int]]:
+    """The cells of good_mask."""
+    cells = np.flatnonzero(good_mask(ep, target)).tolist()
+    return {ep.shape.cell_of_linear(i) for i in cells}
 
 
 def error_rate(ep: ErrorProtocol, target: ColoredFunction | Relation) -> float:
-    return 1.0 - len(good_set(ep, target)) / ep.shape.num_cells
+    return 1.0 - int(good_mask(ep, target).sum()) / ep.shape.num_cells
 
 
 def error_protocol_from_cover(

@@ -403,7 +403,6 @@ class InfoProfile:
     expected_log_rho: float
     f_mode: str | None
     excluded_mass: float
-    flags: tuple[str, ...]
     fingerprint: str
 
     def __getitem__(self, key: str) -> float:
@@ -418,8 +417,7 @@ def _profile_fingerprint(
 ) -> str:
     h = hashlib.sha256()
     h.update(repr(protocol.shape.sizes).encode())
-    for b in protocol.cover.boxes:
-        h.update(repr(b.masks).encode())
+    h.update("".join(repr(b.masks) for b in protocol.cover.boxes).encode())
     sel = protocol.selector
     h.update(sel.kind.encode())
     h.update(repr(sel.seed).encode())
@@ -483,7 +481,6 @@ def build_profile(
         raise InvalidInputError(f"distribution puts mass on uncovered cell {cell}")
     t_labels = selector_labels(protocol)
 
-    flags: list[str] = []
     excluded_mass = 0.0
     f_labels = None
     mode: str | None = None
@@ -523,7 +520,6 @@ def build_profile(
             if colorless:
                 keep = ~np.isin(t_labels, colorless)
                 dist, excluded_mass = dist.condition_on(keep)
-                flags.append("non-monochromatic-boxes-excluded")
             mode = "box-color"
         else:
             raise InvalidInputError(f"unknown f mode {f_mode!r}")
@@ -579,6 +575,5 @@ def build_profile(
         expected_log_rho=expected_log_rho,
         f_mode=mode,
         excluded_mass=excluded_mass,
-        flags=tuple(flags),
         fingerprint=_profile_fingerprint(dist, protocol, f_labels, mode),
     )

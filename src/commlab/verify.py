@@ -10,13 +10,14 @@ violation.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainShape, Protocol, TranscriptSelector, compile_tree, log2_int
+from .core import DomainShape, Protocol, TranscriptSelector, compile_tree, selector_labels
 from .errors import (
     DegenerateInstanceError,
     GenerationFailureError,
@@ -27,23 +28,12 @@ from .functions import (
     ColoredFunction,
     Relation,
     dense_ids,
-    good_set,
+    good_mask,
     random_bounded_cover,
     random_tree,
 )
 from .info import InfoProfile, JointDistribution, build_profile
 from .reports import ReportRow
-
-RHO_MODES = ("global", "expected")
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    inequality_id: str
-    margin: float
-    components: dict
-    rho_mode: str
-    fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,7 @@ class AMReport:
     cost: float
     r0: int
     good_sizes: tuple[int, ...]
-    restricted: MarginReport
+    restricted_margin: float
     estimated_lower_bound: float
     correctness_mode: str
     fingerprint: str
@@ -61,134 +51,65 @@ class AMReport:
 
 def _rho_bits(profile: InfoProfile, rho_mode: str) -> float:
     if rho_mode == "global":
-        return log2_int(profile.rho_global)
+        return math.log2(profile.rho_global)
     if rho_mode == "expected":
         return profile.expected_log_rho
     raise InvalidInputError(f"unknown rho mode {rho_mode!r}")
 
 
-def check_main_inequality(profile: InfoProfile, rho_mode: str = "global") -> MarginReport:
+def check_main_inequality(profile: InfoProfile, rho_mode: str = "global") -> float:
     """Margin of I(X:Y) - I(X:Y|T) + log2(rho) >= 0."""
     if profile.arity != 2:
         raise InvalidInputError("main inequality checker is two-party")
     rho = _rho_bits(profile, rho_mode)
-    i_xy = profile["I(X0:X1)"]
-    i_xy_t = profile["I(X0:X1|T)"]
-    margin = i_xy - i_xy_t + rho
-    return MarginReport(
-        inequality_id="main",
-        margin=margin,
-        components={
-            "I(X0:X1)": i_xy,
-            "I(X0:X1|T)": i_xy_t,
-            "I(X0:X1:T)": profile["I(X0:X1:T)"],
-            "log2_rho": rho,
-        },
-        rho_mode=rho_mode,
-        fingerprint=profile.fingerprint,
-    )
+    return profile["I(X0:X1)"] - profile["I(X0:X1|T)"] + rho
 
 
-# the transcript mode, which names the inequality, by the profile's f_mode
-_TRANSCRIPT_MODES = {"function": "function", "box-color": "relation", "explicit": "restricted"}
-
-
-def check_transcript_bound(profile: InfoProfile, rho_mode: str = "global") -> MarginReport:
+def check_transcript_bound(profile: InfoProfile, rho_mode: str = "global") -> float:
     """Margin of H(T) >= H(F|X) + H(F|Y) + H(T|X,F) + H(T|Y,F) - log2(rho)."""
     if profile.arity != 2:
         raise InvalidInputError("transcript bound checker is two-party")
     if profile.f_mode is None:
         raise InvalidInputError("profile carries no output variable F")
-    mode = _TRANSCRIPT_MODES[profile.f_mode]
     rho = _rho_bits(profile, rho_mode)
-    h_t = profile["H(T)"]
-    parts = {
-        "H(T)": h_t,
-        "H(F|X0)": profile["H(F|X0)"],
-        "H(F|X1)": profile["H(F|X1)"],
-        "H(T|X0,F)": profile["H(T|X0,F)"],
-        "H(T|X1,F)": profile["H(T|X1,F)"],
-        "log2_rho": rho,
-        "excluded_mass": profile.excluded_mass,
-    }
-    margin = h_t - (
-        parts["H(F|X0)"]
-        + parts["H(F|X1)"]
-        + parts["H(T|X0,F)"]
-        + parts["H(T|X1,F)"]
+    return profile["H(T)"] - (
+        profile["H(F|X0)"]
+        + profile["H(F|X1)"]
+        + profile["H(T|X0,F)"]
+        + profile["H(T|X1,F)"]
         - rho
     )
-    return MarginReport(
-        inequality_id=f"transcript-{mode}",
-        margin=margin,
-        components=parts,
-        rho_mode=rho_mode,
-        fingerprint=profile.fingerprint,
-    )
 
 
-def check_ic(profile: InfoProfile, rho_mode: str = "global") -> tuple[MarginReport, MarginReport]:
-    """Identity |IC - (H(T) - I(X:Y:T))| (reported as a negated-gap margin)
-    and the bound margin H(T) + log2(rho) - IC."""
+def check_ic(profile: InfoProfile, rho_mode: str = "global") -> tuple[float, float]:
+    """The identity gap |IC - (H(T) - I(X:Y:T))| and the bound margin
+    H(T) + log2(rho) - IC."""
     if profile.arity != 2:
         raise InvalidInputError("information cost checker is two-party")
     ic = profile["IC"]
     h_t = profile["H(T)"]
-    triple = profile["I(X0:X1:T)"]
-    gap = abs(ic - (h_t - triple))
-    rho = _rho_bits(profile, rho_mode)
-    bound_margin = h_t + rho - ic
-    components = {"IC": ic, "H(T)": h_t, "I(X0:X1:T)": triple, "log2_rho": rho}
-    identity = MarginReport(
-        inequality_id="ic-identity",
-        margin=-gap,
-        components=dict(components, gap=gap),
-        rho_mode=rho_mode,
-        fingerprint=profile.fingerprint,
-    )
-    bound = MarginReport(
-        inequality_id="ic-bound",
-        margin=bound_margin,
-        components=components,
-        rho_mode=rho_mode,
-        fingerprint=profile.fingerprint,
-    )
-    return identity, bound
+    gap = abs(ic - (h_t - profile["I(X0:X1:T)"]))
+    return gap, h_t + _rho_bits(profile, rho_mode) - ic
 
 
 def check_multiparty(
     profile: InfoProfile, mode: str = "transcript-only", rho_mode: str = "global"
-) -> MarginReport:
+) -> float:
     """Margin of H(T) >= (1/(l-1)) * [sum_i H(T|X_i) - log2(rho)], or the
     with-f variant replacing H(T|X_i) by H(F|X_i) + H(T|X_i,F)."""
-    arity = profile.arity
     rho = _rho_bits(profile, rho_mode)
-    h_t = profile["H(T)"]
-    components = {"H(T)": h_t, "log2_rho": rho}
+    total = 0.0
     if mode == "transcript-only":
-        total = 0.0
-        for i in range(arity):
-            components[f"H(T|X{i})"] = profile[f"H(T|X{i})"]
+        for i in range(profile.arity):
             total += profile[f"H(T|X{i})"]
-        margin = h_t - (total - rho) / (arity - 1)
     elif mode == "with-f":
         if profile.f_mode is None:
             raise InvalidInputError("with-f mode needs a profile with an F variable")
-        total = 0.0
-        for i in range(arity):
-            components[f"H(F|X{i})"] = profile[f"H(F|X{i})"]
-            components[f"H(T|X{i},F)"] = profile[f"H(T|X{i},F)"]
+        for i in range(profile.arity):
             total += profile[f"H(F|X{i})"] + profile[f"H(T|X{i},F)"]
-        margin = h_t - (total - rho) / (arity - 1)
     else:
         raise InvalidInputError(f"unknown multiparty mode {mode!r}")
-    return MarginReport(
-        inequality_id=f"multiparty-{mode}",
-        margin=margin,
-        components=components,
-        rho_mode=rho_mode,
-        fingerprint=profile.fingerprint,
-    )
+    return profile["H(T)"] - (total - rho) / (profile.arity - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,55 +132,41 @@ def am_analyze(
     if target.shape.sizes != shape.sizes:
         raise InvalidInputError("target shape does not match AM domain")
     n_cells = shape.num_cells
-    goods = [good_set(branch, target) for branch in am.branches]
-    good_sizes = tuple(len(g) for g in goods)
+    goods = [good_mask(branch, target) for branch in am.branches]
+    good_sizes = tuple(int(g.sum()) for g in goods)
     branch_errors = tuple(1.0 - size / n_cells for size in good_sizes)
     if correctness_mode == "uniform":
         overall_error = float(np.mean(branch_errors))
     else:
         # a cell is correct when at least 2/3 of the branches handle it
-        per_cell = np.zeros(n_cells, dtype=np.int64)
-        for g in goods:
-            for cell in g:
-                per_cell[shape.linear_index(cell)] += 1
-        correct = 3 * per_cell >= 2 * len(am.branches)
+        correct = 3 * np.sum(goods, axis=0) >= 2 * len(am.branches)
         overall_error = 1.0 - float(correct.sum()) / n_cells
 
-    sizes_arr = np.array(good_sizes)
-    r0 = int(np.argmax(sizes_arr))
+    r0 = int(np.argmax(good_sizes))
     if good_sizes[r0] == 0:
         raise DegenerateInstanceError("every branch's GOOD set is empty")
     branch = am.branches[r0]
-    cost = log2_int(max(b.protocol.cover.num_boxes for b in am.branches))
-
-    keep = np.zeros(n_cells, dtype=bool)
-    for cell in goods[r0]:
-        keep[shape.linear_index(cell)] = True
-    restricted_dist, _ = JointDistribution.uniform(shape).condition_on(keep)
+    cost = math.log2(max(b.protocol.cover.num_boxes for b in am.branches))
+    restricted_dist, _ = JointDistribution.uniform(shape).condition_on(goods[r0])
 
     if isinstance(target, ColoredFunction):
         f_table = target.flat()
     else:
         # on GOOD cells both outputs agree; elsewhere the mass is zero, so any
         # placeholder label is invisible to the entropies
-        from .core import selector_labels
-
-        t = selector_labels(branch.protocol)
-        rows, cols = shape.coordinate_labels()
-        f_table = branch.g_a[rows, t]
+        rows = shape.coordinate_labels()[0]
+        f_table = branch.g_a[rows, selector_labels(branch.protocol)]
         f_table = np.where(f_table < 0, target.num_colors, f_table)
 
     profile = build_profile(restricted_dist, branch.protocol, f_table=f_table)
-    restricted = check_transcript_bound(profile)
-    rho_bits = log2_int(profile.rho_global)
-    estimated = profile["H(F|X0)"] + profile["H(F|X1)"] - rho_bits
+    estimated = profile["H(F|X0)"] + profile["H(F|X1)"] - _rho_bits(profile, "global")
     return AMReport(
         branch_errors=branch_errors,
         overall_error=overall_error,
         cost=cost,
         r0=r0,
         good_sizes=good_sizes,
-        restricted=restricted,
+        restricted_margin=check_transcript_bound(profile),
         estimated_lower_bound=estimated,
         correctness_mode=correctness_mode,
         fingerprint=profile.fingerprint,
@@ -292,14 +199,10 @@ class BatchResult:
     reproducers: list = field(default_factory=list)
     generation_failures: int = 0
     min_margin_main: float | None = None
-    min_transcript_margin_given_main_ok: float | None = None
+    max_transcript_gap: float = 0.0
     max_chain_gap: float = 0.0
     max_triple_gap: float = 0.0
     max_ic_gap: float = 0.0
-
-
-def _min_opt(current: float | None, value: float) -> float:
-    return value if current is None else min(current, value)
 
 
 def _random_instance(config: SuiteConfig, seed: int):
@@ -324,8 +227,6 @@ def _random_instance(config: SuiteConfig, seed: int):
 
     # color the boxes, then read the function off the selected box so that the
     # protocol computes it exactly (F is a function of T)
-    from .core import selector_labels
-
     box_colors = rng.integers(0, config.max_colors, size=cover.num_boxes)
     raw = box_colors[selector_labels(protocol)]
     function = ColoredFunction(shape, dense_ids(raw, config.max_colors).reshape(shape.sizes))
@@ -350,8 +251,12 @@ def check_profile(
     profile: InfoProfile, suite: str, rho_mode: str, tol: float
 ) -> tuple[ReportRow, list[str], dict]:
     """Run one suite's checks on a profile; returns (row, violation tags, gap
-    stats). main and tree run the two-party checks, multiparty the l-party
-    ones; the transcript and with-f checks need a profile with F."""
+    stats). Each suite checks one bound: main and tree the main inequality,
+    multiparty the transcript-only inequality. Every other check is a gap
+    that should be floating-point noise. With T a function of the cell and F
+    a function of T, the transcript margin equals the main margin and the
+    with-f margin the transcript-only one, so each is reported as its gap to
+    the suite's bound."""
     violations: list[str] = []
     stats = {
         "chain_gap": profile["chain_gap"],
@@ -372,42 +277,35 @@ def check_profile(
         # the largest cell thickness
         rho_box_max=profile.rho_global,
         H_T=profile["H(T)"],
+        ic=profile["IC"],
     )
 
     if suite in ("main", "tree"):
-        main = check_main_inequality(profile, rho_mode)
-        identity, bound = check_ic(profile, rho_mode)
+        margin = check_main_inequality(profile, rho_mode)
+        ic_gap, row.margin_ic = check_ic(profile, rho_mode)
         row.I_XY = profile["I(X0:X1)"]
         row.I_XY_given_T = profile["I(X0:X1|T)"]
-        row.margin_main = main.margin
-        row.ic = profile["IC"]
-        row.margin_ic = bound.margin
-        stats["ic_gap"] = -identity.margin
-        if main.margin < -tol:
+        stats["ic_gap"] = ic_gap
+        if margin < -tol:
             violations.append("main")
-        if -identity.margin > tol:
+        if ic_gap > tol:
             violations.append("ic-identity")
         if profile.f_mode is not None:
-            transcript = check_transcript_bound(profile, rho_mode)
-            stats["transcript_margin"] = transcript.margin
-            if main.margin >= 0.0 and transcript.margin < -tol:
+            stats["transcript_gap"] = abs(check_transcript_bound(profile, rho_mode) - margin)
+            if stats["transcript_gap"] > tol:
                 violations.append("transcript")
-        deficit = max(0.0, -main.margin)
-        if bound.margin < -deficit - tol:
-            violations.append("ic-bound")
     elif suite == "multiparty":
-        multi = check_multiparty(profile, "transcript-only", rho_mode)
-        row.margin_main = multi.margin
-        row.ic = profile["IC"]
-        if multi.margin < -tol:
+        margin = check_multiparty(profile, "transcript-only", rho_mode)
+        if margin < -tol:
             violations.append("multiparty")
         if profile.f_mode is not None:
             with_f = check_multiparty(profile, "with-f", rho_mode)
-            stats["with_f_margin"] = with_f.margin
-            if with_f.margin < -tol:
+            stats["transcript_gap"] = abs(with_f - margin)
+            if stats["transcript_gap"] > tol:
                 violations.append("multiparty-with-f")
     else:
         raise InvalidInputError(f"unknown suite {suite!r}")
+    row.margin_main = margin
 
     if violations:
         row.status = "violation:" + "+".join(violations)
@@ -448,13 +346,9 @@ def batch_experiment(config: SuiteConfig) -> BatchResult:
         result.max_triple_gap = max(result.max_triple_gap, stats["triple_gap"])
         if "ic_gap" in stats:
             result.max_ic_gap = max(result.max_ic_gap, stats["ic_gap"])
-        if row.margin_main is not None:
-            result.min_margin_main = _min_opt(result.min_margin_main, row.margin_main)
-            if row.margin_main >= 0.0 and "transcript_margin" in stats:
-                result.min_transcript_margin_given_main_ok = _min_opt(
-                    result.min_transcript_margin_given_main_ok,
-                    stats["transcript_margin"],
-                )
+        result.max_transcript_gap = max(result.max_transcript_gap, stats["transcript_gap"])
+        if result.min_margin_main is None or row.margin_main < result.min_margin_main:
+            result.min_margin_main = row.margin_main
         if violations:
             result.violations += 1
             path = _write_reproducer(config, seed, *instance)
@@ -468,12 +362,25 @@ def analyze_instance(
 ) -> tuple[ReportRow, list[str]]:
     """Checks for one loaded instance bundle (uniform distribution when the
     file does not carry one): the main-suite checks for two parties, the
-    multiparty checks otherwise."""
+    multiparty checks otherwise. A function must be a function of the
+    transcript wherever the distribution puts mass, as the suites' identity
+    gaps assume."""
     start = time.monotonic()
     protocol = bundle.protocol
     dist = bundle.distribution or JointDistribution.uniform(protocol.shape)
     if bundle.function is not None:
         target, f_mode = bundle.function, "function"
+        on = dist.p > 0.0
+        t, f = selector_labels(protocol)[on], target.flat()[on]
+        color = np.zeros(protocol.cover.num_boxes, dtype=np.int64)
+        color[t] = f
+        clash = np.flatnonzero(color[t] != f)
+        if clash.size:
+            i = clash[0]
+            raise InvalidInputError(
+                f"the function is not a function of the transcript: box {t[i]} is "
+                f"selected at cells of colours {color[t[i]]} and {f[i]}"
+            )
     else:
         target, f_mode = bundle.relation, "box-color"
     profile = build_profile(dist, protocol, target=target, f_mode=f_mode)

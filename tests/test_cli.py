@@ -79,6 +79,20 @@ def test_verify_violation_exit_and_reproducer(tmp_path, capsys):
     assert reproducers
 
 
+def test_verify_instance_rejects_f_not_a_function_of_t(tmp_path, capsys):
+    # box colours do not fix xor(2) on this random cover, so the file's F is
+    # not a function of T and the suite's identity gaps do not apply
+    out = str(tmp_path / "fn.json")
+    code, _, _ = run(
+        capsys, "gen", "--out", out, "--fn", "xor", "--n", "2", "--cover", "random-bounded",
+        "--rho-max", "3", "--extra", "3", "--seed", "4", "--dist", "random",
+    )
+    assert code == 0
+    code, _, err = run(capsys, "verify", "main", "--instance", out)
+    assert code == 2
+    assert "not a function of the transcript" in err and "Traceback" not in err
+
+
 # sha256 of the runtime-stripped CSVs of `verify main|tree --seeds 0..199`;
 # a refactor that changes any reported byte changes these
 GOLDEN_CSV_SHA256 = {

@@ -378,7 +378,6 @@ def test_profile_box_color_exclusion():
     protocol = Protocol(cover, TranscriptSelector.explicit([1, 1, 0, 0]))
     dist = JointDistribution.uniform(shape)
     profile = build_profile(dist, protocol, target=f, f_mode="box-color")
-    assert "non-monochromatic-boxes-excluded" in profile.flags
     assert profile.excluded_mass == pytest.approx(0.5, abs=1e-12)
     assert profile["H(F)"] == pytest.approx(0.0, abs=1e-12)
 

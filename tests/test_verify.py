@@ -63,23 +63,21 @@ def single_full_box():
 def test_main_margin_tree_partition_diagonal():
     protocol = alice_sends_x()
     profile = build_profile(diag_dist(protocol.shape), protocol)
-    report = check_main_inequality(profile)
-    assert report.margin == pytest.approx(1.0, abs=1e-9)
-    assert report.components["log2_rho"] == 0.0
+    assert check_main_inequality(profile) == pytest.approx(1.0, abs=1e-9)
+    assert profile.rho_global == 1  # a partition: log2(rho) = 0
 
 
 def test_main_margin_parity_tight():
     protocol = parity_tightness_protocol(1)
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    report = check_main_inequality(profile, rho_mode="global")
-    assert abs(report.margin) <= 1e-9
+    assert abs(check_main_inequality(profile, rho_mode="global")) <= 1e-9
     assert profile["I(X0:X1:T)"] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_main_margin_single_box_zero():
     protocol = single_full_box()
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    assert check_main_inequality(profile).margin == pytest.approx(0.0, abs=1e-9)
+    assert check_main_inequality(profile) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rho_modes_differ_on_mixed_cover():
@@ -90,11 +88,12 @@ def test_rho_modes_differ_on_mixed_cover():
     cover = Cover(shape, (full, full, box(shape, [0], [0, 1])))
     protocol = Protocol(cover, TranscriptSelector.explicit([2, 2, 0, 1]))
     profile = build_profile(JointDistribution.uniform(shape), protocol)
-    r_global = check_main_inequality(profile, "global")
-    r_exp = check_main_inequality(profile, "expected")
-    assert r_global.components["log2_rho"] == pytest.approx(np.log2(3), abs=1e-12)
+    assert profile.rho_global == 3
     # half the mass sits on the thickness-3 singleton-row box
-    assert r_exp.components["log2_rho"] == pytest.approx(np.log2(3), abs=1e-12)
+    assert profile.expected_log_rho == pytest.approx(np.log2(3), abs=1e-12)
+    assert check_main_inequality(profile, "expected") == pytest.approx(
+        check_main_inequality(profile, "global"), abs=1e-12
+    )
     # max-box would be the global rho under a second name, so it is not a mode
     with pytest.raises(InvalidInputError):
         check_main_inequality(profile, "max-box")
@@ -104,9 +103,7 @@ def test_rho_mode_expected_weighting():
     protocol = parity_tightness_protocol(1)
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
     assert profile.expected_log_rho == pytest.approx(1.0, abs=1e-12)
-    assert check_main_inequality(profile, "expected").margin == pytest.approx(
-        0.0, abs=1e-9
-    )
+    assert check_main_inequality(profile, "expected") == pytest.approx(0.0, abs=1e-9)
 
 
 def test_main_requires_two_party():
@@ -125,9 +122,8 @@ def test_transcript_xor_singletons_tight():
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     profile = build_profile(JointDistribution.uniform(f.shape), protocol, target=f)
-    report = check_transcript_bound(profile)
-    assert report.margin == pytest.approx(0.0, abs=1e-9)
-    assert report.components["H(T)"] == pytest.approx(2.0, abs=1e-12)
+    assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
+    assert profile["H(T)"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_transcript_constant_function():
@@ -135,9 +131,7 @@ def test_transcript_constant_function():
     f = constant_function(shape)
     protocol = single_full_box()
     profile = build_profile(JointDistribution.uniform(shape), protocol, target=f)
-    assert check_transcript_bound(profile).margin == pytest.approx(
-        0.0, abs=1e-9
-    )
+    assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_transcript_relation_delta_zero_matches_function():
@@ -149,12 +143,10 @@ def test_transcript_relation_delta_zero_matches_function():
     dist = JointDistribution.uniform(f.shape)
     p_rel = build_profile(dist, protocol, target=rel, f_mode="box-color")
     p_fun = build_profile(dist, protocol, target=f, f_mode="function")
-    r_rel = check_transcript_bound(p_rel)
-    r_fun = check_transcript_bound(p_fun)
-    assert r_rel.margin == pytest.approx(r_fun.margin, abs=1e-12)
-    assert r_rel.components["H(F|X0)"] == pytest.approx(
-        r_fun.components["H(F|X0)"], abs=1e-12
+    assert check_transcript_bound(p_rel) == pytest.approx(
+        check_transcript_bound(p_fun), abs=1e-12
     )
+    assert p_rel["H(F|X0)"] == pytest.approx(p_fun["H(F|X0)"], abs=1e-12)
 
 
 def test_transcript_mode_follows_the_profile():
@@ -162,14 +154,14 @@ def test_transcript_mode_follows_the_profile():
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(f.shape)
     cases = (
-        ({"target": f}, "transcript-function"),
-        ({"target": f, "f_mode": "box-color"}, "transcript-relation"),
-        ({"f_table": f.flat()}, "transcript-restricted"),
+        ({"target": f}, "function"),
+        ({"target": f, "f_mode": "box-color"}, "box-color"),
+        ({"f_table": f.flat()}, "explicit"),
     )
-    for kwargs, inequality_id in cases:
-        report = check_transcript_bound(build_profile(dist, protocol, **kwargs))
-        assert report.inequality_id == inequality_id
-        assert report.margin == pytest.approx(0.0, abs=1e-9)
+    for kwargs, f_mode in cases:
+        profile = build_profile(dist, protocol, **kwargs)
+        assert profile.f_mode == f_mode
+        assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_transcript_mode_validation():
@@ -186,29 +178,29 @@ def test_transcript_mode_validation():
 def test_ic_alice_sends_x():
     protocol = alice_sends_x()
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    identity, bound = check_ic(profile)
+    gap, bound = check_ic(profile)
     assert profile["IC"] == pytest.approx(1.0, abs=1e-12)
-    assert identity.components["gap"] <= 1e-9
-    assert bound.margin == pytest.approx(0.0, abs=1e-9)
+    assert gap <= 1e-9
+    assert bound == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ic_constant_transcript():
     protocol = single_full_box()
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    identity, bound = check_ic(profile)
-    assert identity.components["gap"] <= 1e-9
-    assert bound.margin == pytest.approx(0.0, abs=1e-9)
+    gap, bound = check_ic(profile)
+    assert gap <= 1e-9
+    assert bound == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ic_parity_selector_brute_force():
     protocol = parity_tightness_protocol(1)
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    identity, bound = check_ic(profile)
+    gap, bound = check_ic(profile)
     assert profile["IC"] == pytest.approx(2.0, abs=1e-12)
     assert profile["H(T)"] == pytest.approx(1.0, abs=1e-12)
     assert profile["I(X0:X1:T)"] == pytest.approx(-1.0, abs=1e-9)
-    assert identity.components["gap"] <= 1e-9
-    assert bound.margin == pytest.approx(0.0, abs=1e-9)  # 1 + 1 - 2
+    assert gap <= 1e-9
+    assert bound == pytest.approx(0.0, abs=1e-9)  # 1 + 1 - 2
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +211,8 @@ def test_multiparty_three_party_singletons_tight():
     shape = DomainShape((2, 2, 2))
     protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
     profile = build_profile(JointDistribution.uniform(shape), protocol)
-    report = check_multiparty(profile, "transcript-only")
     assert profile["H(T)"] == pytest.approx(3.0, abs=1e-12)
-    assert report.margin == pytest.approx(0.0, abs=1e-9)
+    assert check_multiparty(profile, "transcript-only") == pytest.approx(0.0, abs=1e-9)
 
 
 def test_multiparty_single_box_zero():
@@ -229,16 +220,14 @@ def test_multiparty_single_box_zero():
     full = Box(((1 << 2) - 1,) * 3)
     protocol = Protocol(Cover(shape, (full,)), TranscriptSelector.min_index())
     profile = build_profile(JointDistribution.uniform(shape), protocol)
-    report = check_multiparty(profile, "transcript-only")
-    assert report.margin == pytest.approx(0.0, abs=1e-9)
+    assert check_multiparty(profile, "transcript-only") == pytest.approx(0.0, abs=1e-9)
 
 
 def test_multiparty_two_party_matches_ic_bound():
     protocol = parity_tightness_protocol(1)
     profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    multi = check_multiparty(profile, "transcript-only")
     _, ic_bound = check_ic(profile)
-    assert multi.margin == pytest.approx(ic_bound.margin, abs=1e-12)
+    assert check_multiparty(profile, "transcript-only") == pytest.approx(ic_bound, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +246,8 @@ def full_communication_tree(shape):
 
 def test_monotonicity_full_tree_diagonal():
     shape = DomainShape((2, 2))
-    report = tree_margin(full_communication_tree(shape), diag_dist(shape))
-    assert report.margin == pytest.approx(1.0, abs=1e-9)
+    margin = tree_margin(full_communication_tree(shape), diag_dist(shape))
+    assert margin == pytest.approx(1.0, abs=1e-9)
 
 
 def test_monotonicity_alice_tree_any_dist():
@@ -267,10 +256,11 @@ def test_monotonicity_alice_tree_any_dist():
     rng = np.random.default_rng(3)
     for _ in range(20):
         dist = JointDistribution.random_integer_weights(shape, rng=rng)
-        report = tree_margin(tree, dist)
-        assert report.margin >= -1e-9
+        profile = build_profile(dist, compile_tree(tree))
+        margin = check_main_inequality(profile)
+        assert margin >= -1e-9
         # I(X:Y|T) = I(X:Y|X) = 0, so the margin equals I(X:Y)
-        assert report.margin == pytest.approx(report.components["I(X0:X1)"], abs=1e-9)
+        assert margin == pytest.approx(profile["I(X0:X1)"], abs=1e-9)
 
 
 def test_monotonicity_independent_dist_zero():
@@ -280,8 +270,7 @@ def test_monotonicity_independent_dist_zero():
         full_communication_tree(shape),
         ProtocolTree(shape, TreeSplit(0, 0b01, 0b10, TreeLeaf(), TreeLeaf())),
     ):
-        report = tree_margin(tree, dist)
-        assert report.margin == pytest.approx(0.0, abs=1e-9)
+        assert tree_margin(tree, dist) == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +285,8 @@ def test_am_trivial_merlin_xor2():
     assert report.cost == pytest.approx(4.0, abs=1e-12)  # log2(16)
     assert report.r0 == 0
     assert report.estimated_lower_bound == pytest.approx(4.0, abs=1e-9)
-    assert report.restricted.components["H(F|X0)"] == pytest.approx(2.0, abs=1e-9)
+    # H(T) = 4 = H(F|X) + H(F|Y), and T is fixed by either input and F
+    assert report.restricted_margin == pytest.approx(0.0, abs=1e-9)
     assert report.cost >= report.estimated_lower_bound - 1e-9
 
 
@@ -387,25 +377,91 @@ def test_batch_small_main_suite_clean():
     assert result.max_triple_gap <= 1e-9
     assert result.max_ic_gap <= 1e-9
     assert result.min_margin_main >= -1e-9
-    assert result.min_transcript_margin_given_main_ok >= -1e-9
+    assert result.max_transcript_gap <= 1e-9
 
 
 def test_chain_rule_check_can_fail(monkeypatch):
     # H(X1|X0) is computed row by row, not as H(X0,X1) - H(X0), so moving the
     # batched H(X0,X1) opens the chain-rule gap
+    _shift_entropy(monkeypatch, {"X0", "X1"}, 1e-6)
+    for suite in ("tree", "main"):
+        row, violations, stats, _ = run_suite_row(SuiteConfig(suite=suite), 0)
+        assert "chain-rule" in violations and "chain-rule" in row.status
+        assert stats["chain_gap"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def _shift_entropy(monkeypatch, group, delta):
     from commlab.info import InfoEngine
 
     entropies = InfoEngine.entropies
 
     def shifted(self, groups):
         values = entropies(self, groups)
-        return [v + 1e-6 if set(g) == {"X0", "X1"} else v for g, v in zip(groups, values)]
+        return [v + delta if set(g) == group else v for g, v in zip(groups, values)]
 
     monkeypatch.setattr(InfoEngine, "entropies", shifted)
+
+
+def test_transcript_identity_check_can_fail(monkeypatch):
+    # H(X0,T,F) enters only H(T|X0,F), so moving it moves the transcript
+    # margin off the main margin, which it equals when F is a function of T
+    _shift_entropy(monkeypatch, {"X0", "T", "F"}, 1e-6)
     for suite in ("tree", "main"):
         row, violations, stats, _ = run_suite_row(SuiteConfig(suite=suite), 0)
-        assert "chain-rule" in violations and "chain-rule" in row.status
-        assert stats["chain_gap"] == pytest.approx(1e-6, rel=1e-6)
+        assert violations == ["transcript"] and row.status == "violation:transcript"
+        assert stats["transcript_gap"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_with_f_identity_check_can_fail(monkeypatch):
+    _shift_entropy(monkeypatch, {"X0", "T", "F"}, 1e-6)
+    config = SuiteConfig(suite="multiparty", arity=3, max_bits=2)
+    row, violations, stats, _ = run_suite_row(config, 4)
+    assert violations == ["multiparty-with-f"] and row.status == "violation:multiparty-with-f"
+    assert stats["transcript_gap"] == pytest.approx(1e-6 / 2, rel=1e-6)
+
+
+def test_ic_identity_check_can_fail(monkeypatch):
+    # IC - (H(T) - I(X:Y:T)) reduces to H(X0,X1) - H(X0,X1,T), equal while T
+    # is a function of the cell; the shift also moves margin_main off the
+    # transcript margin
+    _shift_entropy(monkeypatch, {"X0", "X1", "T"}, 1e-6)
+    row, violations, stats, _ = run_suite_row(SuiteConfig(suite="main"), 0)
+    assert violations == ["ic-identity", "transcript"]
+    assert stats["ic_gap"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_rho_modes_are_the_cli_choices():
+    from commlab.cli import _build_parser
+    from commlab.verify import _rho_bits
+
+    verify_parser = _build_parser()._subparsers._group_actions[0].choices["verify"]
+    (action,) = [a for a in verify_parser._actions if a.dest == "rho_mode"]
+    profile = build_profile(
+        JointDistribution.uniform(DomainShape((2, 2))), single_full_box()
+    )
+    for mode in action.choices:
+        assert isinstance(_rho_bits(profile, mode), float)
+    for mode in ("max-box", "GLOBAL", "", "expected "):
+        assert mode not in action.choices
+        with pytest.raises(InvalidInputError):
+            _rho_bits(profile, mode)
+
+
+def test_analyze_instance_rejects_f_not_a_function_of_t():
+    # two cells of one selected box take different colours, where the
+    # transcript and with-f identities do not hold
+    from commlab import ColoredFunction, InstanceBundle
+
+    protocol = single_full_box()
+    f = ColoredFunction(protocol.shape, np.array([[0, 0], [0, 1]]))
+    with pytest.raises(InvalidInputError, match="box 0"):
+        analyze_instance(InstanceBundle(protocol=protocol, function=f))
+    # without mass on the odd cell, F is a function of T where it counts
+    dist = JointDistribution.from_cells(protocol.shape, {(0, 0): 0.5, (1, 0): 0.5})
+    row, violations = analyze_instance(
+        InstanceBundle(protocol=protocol, function=f, distribution=dist)
+    )
+    assert violations == [] and row.margin_main == pytest.approx(0.0, abs=1e-9)
 
 
 def test_batch_empty_seed_list():
@@ -428,7 +484,7 @@ def test_run_suite_row_multiparty():
     row, violations, stats, _ = run_suite_row(config, 4)
     assert violations == []
     assert row.margin_main >= -1e-9
-    assert stats["with_f_margin"] == pytest.approx(row.margin_main, abs=1e-9)
+    assert stats["transcript_gap"] <= 1e-9
 
 
 def test_reproducer_written_on_violation(tmp_path):
