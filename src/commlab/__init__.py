@@ -15,8 +15,7 @@ _EXPORTS = {
     "core": (
         "Box", "Cover", "DomainShape", "Protocol", "ProtocolTree",
         "TranscriptSelector", "TreeLeaf", "TreeSplit", "box", "compile_tree",
-        "select_transcript", "selector_labels", "thickness", "thickness_table",
-        "validate_cover",
+        "select_transcript", "selector_labels", "thickness_table", "validate_cover",
     ),
     "errors": (
         "CommlabError", "DegenerateInstanceError", "GenerationFailureError",
@@ -26,16 +25,14 @@ _EXPORTS = {
     "functions": (
         "AMProtocol", "ColoredFunction", "ErrorProtocol", "Relation",
         "approx_xor_relation", "constant_function", "eq_function",
-        "error_protocol_from_cover", "error_rate", "gen_cover", "gen_function",
-        "gen_relation", "good_set", "matvec_function", "monochromatic_color",
-        "parity_tightness_protocol", "random_bounded_cover", "random_function",
-        "random_tree", "trivial_merlin_am", "trivial_merlin_cover",
+        "error_protocol_from_cover", "gen_cover", "gen_function", "matvec_function",
+        "monochromatic_color", "parity_tightness_protocol", "random_bounded_cover",
+        "random_function", "random_tree", "trivial_merlin_am", "trivial_merlin_cover",
         "windmill_cover", "xor_function",
     ),
     "info": (
         "InfoProfile", "JointDistribution", "VariableSpec", "binary_entropy",
-        "build_profile", "info_quantity", "internal_information_cost",
-        "pairwise_sum", "triple_information",
+        "build_profile", "pairwise_sum", "triple_information",
     ),
     "bounds": (
         "BoundSummary", "MonochromaticCatalog", "bound_summary",

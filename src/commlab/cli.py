@@ -13,15 +13,14 @@ import math
 import sys
 import time
 
-from .core import DomainShape, Protocol, TranscriptSelector
+from .core import MAX_DIM_SIZE, DomainShape, Protocol, TranscriptSelector
 from .errors import CommlabError, InvalidInputError, SolverTimeoutError
 from .functions import (
+    approx_xor_relation,
     eq_function,
     gen_cover,
     gen_function,
-    gen_relation,
     parity_tightness_protocol,
-    random_tree,
     trivial_merlin_am,
     xor_function,
 )
@@ -34,27 +33,38 @@ EXIT_TIMEOUT = 3
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
-    """"0..99" (inclusive), "3,7,9", or a single integer."""
+    """"0..99" (inclusive), "3,7,9", or a single integer; seeds are >= 0."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    if not text:
-        return ()
-    return (int(text),)
+        seeds = tuple(range(int(lo), int(hi) + 1))
+    else:
+        seeds = tuple(int(t) for t in text.split(",") if t.strip())
+    if any(s < 0 for s in seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text!r}")
+    return seeds
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.lower().split("x"))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer >= low, and <= high if high is given."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_in(1)
+# a dimension of 2**bits indices must fit under MAX_DIM_SIZE
+_bits = _int_in(1, MAX_DIM_SIZE.bit_length() - 1)
 
 
 def parse_rho_max(text: str) -> tuple[int, ...]:
@@ -87,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["trivial-merlin", "windmill", "random-tree", "random-bounded"],
     )
     gen.add_argument("--sizes", type=parse_sizes)
-    gen.add_argument("--n", type=int, default=1)
+    gen.add_argument("--n", type=_bits, default=1)
     gen.add_argument("--arity", type=int, default=2)
     gen.add_argument("--colors", type=int, default=2)
     gen.add_argument("--delta", type=float, default=0.0)
@@ -96,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--selector", choices=["min-index", "seeded-random"], default="min-index")
     gen.add_argument("--selector-seed", type=int, default=0)
     gen.add_argument("--dist", choices=["uniform", "random"])
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_int_in(0), default=0)
 
     verify = sub.add_parser("verify", help="run an inequality suite")
     verify.add_argument("suite", choices=["main", "tree", "multiparty"])
@@ -104,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="random-bounded")
     verify.add_argument("--seeds", type=parse_seeds, default=())
     verify.add_argument("--instance")
-    verify.add_argument("--arity", type=int, default=None)
-    verify.add_argument("--max-bits", type=_positive_int, default=4)
+    verify.add_argument("--arity", type=_int_in(2), default=None)
+    verify.add_argument("--max-bits", type=_bits, default=4)
     verify.add_argument("--rho-max", type=parse_rho_max, default=(2, 4, 8))
     verify.add_argument("--extra", type=int, default=4)
     verify.add_argument(
@@ -123,10 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--greedy", dest="exact", action="store_false")
     cover.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
-    cover.add_argument("--n", type=int, default=1)
+    cover.add_argument("--n", type=_bits, default=1)
     cover.add_argument("--sizes", type=parse_sizes)
     cover.add_argument("--colors", type=int, default=2)
-    cover.add_argument("--seed", type=int, default=0)
+    cover.add_argument("--seed", type=_int_in(0), default=0)
     cover.add_argument("--instance")
     cover.add_argument("--timeout-s", type=_finite_float, default=60.0)
     cover.add_argument("--out")
@@ -134,10 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bounds = sub.add_parser("bounds", help="full bound summary")
     bounds.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
-    bounds.add_argument("--n", type=int, default=1)
+    bounds.add_argument("--n", type=_bits, default=1)
     bounds.add_argument("--sizes", type=parse_sizes)
     bounds.add_argument("--colors", type=int, default=2)
-    bounds.add_argument("--seed", type=int, default=0)
+    bounds.add_argument("--seed", type=_int_in(0), default=0)
     bounds.add_argument("--instance")
     bounds.add_argument("--timeout-s", type=_finite_float, default=60.0)
     bounds.add_argument("--out")
@@ -146,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     am = sub.add_parser("am", help="analyze an AM protocol")
     am.add_argument("--instance")
     am.add_argument("--fn", choices=["xor", "eq"])
-    am.add_argument("--n", type=int, default=2)
+    am.add_argument("--n", type=_bits, default=2)
     am.add_argument("--correctness", choices=["per-input", "uniform"], default="uniform")
     am.add_argument("--out")
     am.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -179,9 +189,7 @@ def _cmd_gen(args) -> int:
         print(f"wrote {args.out}")
         return EXIT_OK
     function = _cli_function(args) if args.fn else None
-    relation = (
-        gen_relation("approx-xor", n=args.n, delta=args.delta) if args.relation else None
-    )
+    relation = approx_xor_relation(args.n, args.delta) if args.relation else None
     target = function if function is not None else relation
     if args.sizes is not None:
         shape = DomainShape(args.sizes)
@@ -195,12 +203,7 @@ def _cmd_gen(args) -> int:
         raise InvalidInputError("--sizes conflicts with the target's domain")
 
     kind = args.cover or "trivial-merlin"
-    if kind == "random-tree":
-        cover = gen_cover("from-tree", tree=random_tree(shape, seed=args.seed))
-    else:
-        cover = gen_cover(
-            kind, shape=shape, rho_max=args.rho_max, extra=args.extra, seed=args.seed
-        )
+    cover = gen_cover(kind, shape=shape, rho_max=args.rho_max, extra=args.extra, seed=args.seed)
     if cover.shape.sizes != shape.sizes:
         sizes = "x".join(str(n) for n in cover.shape.sizes)
         raise InvalidInputError(f"--cover {kind} is {sizes}; adjust --sizes")

@@ -294,20 +294,6 @@ def validate_cover(cover: Cover) -> CoverageReport:
     )
 
 
-def thickness(cover: Cover, *, cell=None, box: int | None = None) -> int:
-    """Thickness at a cell, of a box (max over its cells), or global (max over
-    all cells). Pass at most one of cell/box; neither means global."""
-    if cell is not None and box is not None:
-        raise InvalidInputError("pass at most one of cell= and box=")
-    if cell is not None:
-        return int(thickness_table(cover)[cover.shape.linear_index(cell)])
-    if box is not None:
-        if not 0 <= box < cover.num_boxes:
-            raise InvalidInputError(f"box index {box} out of range")
-        return int(box_thickness_table(cover)[box])
-    return int(thickness_table(cover).max())
-
-
 def box_thickness_table(cover: Cover) -> np.ndarray:
     """Thickness of every box (max cell thickness inside it), index-aligned,
     read-only."""

@@ -261,16 +261,6 @@ def relation_from_table(shape: DomainShape, admissible_lists, num_colors: int) -
     return Relation(shape, tuple(masks), num_colors)
 
 
-def gen_relation(kind: str, **params) -> Relation:
-    if kind == "approx-xor":
-        return approx_xor_relation(params["n"], params["delta"])
-    if kind == "table":
-        return relation_from_table(
-            params["shape"], params["admissible"], params["num_colors"]
-        )
-    raise InvalidInputError(f"unknown relation kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Cover generators
 
@@ -411,19 +401,14 @@ def random_bounded_cover(
 
 
 def gen_cover(kind: str, **params) -> Cover:
+    """Dispatcher used by the CLI; see the named constructors for semantics."""
     if kind == "trivial-merlin":
-        target = params.get("target")
-        shape = target.shape if target is not None else params["shape"]
-        return trivial_merlin_cover(shape)
-    if kind == "from-tree":
-        return compile_tree(params["tree"]).cover
+        return trivial_merlin_cover(params["shape"])
+    if kind == "random-tree":
+        return compile_tree(random_tree(params["shape"], seed=params["seed"])).cover
     if kind == "random-bounded":
         return random_bounded_cover(
-            params["shape"],
-            params["rho_max"],
-            params["extra"],
-            seed=params.get("seed"),
-            rng=params.get("rng"),
+            params["shape"], params["rho_max"], params["extra"], seed=params["seed"]
         )
     if kind == "windmill":
         return windmill_cover()
@@ -487,16 +472,6 @@ def good_mask(ep: ErrorProtocol, target: ColoredFunction | Relation) -> np.ndarr
     for i in np.flatnonzero(ok).tolist():
         ok[i] = (target.admissible[i] >> int(a[i])) & 1
     return ok
-
-
-def good_set(ep: ErrorProtocol, target: ColoredFunction | Relation) -> set[tuple[int, int]]:
-    """The cells of good_mask."""
-    cells = np.flatnonzero(good_mask(ep, target)).tolist()
-    return {ep.shape.cell_of_linear(i) for i in cells}
-
-
-def error_rate(ep: ErrorProtocol, target: ColoredFunction | Relation) -> float:
-    return 1.0 - int(good_mask(ep, target).sum()) / ep.shape.num_cells
 
 
 def error_protocol_from_cover(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import DegenerateInstanceError, InvalidInputError
 NORMALIZATION_TOL = 1e-12
 BATCH_CELLS = 1 << 16  # label cells per batched entropy sort: one group of a 65,536-cell grid
 KEY_LIMIT = 1 << 32  # combined label keys past this are ranked densely; well inside int64
+MAX_WEIGHT = 8  # random_integer_weights draws integer cell weights up to MAX_WEIGHT
 
 
 def pairwise_sum(values) -> float:
@@ -114,10 +114,6 @@ class JointDistribution:
         return cls(shape, np.full(n, 1.0 / n))
 
     @classmethod
-    def from_table(cls, shape: DomainShape, table) -> "JointDistribution":
-        return cls(shape, np.asarray(table, dtype=np.float64).reshape(-1))
-
-    @classmethod
     def from_cells(cls, shape: DomainShape, weights: dict) -> "JointDistribution":
         """Build from a {cell: probability} mapping; unmentioned cells get 0."""
         p = np.zeros(shape.num_cells)
@@ -131,7 +127,6 @@ class JointDistribution:
         shape: DomainShape,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
-        max_weight: int = 8,
         allow_zero: bool = True,
     ) -> "JointDistribution":
         """Random rational distribution w_i / sum(w) with small integer
@@ -139,7 +134,7 @@ class JointDistribution:
         if rng is None:
             rng = np.random.default_rng(seed)
         low = 0 if allow_zero else 1
-        w = rng.integers(low, max_weight + 1, size=shape.num_cells).astype(np.float64)
+        w = rng.integers(low, MAX_WEIGHT + 1, size=shape.num_cells).astype(np.float64)
         if w.sum() == 0:
             w[0] = 1.0
         return cls(shape, w / w.sum())
@@ -192,9 +187,6 @@ class VariableSpec:
         merged = dict(self.labels)
         merged[name] = np.asarray(labels)
         return VariableSpec(self.shape, merged)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.labels)
 
 
 def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -301,44 +293,6 @@ def _mutual_information(
     return _cond_entropy(h, a, given) + _cond_entropy(h, b, given) - _cond_entropy(h, a + b, given)
 
 
-_EXPR_RE = re.compile(r"^\s*(H|I)\s*\((.*)\)\s*$", re.S)
-
-
-def _parse_group(text: str) -> tuple[str, ...]:
-    names = tuple(n.strip() for n in text.split(",") if n.strip())
-    if not names:
-        raise InvalidInputError(f"empty variable group in {text!r}")
-    return names
-
-
-def info_quantity(dist: JointDistribution, variables: VariableSpec, expr: str) -> float:
-    """Evaluate an entropy expression over named variables.
-
-    Supported forms: H(A), H(A|C), I(A:B), I(A:B|C), I(A:B:C); groups are
-    comma-separated variable names.
-    """
-    m = _EXPR_RE.match(expr)
-    if not m:
-        raise InvalidInputError(f"cannot parse expression {expr!r}")
-    kind, body = m.group(1), m.group(2)
-    if "|" in body:
-        main, cond = body.split("|", 1)
-        given = _parse_group(cond)
-    else:
-        main, given = body, ()
-    engine = InfoEngine(dist, variables)
-    if kind == "H":
-        return engine.cond_entropy(_parse_group(main), given)
-    groups = [g for g in main.split(":")]
-    if len(groups) == 2:
-        return engine.mutual_information(_parse_group(groups[0]), _parse_group(groups[1]), given)
-    if len(groups) == 3:
-        if given:
-            raise InvalidInputError("triple information does not take a condition here")
-        return _triple(engine.entropy, *(_parse_group(g) for g in groups)).value
-    raise InvalidInputError(f"I takes 2 or 3 groups, got {len(groups)}")
-
-
 def binary_entropy(delta: float) -> float:
     """h(delta) = delta*log2(1/delta) + (1-delta)*log2(1/(1-delta))."""
     if not 0.0 <= delta <= 1.0:
@@ -377,18 +331,13 @@ def triple_information(
 
 
 def _information_cost(h, arity: int) -> float:
+    """Sum over parties of I(X_i : T | other coordinates): I(X:T|Y) + I(Y:T|X) for two."""
     names = [f"X{i}" for i in range(arity)]
     total = 0.0
     for i in range(arity):
         rest = tuple(n for j, n in enumerate(names) if j != i)
         total += _mutual_information(h, (names[i],), ("T",), rest)
     return total
-
-
-def internal_information_cost(dist: JointDistribution, protocol: Protocol) -> float:
-    """Sum over parties of I(X_i : T | other coordinates). For two parties
-    this is I(X:T|Y) + I(Y:T|X)."""
-    return build_profile(dist, protocol)["IC"]
 
 
 @dataclass(frozen=True, eq=False)

@@ -176,6 +176,8 @@ def am_analyze(
 # ---------------------------------------------------------------------------
 # Batch experiments
 
+MAX_COLORS = 8  # each suite instance colors its boxes from 0..MAX_COLORS-1
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -186,7 +188,6 @@ class SuiteConfig:
     max_bits: int = 4
     rho_max: tuple[int, ...] = (2, 4, 8)
     extra: int = 4
-    max_colors: int = 8
     rho_mode: str = "global"
     tol: float = 1e-9
     out_dir: str | None = None
@@ -227,9 +228,9 @@ def _random_instance(config: SuiteConfig, seed: int):
 
     # color the boxes, then read the function off the selected box so that the
     # protocol computes it exactly (F is a function of T)
-    box_colors = rng.integers(0, config.max_colors, size=cover.num_boxes)
+    box_colors = rng.integers(0, MAX_COLORS, size=cover.num_boxes)
     raw = box_colors[selector_labels(protocol)]
-    function = ColoredFunction(shape, dense_ids(raw, config.max_colors).reshape(shape.sizes))
+    function = ColoredFunction(shape, dense_ids(raw, MAX_COLORS).reshape(shape.sizes))
     dist = JointDistribution.random_integer_weights(shape, rng=rng)
     return protocol, function, dist
 

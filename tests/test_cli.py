@@ -144,6 +144,25 @@ def test_verify_option_csv_golden_digest(options, tmp_path, capsys):
     assert digest == GOLDEN_OPTION_CSV_SHA256[options]
 
 
+# sha256 of the instance files that `gen --cover` writes for the seeded covers
+GOLDEN_GEN_SHA256 = {
+    "random-tree --sizes 8x4 --seed 3 --dist random": (
+        "d660d0e97d90422f491edd40c97e47f4f979aebc97d5143db04d194b5898c0e9"
+    ),
+    "random-bounded --sizes 8x8 --seed 5 --dist random --rho-max 3 --extra 4": (
+        "ce6e5c2d3fe5d30c09e602cf328392805f6bea18dc5c0e47b8cd0c889869c4c7"
+    ),
+}
+
+
+@pytest.mark.parametrize("options", sorted(GOLDEN_GEN_SHA256))
+def test_gen_cover_file_golden_digest(options, tmp_path, capsys):
+    out = str(tmp_path / "inst.json")
+    code, _, _ = run(capsys, "gen", "--out", out, "--cover", *options.split())
+    assert code == 0
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == GOLDEN_GEN_SHA256[options]
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -163,6 +182,29 @@ def test_verify_bad_option_exits_two(bad, capsys):
         main(bad)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["verify", "main", "--seeds", "-1"],
+        ["verify", "main", "--arity", "-1", "--seeds", "0"],
+        # 2**70; any --max-bits above log2(MAX_DIM_SIZE) = 12 can only draw past the cap
+        ["verify", "main", "--max-bits", "1180591620717411303424", "--seeds", "0"],
+        ["gen", "--out", "{out}", "--cover", "random-tree", "--sizes", "4x4", "--seed", "-1"],
+        ["cover", "--fn", "random", "--sizes", "4x4", "--seed", "-1"],
+        ["gen", "--out", "{out}", "--fn", "xor", "--n", "1", "--dist", "random", "--seed", "-2"],
+        # 2**20000 has more digits than int-to-str conversion allows
+        ["cover", "--fn", "eq", "--n", "20000"],
+    ],
+)
+def test_bad_integer_exits_two(bad, tmp_path, capsys):
+    out = str(tmp_path / "inst.json")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=out) for arg in bad])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_verify_empty_seed_list(tmp_path, capsys):

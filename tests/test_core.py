@@ -24,7 +24,6 @@ from commlab import (
     compile_tree,
     select_transcript,
     selector_labels,
-    thickness,
     validate_cover,
     windmill_cover,
 )
@@ -78,7 +77,7 @@ def test_windmill_partition_by_enumeration():
         for y in range(4):
             hits = sum(1 for b in cover.boxes if b.contains((x, y)))
             assert hits == 1
-    assert thickness(cover) == 1
+    assert thickness_table(cover).max() == 1
 
 
 def test_uncovered_cell_reported():
@@ -99,13 +98,9 @@ def test_single_full_box_is_partition():
 def test_thickness_scopes():
     shape = DomainShape((2, 2))
     cover = Cover(shape, (full_box(shape), full_box(shape)))
-    assert thickness(cover, cell=(0, 0)) == 2
-    assert thickness(cover, box=0) == 2
-    assert thickness(cover) == 2
-    with pytest.raises(InvalidInputError):
-        thickness(cover, box=5)
-    with pytest.raises(InvalidInputError):
-        thickness(cover, cell=(0, 0), box=0)
+    assert thickness_table(cover)[shape.linear_index((0, 0))] == 2
+    assert box_thickness_table(cover)[0] == 2
+    assert thickness_table(cover).max() == 2
 
 
 def test_thickness_ordering_invariants():
@@ -116,7 +111,7 @@ def test_thickness_ordering_invariants():
         shape = DomainShape((int(rng.integers(2, 9)), int(rng.integers(2, 9))))
         cover = random_bounded_cover(shape, rho_max=3, extra=2, rng=rng)
         counts = thickness_table(cover)
-        global_rho = thickness(cover)
+        global_rho = counts.max()
         assert counts.min() >= 1
         assert global_rho == counts.max() <= cover.num_boxes
         per_box = box_thickness_table(cover)
@@ -230,7 +225,7 @@ def test_compile_row_split():
     assert protocol.cover.num_boxes == 2
     assert protocol.cover.boxes[0].factors() == ((0,), (0, 1))
     assert protocol.cover.boxes[1].factors() == ((1,), (0, 1))
-    assert thickness(protocol.cover) == 1
+    assert thickness_table(protocol.cover).max() == 1
 
 
 def test_compile_depth_two_gives_singletons():
@@ -271,7 +266,7 @@ def test_random_trees_compile_to_thickness_one_partitions():
         protocol = compile_tree(random_tree(shape, seed=seed))
         report = validate_cover(protocol.cover)
         assert report.is_partition
-        assert thickness(protocol.cover) == 1
+        assert thickness_table(protocol.cover).max() == 1
         labels = selector_labels(protocol)
         for lin, cell in enumerate(shape.cells()):
             assert labels[lin] == select_transcript(protocol, cell)

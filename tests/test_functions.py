@@ -22,21 +22,19 @@ from commlab import (
     constant_function,
     eq_function,
     error_protocol_from_cover,
-    error_rate,
     functions,
     gen_cover,
     gen_function,
-    good_set,
     matvec_function,
     monochromatic_color,
     random_bounded_cover,
     random_function,
-    thickness,
     trivial_merlin_cover,
     validate_cover,
     xor_function,
 )
-from commlab.core import Box, TreeLeaf, box, compile_tree
+from commlab.core import Box, TreeLeaf, box, compile_tree, thickness_table
+from commlab.functions import good_mask
 
 from naive import bounded_additions_full_budget, enumerate_all_boxes, random_tree_reference
 
@@ -125,19 +123,17 @@ def test_approx_xor_half_ball_size():
             assert len(rel.admissible_ids((x, y))) == 3
 
 
-def test_gen_relation_delta_out_of_range():
-    from commlab import gen_relation
-
+def test_approx_xor_relation_delta_out_of_range():
     with pytest.raises(InvalidInputError):
-        gen_relation("approx-xor", n=2, delta=1.5)
+        approx_xor_relation(2, 1.5)
 
 
 def test_trivial_merlin_cover_properties():
     f = xor_function(1)
-    cover = gen_cover("trivial-merlin", target=f)
+    cover = gen_cover("trivial-merlin", shape=f.shape)
     assert cover.num_boxes == 4
     assert validate_cover(cover).is_partition
-    assert thickness(cover) == 1
+    assert thickness_table(cover).max() == 1
     for b in cover.boxes:
         assert b.num_cells == 1
         assert monochromatic_color(b, f) is not None
@@ -154,7 +150,7 @@ def test_random_bounded_respects_cap():
         shape = DomainShape((4, 4))
         cover = random_bounded_cover(shape, rho_max=2, extra=3, seed=seed)
         assert validate_cover(cover).covers_domain
-        assert thickness(cover) <= 2
+        assert thickness_table(cover).max() <= 2
 
 
 def test_random_bounded_deterministic():
@@ -354,8 +350,7 @@ def test_good_set_all_cells_for_monochromatic_cover():
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     ep = error_protocol_from_cover(protocol, f)
-    assert good_set(ep, f) == {(x, y) for x in range(2) for y in range(2)}
-    assert error_rate(ep, f) == 0.0
+    assert good_mask(ep, f).all()
 
 
 def test_good_set_single_disagreement():
@@ -366,9 +361,7 @@ def test_good_set_single_disagreement():
     bad_box = 3  # singleton box of cell (1, 1)
     g_a[1, bad_box] = 1 - g_a[1, bad_box]
     ep2 = ErrorProtocol(protocol, g_a, ep.g_b)
-    cells = {(x, y) for x in range(2) for y in range(2)}
-    assert good_set(ep2, f) == cells - {(1, 1)}
-    assert error_rate(ep2, f) == 0.25
+    assert np.flatnonzero(~good_mask(ep2, f)).tolist() == [f.shape.linear_index((1, 1))]
 
 
 def test_good_set_relation_delta_one():
@@ -377,7 +370,7 @@ def test_good_set_relation_delta_one():
     n_boxes = protocol.cover.num_boxes
     g = np.zeros((2, n_boxes), dtype=np.int64)  # constant answer everywhere
     ep = ErrorProtocol(protocol, g, g)
-    assert len(good_set(ep, rel)) == rel.shape.num_cells
+    assert good_mask(ep, rel).all()
 
 
 def test_error_protocol_requires_defined_entries():

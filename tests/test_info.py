@@ -21,8 +21,6 @@ from commlab import (
     build_profile,
     compile_tree,
     constant_function,
-    info_quantity,
-    internal_information_cost,
     pairwise_sum,
     parity_tightness_protocol,
     random_bounded_cover,
@@ -139,25 +137,25 @@ def test_distribution_validation():
 def test_uniform_entropy_two_bits():
     shape = DomainShape((2, 2))
     dist = JointDistribution.uniform(shape)
-    variables = VariableSpec.coordinates(shape)
-    assert info_quantity(dist, variables, "H(X0,X1)") == pytest.approx(2.0, abs=1e-12)
+    engine = InfoEngine(dist, VariableSpec.coordinates(shape))
+    assert engine.entropy(("X0", "X1")) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_diagonal_mutual_information():
     shape = DomainShape((2, 2))
     dist = dist_from_dict(shape, {(0, 0): 0.5, (1, 1): 0.5})
-    variables = VariableSpec.coordinates(shape)
-    assert info_quantity(dist, variables, "I(X0:X1)") == pytest.approx(1.0, abs=1e-12)
+    engine = InfoEngine(dist, VariableSpec.coordinates(shape))
+    assert engine.mutual_information("X0", "X1") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_marginal_entropy_three_cell_dist():
     shape = DomainShape((2, 2))
     dist = dist_from_dict(shape, {(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25})
-    variables = VariableSpec.coordinates(shape)
+    engine = InfoEngine(dist, VariableSpec.coordinates(shape))
     # H(X) = h(1/4), computed independently from the definition
     expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
     assert expected == pytest.approx(0.8112781244591328, abs=1e-12)
-    assert info_quantity(dist, variables, "H(X0)") == pytest.approx(expected, abs=1e-12)
+    assert engine.entropy("X0") == pytest.approx(expected, abs=1e-12)
 
 
 def test_binary_entropy_values():
@@ -169,16 +167,11 @@ def test_binary_entropy_values():
         binary_entropy(1.5)
 
 
-def test_expression_parser_errors():
+def test_unknown_variable_rejected():
     shape = DomainShape((2, 2))
-    dist = JointDistribution.uniform(shape)
-    variables = VariableSpec.coordinates(shape)
+    engine = InfoEngine(JointDistribution.uniform(shape), VariableSpec.coordinates(shape))
     with pytest.raises(InvalidInputError):
-        info_quantity(dist, variables, "H[X0]")
-    with pytest.raises(InvalidInputError):
-        info_quantity(dist, variables, "I(X0)")
-    with pytest.raises(InvalidInputError):
-        info_quantity(dist, variables, "H(X9)")
+        engine.entropy("X9")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +268,7 @@ def alice_sends_x_protocol():
 def test_ic_alice_sends_x():
     protocol = alice_sends_x_protocol()
     dist = JointDistribution.uniform(protocol.shape)
-    assert internal_information_cost(dist, protocol) == pytest.approx(1.0, abs=1e-12)
+    assert build_profile(dist, protocol)["IC"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ic_constant_transcript():
@@ -284,14 +277,14 @@ def test_ic_constant_transcript():
         Cover(shape, (box(shape, [0, 1], [0, 1]),)), TranscriptSelector.min_index()
     )
     dist = JointDistribution.uniform(shape)
-    assert internal_information_cost(dist, protocol) == pytest.approx(0.0, abs=1e-12)
+    assert build_profile(dist, protocol)["IC"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ic_singleton_partition():
     shape = DomainShape((2, 2))
     protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(shape)
-    assert internal_information_cost(dist, protocol) == pytest.approx(2.0, abs=1e-12)
+    assert build_profile(dist, protocol)["IC"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_support_outside_cover_rejected():
@@ -299,8 +292,6 @@ def test_support_outside_cover_rejected():
     cover = Cover(shape, (box(shape, [0], [0, 1]),))  # misses row 1
     protocol = Protocol(cover, TranscriptSelector.min_index())
     dist = dist_from_dict(shape, {(1, 0): 1.0})
-    with pytest.raises(InvalidInputError):
-        internal_information_cost(dist, protocol)
     with pytest.raises(InvalidInputError):
         build_profile(dist, protocol)
 
@@ -338,7 +329,7 @@ def test_negative_zero_probabilities_give_the_same_profile():
     table[5] = 1.0
 
     def fields_of(p):
-        profile = build_profile(JointDistribution.from_table(shape, p), protocol)
+        profile = build_profile(JointDistribution(shape, p), protocol)
         out = {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
         out["quantities"] = {k: v.hex() for k, v in out["quantities"].items()}
         out["expected_log_rho"] = out["expected_log_rho"].hex()
@@ -497,7 +488,7 @@ def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, batches)
 
     shape = DomainShape(sizes)
     dist, variables = _five_variables(shape, seed=sum(sizes))
-    names = sorted(variables.names())
+    names = sorted(variables.labels)
     groups = [g for k in range(1, len(names) + 1) for g in combinations(names, k)]
     assert math.ceil(len(groups) / (BATCH_CELLS // shape.num_cells)) == batches
     batched = InfoEngine(dist, variables).entropies(groups)
