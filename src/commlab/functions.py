@@ -7,11 +7,14 @@ numpy's seeded PCG64 stream and from the portable hash in core.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    MAX_DIM_SIZE,
     Box,
     Cover,
     DomainShape,
@@ -21,7 +24,6 @@ from .core import (
     TreeLeaf,
     TreeSplit,
     box,
-    compile_tree,
     indices_from_mask,
     mask_from_indices,
     pack_rows,
@@ -161,11 +163,18 @@ class AMProtocol:
 # Function generators
 
 
+def _side(n: int, name: str) -> int:
+    """2**n, the side of an n-bit party's dimension. n is checked against
+    the dimension cap before the shift: a huge n would otherwise build a huge
+    int first, and DomainShape could not even format it into its error."""
+    if not 1 <= n <= MAX_DIM_SIZE.bit_length() - 1:
+        raise InvalidInputError(f"{name} needs 1 <= n <= {MAX_DIM_SIZE.bit_length() - 1}, got {n}")
+    return 1 << n
+
+
 def xor_function(n: int) -> ColoredFunction:
     """f(x, y) = bitwise XOR of the n-bit row and column indices."""
-    if n < 1:
-        raise InvalidInputError("xor needs n >= 1")
-    size = 1 << n
+    size = _side(n, "xor")
     shape = DomainShape((size, size))
     idx = np.arange(size)
     return ColoredFunction(shape, np.bitwise_xor.outer(idx, idx))
@@ -173,9 +182,7 @@ def xor_function(n: int) -> ColoredFunction:
 
 def eq_function(n: int) -> ColoredFunction:
     """f(x, y) = 1 iff x == y, else 0."""
-    if n < 1:
-        raise InvalidInputError("eq needs n >= 1")
-    size = 1 << n
+    size = _side(n, "eq")
     shape = DomainShape((size, size))
     idx = np.arange(size)
     return ColoredFunction(shape, np.equal.outer(idx, idx).astype(np.int64))
@@ -188,10 +195,8 @@ def matvec_function(arity: int, n: int) -> ColoredFunction:
     column j; integers encode vectors little-endian)."""
     if arity < 3:
         raise InvalidInputError("matvec needs at least 3 parties")
-    if n < 1:
-        raise InvalidInputError("matvec needs n >= 1")
-    col_size = 1 << n
-    coeff_size = 1 << (arity - 1)
+    col_size = _side(n, "matvec")
+    coeff_size = _side(arity - 1, "matvec's coefficient party")
     shape = DomainShape((col_size,) * (arity - 1) + (coeff_size,))
     colors = np.zeros(shape.sizes, dtype=np.int64)
     for cell in shape.cells():
@@ -240,12 +245,10 @@ _POPCOUNT_DTYPE = np.uint32
 
 def approx_xor_relation(n: int, delta: float) -> Relation:
     """Admissible(x, y) = all z within Hamming distance floor(delta*n) of x^y."""
-    if n < 1:
-        raise InvalidInputError("approx-xor needs n >= 1")
+    size = _side(n, "approx-xor")
     if not 0.0 <= delta <= 1.0:
         raise InvalidInputError("delta must lie in [0, 1]")
     radius = int(np.floor(delta * n))
-    size = 1 << n
     shape = DomainShape((size, size))
     values = np.arange(size, dtype=_POPCOUNT_DTYPE)
     dist = np.bitwise_count(np.bitwise_xor.outer(values, values))
@@ -288,67 +291,138 @@ def windmill_cover() -> Cover:
     )
 
 
+class _Draws:
+    """Small draws taken straight from a Generator's bit generator, by
+    numpy's own rules, so every value and the generator state after them are
+    those of the numpy calls they stand for.
+
+    numpy bounds an integer draw below n by Lemire's method (Lemire 2019,
+    "Fast random integer generation in an interval"): a 32-bit draw x gives
+    m = x * n, redrawn while m mod 2**32 < (2**32 - n) mod n, and the value
+    is m >> 32; a range of 1 draws nothing. `choice(s, size=k,
+    replace=False)` runs Floyd's algorithm over j = s-k..s-1, then shuffles
+    positions k-1..1 (numpy's path for populations up to 10,000, and
+    MAX_DIM_SIZE keeps every dimension below that). Each numpy call pays
+    2-8 us of argument handling for a few next_uint32 draws; a ctypes call
+    costs about 0.4 us, and skips the Generator's lock (no commlab code
+    shares a generator between threads). Long runs of draws stay numpy
+    calls."""
+
+    __slots__ = ("rng", "random", "_next", "_state")
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator.ctypes
+        self.rng, self.random = rng, rng.random
+        self._next, self._state = bits.next_uint32, bits.state
+
+    def below(self, n: int) -> int:
+        """int(rng.integers(n)), for 1 <= n <= 2**32."""
+        if n == 1:
+            return 0
+        m = self._next(self._state) * n
+        if m & 0xFFFFFFFF < n:  # n bounds the threshold, so most draws skip it
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next(self._state) * n
+        return m >> 32
+
+    def sample(self, s: int, k: int) -> list[int]:
+        """rng.choice(s, size=k, replace=False).tolist(), for k <= s <= 10,000."""
+        if k > 5:  # numpy's loop beats 2k - 1 ctypes calls from about here
+            return self.rng.choice(s, size=k, replace=False).tolist()
+        below = self.below
+        out: list[int] = []
+        for j in range(s - k, s):
+            v = below(j + 1)
+            out.append(j if v in out else v)
+        for i in range(k - 1, 0, -1):
+            j = below(i + 1)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def coins(self, k: int) -> list[int]:
+        """rng.integers(0, 2, size=k).tolist(): for a range of 2 each value
+        is the top bit of one next_uint32, as 2 divides 2**32."""
+        if k >= 8:  # numpy's loop beats k ctypes calls from about here
+            return self.rng.integers(0, 2, size=k).tolist()
+        return [self._next(self._state) >> 31 for _ in range(k)]
+
+
+def _grow_tree(shape: DomainShape, draws: _Draws, split_prob: float | None, nodes: bool):
+    """random_tree's recursion, which the cover generators share: returns
+    the root (None unless `nodes`) and the leaves' masks, left to right, the
+    order in which compile_tree lists them."""
+    if split_prob is None:
+        split_prob = (30 + draws.below(61)) / 100.0  # rng.integers(30, 91)
+    random, below, coins = draws.random, draws.below, draws.coins
+    leaves: list[tuple[int, ...]] = []
+    leaf = TreeLeaf()
+
+    def build(masks: tuple[int, ...]):
+        splittable = [i for i, m in enumerate(masks) if m & (m - 1)]  # two or more indices
+        if not splittable or random() >= split_prob:
+            leaves.append(masks)
+            return leaf
+        owner = splittable[below(len(splittable))]
+        mask = masks[owner]
+        idxs = indices_from_mask(mask)
+        while True:
+            left = 0
+            for t, i in zip(coins(len(idxs)), idxs):
+                if t:
+                    left |= 1 << i
+            if 0 < left < mask:  # a proper nonempty subset: both halves nonempty
+                break
+        right = mask ^ left
+        first = build(masks[:owner] + (left,) + masks[owner + 1 :])
+        second = build(masks[:owner] + (right,) + masks[owner + 1 :])
+        return TreeSplit(owner, left, right, first, second) if nodes else None
+
+    return build(tuple((1 << s) - 1 for s in shape.sizes)), leaves
+
+
 def random_tree(
     shape: DomainShape,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
     split_prob: float | None = None,
 ) -> ProtocolTree:
-    """Random protocol tree: at each node, with probability split_prob pick a
-    splittable party uniformly and cut its index set into two random nonempty
-    halves. split_prob defaults to a per-tree draw from [0.30, 0.90]."""
+    """Random protocol tree: at each node, with probability split_prob pick
+    a splittable party uniformly and cut its index set into two random
+    nonempty halves, by fair coins redrawn until both are nonempty.
+    split_prob defaults to a per-tree draw from [0.30, 0.90]."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    if split_prob is None:
-        split_prob = int(rng.integers(30, 91)) / 100.0
-    random, integers = rng.random, rng.integers
-    # integers(0, 2, size=k) is the top bits of k next_uint32() draws: for a
-    # range of 2, Lemire's bounded draw never rejects, as 2 divides 2**32.
-    # Drawing them straight from the bit generator gives the same bits and
-    # state without numpy's per-call cost, and skips the Generator's lock:
-    # no commlab code shares a generator between threads.
-    bits = rng.bit_generator.ctypes
-    next_uint32, state = bits.next_uint32, bits.state
-
-    def build(masks: tuple[int, ...]):
-        splittable = [i for i, m in enumerate(masks) if m.bit_count() >= 2]
-        if not splittable or random() >= split_prob:
-            return TreeLeaf()
-        # integers(1) is always 0 and draws nothing, so a lone candidate skips it
-        owner = splittable[int(integers(len(splittable)))] if len(splittable) > 1 else splittable[0]
-        idxs = indices_from_mask(masks[owner])
-        while True:
-            side = [next_uint32(state) >> 31 for _ in idxs]
-            if 0 < sum(side) < len(idxs):
-                break
-        left = 0
-        for t, i in zip(side, idxs):
-            if t:
-                left |= 1 << i
-        right = masks[owner] ^ left
-        return TreeSplit(
-            owner,
-            left,
-            right,
-            build(masks[:owner] + (left,) + masks[owner + 1 :]),
-            build(masks[:owner] + (right,) + masks[owner + 1 :]),
-        )
-
-    return ProtocolTree(shape, build(tuple((1 << s) - 1 for s in shape.sizes)))
+    return ProtocolTree(shape, _grow_tree(shape, _Draws(rng), split_prob, nodes=True)[0])
 
 
-def _random_box(shape: DomainShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The drawn index array of each factor of one random box."""
+def random_tree_cover(
+    shape: DomainShape, seed: int | None = None, rng: np.random.Generator | None = None
+) -> Cover:
+    """compile_tree(random_tree(shape, seed, rng)).cover from the same
+    draws, without building the tree's nodes or checking its splits."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    return Cover(shape, tuple(Box(m) for m in _grow_tree(shape, _Draws(rng), None, nodes=False)[1]))
+
+
+def _random_box(shape: DomainShape, draws: _Draws) -> tuple[list[int], ...]:
+    """The drawn indices of each factor of one random box."""
     # factor sizes biased small so additions fit under tight thickness caps;
     # occasionally draw a large factor for variety
     drawn = []
     for s in shape.sizes:
-        if rng.random() < 0.25:
-            k = 1 + int(rng.integers(s))
+        if draws.random() < 0.25:
+            k = 1 + draws.below(s)
         else:
-            k = 1 + int(rng.integers(min(s, 3)))
-        drawn.append(rng.choice(s, size=k, replace=False))
+            k = 1 + draws.below(min(s, 3))
+        drawn.append(draws.sample(s, k))
     return tuple(drawn)
+
+
+# boxes of at most this many cells are counted in a Python loop, larger ones
+# by numpy, whose per-call cost the loop beats on a few cells
+_LOOP_CELLS = 64
 
 
 def random_bounded_cover(
@@ -371,10 +445,12 @@ def random_bounded_cover(
         raise InvalidInputError("extra must be >= 0")
     if rng is None:
         rng = np.random.default_rng(seed)
-    base = compile_tree(random_tree(shape, rng=rng)).cover
-    boxes = list(base.boxes)
-    counts = np.ones(shape.sizes, dtype=np.int64)  # tree leaves partition the grid
-    open_cells = counts.size if rho_max > 1 else 0  # cells still below rho_max
+    draws = _Draws(rng)
+    boxes = [Box(m) for m in _grow_tree(shape, draws, None, nodes=False)[1]]
+    # thickness per cell, row-major; `grid` is a numpy view of the same counts
+    counts = array("q", [1]) * shape.num_cells  # tree leaves partition the grid
+    grid = np.frombuffer(counts, dtype=np.int64).reshape(shape.sizes)
+    open_cells = shape.num_cells if rho_max > 1 else 0  # cells still below rho_max
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
     added = 0
@@ -386,15 +462,27 @@ def random_bounded_cover(
                 seed=seed,
             )
         attempts += 1
-        drawn = _random_box(shape, rng)
-        # the open mesh np.ix_ builds, without its per-call cost; the drawn
-        # indices are distinct, so each cell is written once
-        cells = tuple(d.reshape((-1,) + (1,) * (len(drawn) - 1 - k)) for k, d in enumerate(drawn))
-        sub = counts[cells]
-        if (sub >= rho_max).any():
-            continue
-        counts[cells] = sub + 1
-        open_cells -= int(np.count_nonzero(sub == rho_max - 1))
+        drawn = _random_box(shape, draws)
+        # the drawn indices are distinct, so each cell is counted once
+        if math.prod(map(len, drawn)) <= _LOOP_CELLS:
+            cells = [0]
+            for d, s in zip(drawn, shape.sizes):
+                cells = [c * s + i for c in cells for i in d]
+            if max([counts[c] for c in cells]) >= rho_max:
+                continue
+            for c in cells:
+                counts[c] += 1
+            open_cells -= [counts[c] for c in cells].count(rho_max)
+        else:
+            # the open mesh np.ix_ builds, without its per-call cost
+            mesh = tuple(
+                np.asarray(d).reshape((-1,) + (1,) * (len(drawn) - 1 - k)) for k, d in enumerate(drawn)
+            )
+            sub = grid[mesh]
+            if (sub >= rho_max).any():
+                continue
+            grid[mesh] = sub + 1
+            open_cells -= int(np.count_nonzero(sub == rho_max - 1))
         boxes.append(Box.from_factors(drawn, shape))
         added += 1
     return Cover(shape, tuple(boxes))
@@ -405,7 +493,7 @@ def gen_cover(kind: str, **params) -> Cover:
     if kind == "trivial-merlin":
         return trivial_merlin_cover(params["shape"])
     if kind == "random-tree":
-        return compile_tree(random_tree(params["shape"], seed=params["seed"])).cover
+        return random_tree_cover(params["shape"], seed=params["seed"])
     if kind == "random-bounded":
         return random_bounded_cover(
             params["shape"], params["rho_max"], params["extra"], seed=params["seed"]
@@ -420,9 +508,7 @@ def parity_tightness_protocol(n: int = 1) -> Protocol:
     t(x, y) = popcount(x ^ y) mod 2. Under the uniform distribution this makes
     the main inequality tight: the transcript creates one bit of conditional
     correlation and the thickness term pays for it exactly."""
-    if n < 1:
-        raise InvalidInputError("need n >= 1")
-    size = 1 << n
+    size = _side(n, "parity tightness")
     shape = DomainShape((size, size))
     full = Box(((1 << size) - 1, (1 << size) - 1))
     idx = np.arange(size, dtype=_POPCOUNT_DTYPE)

@@ -127,14 +127,12 @@ class JointDistribution:
         shape: DomainShape,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
-        allow_zero: bool = True,
     ) -> "JointDistribution":
         """Random rational distribution w_i / sum(w) with small integer
         weights; reproducible and platform-stable."""
         if rng is None:
             rng = np.random.default_rng(seed)
-        low = 0 if allow_zero else 1
-        w = rng.integers(low, MAX_WEIGHT + 1, size=shape.num_cells).astype(np.float64)
+        w = rng.integers(0, MAX_WEIGHT + 1, size=shape.num_cells).astype(np.float64)
         if w.sum() == 0:
             w[0] = 1.0
         return cls(shape, w / w.sum())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainShape, Protocol, TranscriptSelector, compile_tree, selector_labels
+from .core import DomainShape, Protocol, TranscriptSelector, selector_labels
 from .errors import (
     DegenerateInstanceError,
     GenerationFailureError,
@@ -30,7 +30,7 @@ from .functions import (
     dense_ids,
     good_mask,
     random_bounded_cover,
-    random_tree,
+    random_tree_cover,
 )
 from .info import InfoProfile, JointDistribution, build_profile
 from .reports import ReportRow
@@ -212,7 +212,7 @@ def _random_instance(config: SuiteConfig, seed: int):
     bits = rng.integers(1, config.max_bits + 1, size=config.arity)
     shape = DomainShape(tuple(1 << int(b) for b in bits))
     if config.suite == "tree" or config.generator == "random-tree":
-        cover = compile_tree(random_tree(shape, rng=rng)).cover
+        cover = random_tree_cover(shape, rng=rng)
     else:
         rho_max = int(config.rho_max[int(rng.integers(len(config.rho_max)))])
         # tiny grids cannot absorb many extra boxes under a tight cap

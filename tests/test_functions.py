@@ -27,6 +27,7 @@ from commlab import (
     gen_function,
     matvec_function,
     monochromatic_color,
+    parity_tightness_protocol,
     random_bounded_cover,
     random_function,
     trivial_merlin_cover,
@@ -62,6 +63,25 @@ def test_matvec_surjective_colors():
     f = matvec_function(3, 2)
     assert f.num_colors == 4
     assert sorted(np.unique(f.colors)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        xor_function,
+        eq_function,
+        lambda n: approx_xor_relation(n, 0.5),
+        parity_tightness_protocol,
+        lambda n: matvec_function(3, n),
+    ],
+    ids=["xor", "eq", "approx-xor", "parity", "matvec"],
+)
+@pytest.mark.parametrize("n", [0, 13, 20000])
+def test_constructors_reject_n_past_the_dimension_cap(make, n):
+    # 2**13 passes MAX_DIM_SIZE, and 2**20000 has more digits than Python
+    # will format into an error message
+    with pytest.raises(InvalidInputError, match=f"needs 1 <= n <= 12, got {n}$"):
+        make(n)
 
 
 def test_random_function_deterministic_and_contiguous():
@@ -170,7 +190,12 @@ def test_random_bounded_reports_failure_with_seed():
 
 @settings(max_examples=1000, deadline=None)
 @given(
-    st.sampled_from([(r, c) for r in range(2, 9) for c in range(2, 9)] + [(2, 2, 2), (3, 2, 4), (4, 3, 2)]),
+    # 16- and 64-wide factors reach numpy's choice (k > 5) and the numpy count
+    # of boxes past _LOOP_CELLS cells
+    st.sampled_from(
+        [(r, c) for r in range(2, 9) for c in range(2, 9)]
+        + [(2, 2, 2), (3, 2, 4), (4, 3, 2), (16, 4), (3, 16), (16, 16), (64, 2), (5, 64), (2, 16, 4)]
+    ),
     st.integers(1, 3),  # rho_max
     st.integers(1, 8),  # extra
     st.integers(0, 2**32 - 1),  # seed
@@ -244,6 +269,72 @@ def test_random_tree_matches_the_reference_under_every_bit_generator(bits, sizes
     assert _plain(rng.bit_generator.state) == _plain(ref_rng.bit_generator.state)
 
 
+@pytest.mark.parametrize(
+    "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
+)
+def test_draws_equal_numpy_integers_and_choice(bits):
+    # a range of 1 draws nothing and 2**32 is one plain next_uint32; just
+    # past 2**31 Lemire's method rejects about half of all draws
+    ranges = (1, 2, 3, 61, 2**31 - 1, 2**31 + 1, 2**31 + 2**30, 2**32 - 1, 2**32)
+    redraws = 0
+    for seed in range(12):
+        rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+        draws = functions._Draws(rng)
+        calls = []
+        next_uint32 = draws._next
+
+        def counted(state):
+            calls.append(None)
+            return next_uint32(state)
+
+        draws._next = counted
+        for m in ranges:
+            del calls[:]
+            assert draws.below(m) == int(ref.integers(m))
+            assert len(calls) == (m > 1) or m > 2**31  # below 2**31 a redraw is rare
+            redraws += len(calls) > 1
+        for s in (1, 2, 3, 5, 16, 17, 64, 255, 4096):
+            for k in sorted({1, 2, 3, s // 2, s} & set(range(1, s + 1))):
+                assert draws.sample(s, k) == ref.choice(s, size=k, replace=False).tolist()
+        for k in (1, 2, 7, 8, 33):
+            assert draws.coins(k) == ref.integers(0, 2, size=k).tolist()
+        assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
+    assert redraws > 0
+
+
+@pytest.mark.parametrize("suite, arity", [("main", 2), ("tree", 2), ("multiparty", 3)])
+def test_suite_covers_are_the_reference_draws(suite, arity):
+    # the tree leaves are compile_tree(random_tree(...)) drawn from the same
+    # stream, and a random-bounded cover's extra boxes are the naive
+    # rejection sampling's
+    from commlab.verify import SuiteConfig, _random_instance
+
+    config = SuiteConfig(suite=suite, arity=arity, max_bits=4 if arity == 2 else 2)
+    checked = 0
+    for seed in range(60):
+        ref = np.random.default_rng(seed)
+        bits = ref.integers(1, config.max_bits + 1, size=arity)
+        shape = DomainShape(tuple(1 << int(b) for b in bits))
+        if suite != "tree":
+            rho_max = config.rho_max[int(ref.integers(len(config.rho_max)))]
+            extra = min(config.extra, max(1, shape.num_cells // 4))
+        base = compile_tree(functions.random_tree(shape, rng=ref)).cover.boxes
+        if suite == "tree":
+            expected = base
+        else:
+            ones = {cell: 1 for cell in product(*(range(s) for s in shape.sizes))}
+            kept = bounded_additions_full_budget(shape.sizes, ones, rho_max, extra, 1000 * extra, ref)
+            if kept is None:
+                with pytest.raises(GenerationFailureError):
+                    _random_instance(config, seed)
+                continue
+            expected = base + tuple(Box.from_factors(factors, shape) for factors in kept)
+        protocol, _, _ = _random_instance(config, seed)
+        assert [b.masks for b in protocol.cover.boxes] == [b.masks for b in expected]
+        checked += 1
+    assert checked >= 50
+
+
 def _count_draws(monkeypatch, first=None):
     """Patch functions._random_box to count its calls; `first`, if given,
     replaces the first draw."""
@@ -267,7 +358,7 @@ def test_random_bounded_fails_without_drawing_when_the_cap_is_one(monkeypatch):
 
 
 def test_random_bounded_stops_once_every_cell_is_at_the_cap(monkeypatch):
-    full = (np.arange(2), np.arange(2))
+    full = ([0, 1], [0, 1])
     calls = _count_draws(monkeypatch, first=full)
     with pytest.raises(GenerationFailureError, match="seed=3") as err:
         random_bounded_cover(DomainShape((2, 2)), rho_max=2, extra=2, seed=3)

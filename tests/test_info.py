@@ -658,7 +658,7 @@ def _profile_cases():
     from commlab import approx_xor_relation, monochromatic_color, random_bounded_cover
     from commlab.core import selector_labels
     from commlab.errors import GenerationFailureError
-    from commlab.info import KEY_LIMIT
+    from commlab.info import KEY_LIMIT, MAX_WEIGHT
     from commlab.verify import SuiteConfig, _random_instance
 
     for suite, arity in (("main", 2), ("tree", 2), ("multiparty", 3), ("multiparty", 4)):
@@ -679,7 +679,9 @@ def _profile_cases():
     colored = [c for c in colors.values() if c is not None]
     assert None in colors.values() and colored
     f_labels = np.array([colors[i] if colors[i] is not None else max(colored) + 1 for i in t])
-    dist = JointDistribution.random_integer_weights(shape, seed=5, allow_zero=False)
+    # weights 1..MAX_WEIGHT: every cell has mass
+    w = np.random.default_rng(5).integers(1, MAX_WEIGHT + 1, size=shape.num_cells).astype(np.float64)
+    dist = JointDistribution(shape, w / w.sum())
     kept, _ = dist.condition_on(np.array([colors[i] is not None for i in t]))
     yield dist, protocol, {"target": relation, "f_mode": "box-color"}, f_labels, kept
 
