@@ -13,7 +13,7 @@ import math
 import sys
 import time
 
-from .core import MAX_DIM_SIZE, DomainShape, Protocol, TranscriptSelector
+from .core import MAX_BITS, DomainShape, Protocol, TranscriptSelector
 from .errors import CommlabError, InvalidInputError, SolverTimeoutError
 from .functions import (
     approx_xor_relation,
@@ -63,8 +63,7 @@ def _int_in(low: int, high: int | None = None):
 
 
 _positive_int = _int_in(1)
-# a dimension of 2**bits indices must fit under MAX_DIM_SIZE
-_bits = _int_in(1, MAX_DIM_SIZE.bit_length() - 1)
+_bits = _int_in(1, MAX_BITS)
 
 
 def parse_rho_max(text: str) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from .errors import (
 
 MAX_CELLS = 1 << 24
 MAX_DIM_SIZE = 1 << 12
+MAX_BITS = MAX_DIM_SIZE.bit_length() - 1  # the widest n-bit dimension under the cap
 
 _M64 = (1 << 64) - 1
 

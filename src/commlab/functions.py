@@ -7,14 +7,12 @@ numpy's seeded PCG64 stream and from the portable hash in core.
 
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    MAX_DIM_SIZE,
+    MAX_BITS,
     Box,
     Cover,
     DomainShape,
@@ -167,8 +165,8 @@ def _side(n: int, name: str) -> int:
     """2**n, the side of an n-bit party's dimension. n is checked against
     the dimension cap before the shift: a huge n would otherwise build a huge
     int first, and DomainShape could not even format it into its error."""
-    if not 1 <= n <= MAX_DIM_SIZE.bit_length() - 1:
-        raise InvalidInputError(f"{name} needs 1 <= n <= {MAX_DIM_SIZE.bit_length() - 1}, got {n}")
+    if not 1 <= n <= MAX_BITS:
+        raise InvalidInputError(f"{name} needs 1 <= n <= {MAX_BITS}, got {n}")
     return 1 << n
 
 
@@ -193,10 +191,10 @@ def matvec_function(arity: int, n: int) -> ColoredFunction:
     vectors, the last party holds an (arity-1)-bit coefficient vector, and the
     color is the XOR of the selected columns (bit j of the last input selects
     column j; integers encode vectors little-endian)."""
-    if arity < 3:
-        raise InvalidInputError("matvec needs at least 3 parties")
+    if not 3 <= arity <= MAX_BITS + 1:  # the coefficient party has arity - 1 bits
+        raise InvalidInputError(f"matvec needs 3 <= arity <= {MAX_BITS + 1}, got {arity}")
     col_size = _side(n, "matvec")
-    coeff_size = _side(arity - 1, "matvec's coefficient party")
+    coeff_size = 1 << (arity - 1)
     shape = DomainShape((col_size,) * (arity - 1) + (coeff_size,))
     colors = np.zeros(shape.sizes, dtype=np.int64)
     for cell in shape.cells():
@@ -420,11 +418,6 @@ def _random_box(shape: DomainShape, draws: _Draws) -> tuple[list[int], ...]:
     return tuple(drawn)
 
 
-# boxes of at most this many cells are counted in a Python loop, larger ones
-# by numpy, whose per-call cost the loop beats on a few cells
-_LOOP_CELLS = 64
-
-
 def random_bounded_cover(
     shape: DomainShape,
     rho_max: int,
@@ -447,10 +440,8 @@ def random_bounded_cover(
         rng = np.random.default_rng(seed)
     draws = _Draws(rng)
     boxes = [Box(m) for m in _grow_tree(shape, draws, None, nodes=False)[1]]
-    # thickness per cell, row-major; `grid` is a numpy view of the same counts
-    counts = array("q", [1]) * shape.num_cells  # tree leaves partition the grid
-    grid = np.frombuffer(counts, dtype=np.int64).reshape(shape.sizes)
-    open_cells = shape.num_cells if rho_max > 1 else 0  # cells still below rho_max
+    counts = np.ones(shape.sizes, dtype=np.int64)  # tree leaves partition the grid
+    open_cells = counts.size if rho_max > 1 else 0  # cells still below rho_max
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
     added = 0
@@ -463,26 +454,16 @@ def random_bounded_cover(
             )
         attempts += 1
         drawn = _random_box(shape, draws)
-        # the drawn indices are distinct, so each cell is counted once
-        if math.prod(map(len, drawn)) <= _LOOP_CELLS:
-            cells = [0]
-            for d, s in zip(drawn, shape.sizes):
-                cells = [c * s + i for c in cells for i in d]
-            if max([counts[c] for c in cells]) >= rho_max:
-                continue
-            for c in cells:
-                counts[c] += 1
-            open_cells -= [counts[c] for c in cells].count(rho_max)
-        else:
-            # the open mesh np.ix_ builds, without its per-call cost
-            mesh = tuple(
-                np.asarray(d).reshape((-1,) + (1,) * (len(drawn) - 1 - k)) for k, d in enumerate(drawn)
-            )
-            sub = grid[mesh]
-            if (sub >= rho_max).any():
-                continue
-            grid[mesh] = sub + 1
-            open_cells -= int(np.count_nonzero(sub == rho_max - 1))
+        # the open mesh np.ix_ builds, without its per-call cost; the drawn
+        # indices are distinct, so each cell is written once
+        cells = tuple(
+            np.asarray(d).reshape((-1,) + (1,) * (len(drawn) - 1 - k)) for k, d in enumerate(drawn)
+        )
+        sub = counts[cells]
+        if (sub >= rho_max).any():
+            continue
+        counts[cells] = sub + 1
+        open_cells -= int(np.count_nonzero(sub == rho_max - 1))
         boxes.append(Box.from_factors(drawn, shape))
         added += 1
     return Cover(shape, tuple(boxes))

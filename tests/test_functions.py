@@ -84,6 +84,13 @@ def test_constructors_reject_n_past_the_dimension_cap(make, n):
         make(n)
 
 
+@pytest.mark.parametrize("arity", [2, 14, 20000])
+def test_matvec_rejects_arity_past_the_dimension_cap(arity):
+    # the coefficient party holds arity - 1 bits, so 2**13 indices at arity 14
+    with pytest.raises(InvalidInputError, match=f"^matvec needs 3 <= arity <= 13, got {arity}$"):
+        matvec_function(arity, 2)
+
+
 def test_random_function_deterministic_and_contiguous():
     shape = DomainShape((4, 4))
     f1 = random_function(shape, 5, seed=11)
@@ -190,8 +197,7 @@ def test_random_bounded_reports_failure_with_seed():
 
 @settings(max_examples=1000, deadline=None)
 @given(
-    # 16- and 64-wide factors reach numpy's choice (k > 5) and the numpy count
-    # of boxes past _LOOP_CELLS cells
+    # 16- and 64-wide factors reach numpy's choice (k > 5)
     st.sampled_from(
         [(r, c) for r in range(2, 9) for c in range(2, 9)]
         + [(2, 2, 2), (3, 2, 4), (4, 3, 2), (16, 4), (3, 16), (16, 16), (64, 2), (5, 64), (2, 16, 4)]
