@@ -431,64 +431,110 @@ def cover_number(
 # Fooling sets
 
 
-def _fooling_graph(f: ColoredFunction, color: int) -> tuple[list, np.ndarray]:
-    """The color's cells and their fooling relation: two cells are adjacent
-    when one of their crossed cells leaves the color."""
-    inside = f.colors == color
-    where = np.argwhere(inside)
-    cells = [tuple(int(v) for v in c) for c in where]
-    leaves = ~inside[where[:, 0][:, None], where[:, 1][None, :]]
-    return cells, leaves | leaves.T
+def _greedy_fooling(inside: np.ndarray) -> list[tuple[int, int]]:
+    """The greedy fooling set of the True cells of `inside`: each cell, in
+    row-major order, joins when it fools every cell taken so far. Cell (x, y)
+    fools (x2, y2) unless (x, y2) and (x2, y) are both inside, so two cells of
+    one row or column never fool each other and a row gives at most its
+    first cell that passes; the check reads only the rows' column sets."""
+    row_cols = pack_rows(inside)
+    chosen: list[tuple[int, int]] = []
+    for x, cols in enumerate(row_cols):
+        crossed = 0  # columns y with (x, y2) and (x2, y) inside for a chosen (x2, y2)
+        for x2, y2 in chosen:
+            if cols >> y2 & 1:
+                crossed |= row_cols[x2]
+        free = cols & ~crossed
+        if free:
+            chosen.append((x, (free & -free).bit_length() - 1))
+    return chosen
+
+
+def _class_tops(allowed: int, neighbor: list[int]) -> list[int]:
+    """A greedy graph coloring of the vertices of `allowed`, highest vertex
+    first, each into the first class that holds none of its neighbors; the
+    highest vertex of each class, in class order, so descending. A clique
+    has at most one vertex per class, so a clique among the vertices >= v
+    has at most as many vertices as there are tops >= v."""
+    tops = []
+    while allowed:
+        tops.append(allowed.bit_length() - 1)
+        free = allowed  # vertices that may still join this class
+        while free:
+            v = free.bit_length() - 1
+            allowed ^= 1 << v
+            free &= ~neighbor[v] & ~(1 << v)
+    return tops
+
+
+def _first_maximum_clique(neighbor: list[int]) -> list[int]:
+    """The lexicographically first maximum clique of the graph, vertices
+    ascending. Depth-first search adds vertices in ascending order, so it
+    meets the maximal cliques in lexicographic order and keeps the first of
+    each new size. A node cuts its branch on v, and every later one, when
+    the vertices >= v it may still add, counted or bounded by the classes
+    of a greedy coloring (_class_tops; the bound of Tomita and Seki's MCQ),
+    cannot lift the clique past the best found. A node colors its vertices
+    at most once, and only when counting them does not cut but a cut is
+    possible."""
+    best: list[int] = []
+
+    def expand(current: list[int], allowed: int) -> None:
+        nonlocal best
+        if not allowed:
+            if len(current) > len(best):
+                best = list(current)
+            return
+        tops = None
+        while allowed:
+            slack = len(best) - len(current)  # vertices a clique must add to beat best
+            if allowed.bit_count() <= slack:
+                return
+            v = (allowed & -allowed).bit_length() - 1
+            if slack > 0:
+                if tops is None:
+                    tops = _class_tops(allowed, neighbor)
+                while tops[-1] < v:
+                    tops.pop()
+                if len(tops) <= slack:
+                    return
+            allowed ^= 1 << v
+            current.append(v)
+            expand(current, allowed & neighbor[v])
+            current.pop()
+
+    expand([], (1 << len(neighbor)) - 1)
+    return best
 
 
 def fooling_set(
     f: ColoredFunction, color: int, mode: str = "exact"
 ) -> tuple[tuple[int, int], ...]:
     """A set of color-cells such that every crossed pair leaves the color.
-    Exact mode finds a maximum such set (clique search on the fooling graph,
-    capped at 64 candidate cells); greedy extends in row-major cell order."""
+
+    Greedy mode takes the cells in row-major order, each when it fools all
+    taken before (_greedy_fooling; no graph is built). Exact mode returns
+    the lexicographically first maximum set in row-major cell order: the
+    first maximum clique of the fooling graph on the color's cells, two
+    cells adjacent when a crossed cell leaves the color, found by branch and
+    bound with greedy graph-coloring bounds (_first_maximum_clique). Exact
+    mode refuses a color of more than EXACT_FOOLING_CAP cells."""
     _require_bounds_domain(f)
     if not 0 <= color < f.num_colors:
         raise InvalidInputError(f"color {color} not present")
-    cells, adj = _fooling_graph(f, color)
-    n = len(cells)
+    inside = f.colors == color
     if mode == "greedy":
-        chosen: list[int] = []
-        for i in range(n):
-            if all(adj[i, j] for j in chosen):
-                chosen.append(i)
-        return tuple(cells[i] for i in chosen)
+        return tuple(_greedy_fooling(inside))
     if mode != "exact":
         raise InvalidInputError(f"unknown fooling mode {mode!r}")
-    if n > EXACT_FOOLING_CAP:
+    rows, cols = np.nonzero(inside)  # row-major
+    if len(rows) > EXACT_FOOLING_CAP:
         raise InvalidInputError(
-            f"{n} candidate cells exceed the exact cap {EXACT_FOOLING_CAP}; use greedy"
+            f"{len(rows)} candidate cells exceed the exact cap {EXACT_FOOLING_CAP}; use greedy"
         )
-    neighbor = pack_rows(adj)
-    best: list[int] = []
-
-    def expand(current: list[int], allowed: int):
-        nonlocal best
-        if not allowed:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        if len(current) + allowed.bit_count() <= len(best):
-            return
-        m = allowed
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            current.append(v)
-            expand(current, allowed & neighbor[v] & ~((1 << (v + 1)) - 1))
-            current.pop()
-            if len(current) + m.bit_count() <= len(best):
-                return
-
-    expand([], (1 << n) - 1)
-    if not best and n:
-        best = [0]
+    crossed = inside[np.ix_(rows, cols)]  # [i, j]: cell (row of i, column of j) has the color
+    best = _first_maximum_clique(pack_rows(~(crossed & crossed.T)))
+    cells = list(zip(rows.tolist(), cols.tolist()))
     return tuple(cells[i] for i in best)
 
 
@@ -599,11 +645,12 @@ class BoundSummary:
 def fooling_sizes(f: ColoredFunction) -> dict[int, int]:
     """Per color, the size of a fooling set: exact up to EXACT_FOOLING_CAP
     cells of the color, greedy above."""
-    sizes: dict[int, int] = {}
-    for color in range(f.num_colors):
-        mode = "exact" if int((f.colors == color).sum()) <= EXACT_FOOLING_CAP else "greedy"
-        sizes[color] = len(fooling_set(f, color, mode))
-    return sizes
+    _require_bounds_domain(f)
+    counts = np.bincount(f.colors.ravel(), minlength=f.num_colors).tolist()
+    return {
+        color: len(fooling_set(f, color, "exact" if n <= EXACT_FOOLING_CAP else "greedy"))
+        for color, n in enumerate(counts)
+    }
 
 
 def solve_cover(

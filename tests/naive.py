@@ -129,6 +129,67 @@ def is_fooling_set(colors, color: int, cells) -> bool:
     return True
 
 
+def fooling_graph(colors, color: int):
+    """The cells of `color` in row-major order, and per cell the int bitset
+    of the cells it fools: (x1, y1) and (x2, y2) fool each other when
+    (x1, y2) or (x2, y1) has another color. `colors` is a list of rows."""
+    cells = [(x, y) for x, row in enumerate(colors) for y, v in enumerate(row) if v == color]
+    neighbor = [
+        sum(
+            1 << j
+            for j, (x2, y2) in enumerate(cells)
+            if colors[x1][y2] != color or colors[x2][y1] != color
+        )
+        for x1, y1 in cells
+    ]
+    return cells, neighbor
+
+
+def first_maximum_fooling_set(colors, color: int):
+    """The maximum fooling set of `color` that comes first in lexicographic
+    row-major cell order, by a plain clique search on fooling_graph: cells
+    added in ascending order, a branch cut only when the cells left to add
+    cannot lift it past the best set found, so the first set of each new
+    size is kept."""
+    cells, neighbor = fooling_graph(colors, color)
+    best: list = []
+
+    def expand(current: list, allowed: int):
+        nonlocal best
+        if not allowed:
+            if len(current) > len(best):
+                best = list(current)
+            return
+        if len(current) + bin(allowed).count("1") <= len(best):
+            return
+        m = allowed
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            current.append(v)
+            expand(current, allowed & neighbor[v] & ~((1 << (v + 1)) - 1))
+            current.pop()
+            if len(current) + bin(m).count("1") <= len(best):
+                return
+
+    expand([], (1 << len(cells)) - 1)
+    return tuple(cells[i] for i in best)
+
+
+def greedy_fooling_set(colors, color: int):
+    """Each cell of `color`, in row-major order, joins when it fools every
+    cell taken before (see fooling_graph)."""
+    chosen: list = []
+    for x1, row in enumerate(colors):
+        for y1, v in enumerate(row):
+            if v == color and all(
+                colors[x1][y2] != color or colors[x2][y1] != color for x2, y2 in chosen
+            ):
+                chosen.append((x1, y1))
+    return tuple(chosen)
+
+
 def brute_force_cover_number(n_rows: int, n_cols: int, boxes) -> int:
     """Fewest of the given (rows, cols) rectangles whose union is the whole
     grid, by subset enumeration; only for at most 20 rectangles."""

@@ -28,12 +28,19 @@ from commlab.bounds import (
     _color_setups,
     _dual_weights,
     fooling_set,
+    fooling_sizes,
     gf2_rank,
     rational_rank,
 )
 from commlab.core import Box, Cover, indices_from_mask
 
-from naive import brute_force_cover_number, brute_maximal_monochromatic, is_fooling_set
+from naive import (
+    brute_force_cover_number,
+    brute_maximal_monochromatic,
+    first_maximum_fooling_set,
+    greedy_fooling_set,
+    is_fooling_set,
+)
 
 
 def test_catalog_constant_full_box():
@@ -342,6 +349,64 @@ def test_fooling_exact_cap():
     with pytest.raises(InvalidInputError):
         fooling_set(f, 0, "exact")
     assert len(fooling_set(f, 0, "greedy")) == 1
+
+
+def _fooling_family():
+    """Random 3x3..10x10 functions with 2-4 colors (seeds 0..24), eq and xor
+    of 1..3 bits, and constant functions."""
+    for side in range(3, 11):
+        for k in (2, 3, 4):
+            for seed in range(25):
+                yield random_function(DomainShape((side, side)), k, seed)
+    for n in (1, 2, 3):
+        yield eq_function(n)
+        yield xor_function(n)
+    for sizes in ((1, 1), (3, 5), (8, 8), (9, 9)):
+        yield constant_function(DomainShape(sizes))
+
+
+def test_fooling_sets_are_the_plain_searches_sets():
+    exact_classes = 0
+    for f in _fooling_family():
+        colors = f.colors.tolist()
+        for color in range(f.num_colors):
+            assert fooling_set(f, color, "greedy") == greedy_fooling_set(colors, color)
+            if int((f.colors == color).sum()) <= 64:
+                assert fooling_set(f, color, "exact") == first_maximum_fooling_set(colors, color)
+                exact_classes += 1
+    assert exact_classes >= 1812
+
+
+def test_greedy_fooling_set_on_a_large_grid_is_the_plain_greedys():
+    f = random_function(DomainShape((128, 128)), 2, 1)
+    colors = f.colors.tolist()
+    for color in range(2):
+        cells = fooling_set(f, color, "greedy")
+        assert cells == greedy_fooling_set(colors, color)
+        assert is_fooling_set(colors, color, cells)
+
+
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        (lambda: xor_function(4), {c: 16 for c in range(16)}),
+        (lambda: eq_function(3), {0: 3, 1: 8}),
+        *[
+            (lambda s=s: random_function(DomainShape((9, 9)), 2, s), want)
+            for s, want in zip((1, 2, 3, 4), ({0: 7, 1: 7}, {0: 7, 1: 7}, {0: 7, 1: 8}, {0: 7, 1: 7}))
+        ],
+        *[
+            (lambda s=s: random_function(DomainShape((10, 10)), 3, s), want)
+            for s, want in zip((1, 2), ({0: 8, 1: 9, 2: 9}, {0: 9, 1: 9, 2: 9}))
+        ],
+        *[
+            (lambda s=s: random_function(DomainShape((12, 12)), 2, s), {0: a, 1: b})
+            for s, (a, b) in zip(range(1, 7), ((5, 8), (6, 7), (7, 7), (8, 7), (7, 9), (6, 6)))
+        ],
+    ],
+)
+def test_fooling_sizes_of_the_bounds_ladder(make, want):
+    assert fooling_sizes(make()) == want
 
 
 def test_rank_eq2_identity():

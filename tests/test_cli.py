@@ -372,13 +372,13 @@ def test_invalid_input_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["bounds", "cover"])
 def test_over_cap_grid_exits_two_before_bound_work(command, capsys, monkeypatch):
-    # 300x300 is 90,000 cells; its fooling graphs alone would take about 4 GB
+    # 300x300 is 90,000 cells: no fooling set may be searched on it
     from commlab import bounds
 
-    def no_fooling_graph(*args):
-        raise AssertionError("fooling graph built past the enumeration cap")
+    def no_fooling_set(*args):
+        raise AssertionError("fooling set searched past the enumeration cap")
 
-    monkeypatch.setattr(bounds, "_fooling_graph", no_fooling_graph)
+    monkeypatch.setattr(bounds, "fooling_set", no_fooling_set)
     code, _, err = run(capsys, command, "--fn", "random", "--sizes", "300x300", "--colors", "2")
     assert code == 2
     assert "enumeration cap is 65536" in err
