@@ -13,16 +13,14 @@ import math
 import sys
 import time
 
-from .core import MAX_BITS, DomainShape, Protocol, TranscriptSelector
+from .core import MAX_BITS, SELECTOR_SEED_MAX, DomainShape, Protocol, TranscriptSelector
 from .errors import CommlabError, InvalidInputError, SolverTimeoutError
 from .functions import (
     approx_xor_relation,
-    eq_function,
     gen_cover,
     gen_function,
     parity_tightness_protocol,
     trivial_merlin_am,
-    xor_function,
 )
 from .reports import ReportRow, emit_report
 
@@ -103,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rho-max", type=int, default=2)
     gen.add_argument("--extra", type=int, default=2)
     gen.add_argument("--selector", choices=["min-index", "seeded-random"], default="min-index")
-    gen.add_argument("--selector-seed", type=int, default=0)
+    gen.add_argument("--selector-seed", type=_int_in(0, SELECTOR_SEED_MAX), default=0)
     gen.add_argument("--dist", choices=["uniform", "random"])
     gen.add_argument("--seed", type=_int_in(0), default=0)
 
@@ -300,7 +298,6 @@ def _cmd_cover(args) -> int:
     fooling_sum = sum(fooling_sizes(f).values())
     row = ReportRow(
         instance_id="fn-" + "x".join(str(s) for s in f.shape.sizes),
-        status="ok",
         sizes="x".join(str(s) for s in f.shape.sizes),
         color_count=f.num_colors,
     )
@@ -361,7 +358,7 @@ def _cmd_am(args) -> int:
     else:
         if args.fn is None:
             raise InvalidInputError("need --fn or --instance")
-        target = xor_function(args.n) if args.fn == "xor" else eq_function(args.n)
+        target = gen_function(args.fn, n=args.n)
         am = trivial_merlin_am(target)
     start = time.monotonic()
     report = am_analyze(am, target, correctness_mode=args.correctness)
@@ -373,7 +370,6 @@ def _cmd_am(args) -> int:
     )
     row = ReportRow(
         instance_id=report.fingerprint[:12],
-        status="ok",
         sizes="x".join(str(s) for s in am.shape.sizes),
         margin_main=report.restricted_margin,
         runtime_ms=(time.monotonic() - start) * 1000.0,

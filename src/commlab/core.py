@@ -302,6 +302,8 @@ def box_thickness_table(cover: Cover) -> np.ndarray:
 
 
 SELECTOR_KINDS = ("min-index", "seeded-random", "explicit")
+# a seeded selector hashes its seed as 64 bits; files and the CLI take 0..this
+SELECTOR_SEED_MAX = _M64
 
 
 @dataclass(frozen=True)

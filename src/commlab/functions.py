@@ -212,16 +212,22 @@ def constant_function(shape: DomainShape) -> ColoredFunction:
 
 
 def random_function(shape: DomainShape, num_colors: int, seed: int) -> ColoredFunction:
-    """Uniform per-cell colors, relabeled to a contiguous 0..k-1 id space."""
-    if num_colors < 1:
-        raise InvalidInputError("need at least one color")
-    rng = np.random.default_rng(seed)
-    raw = rng.integers(0, num_colors, size=shape.sizes)
+    """Uniform per-cell colors among num_colors (1..2**63-1, drawn from
+    seed >= 0), relabeled to a contiguous 0..k-1 id space."""
+    top = np.iinfo(np.int64).max
+    if not 1 <= num_colors <= top:
+        raise InvalidInputError(f"need 1 <= colors <= {top}, got {num_colors}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    raw = np.random.default_rng(seed).integers(0, num_colors, size=shape.sizes)
+    if num_colors > shape.num_cells:  # a presence table that long would not fit
+        return ColoredFunction(shape, np.unique(raw, return_inverse=True)[1].reshape(shape.sizes))
     return ColoredFunction(shape, dense_ids(raw, num_colors))
 
 
 def gen_function(kind: str, **params) -> ColoredFunction:
-    """Dispatcher used by the CLI; see the named constructors for semantics."""
+    """The one dispatch on function kinds, for the CLI and named specs in
+    instance files; see the named constructors for semantics."""
     if kind == "xor":
         return xor_function(params["n"])
     if kind == "eq":

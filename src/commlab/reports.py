@@ -9,36 +9,14 @@ from dataclasses import dataclass, fields
 
 from .errors import InvalidInputError
 
-REPORT_COLUMNS = (
-    "instance_id",
-    "seed",
-    "sizes",
-    "rho_global",
-    "rho_box_max",
-    "H_T",
-    "I_XY",
-    "I_XY_given_T",
-    "margin_main",
-    "ic",
-    "margin_ic",
-    "cover_exact",
-    "cover_greedy",
-    "fooling_best",
-    "rank_rational",
-    "rank_gf2",
-    "color_count",
-    "status",
-    "runtime_ms",
-)
-
 
 @dataclass
 class ReportRow:
-    """One experiment row. Missing analyses stay None and serialize as empty
-    fields, never as zeros."""
+    """One experiment row; the field order is the report's column order.
+    Missing analyses stay None and serialize as empty fields, never as
+    zeros."""
 
     instance_id: str
-    status: str
     seed: int | None = None
     sizes: str | None = None
     rho_global: int | None = None
@@ -55,17 +33,16 @@ class ReportRow:
     rank_rational: int | None = None
     rank_gf2: int | None = None
     color_count: int | None = None
+    status: str = "ok"
     runtime_ms: float | None = None
 
 
-assert tuple(sorted(f.name for f in fields(ReportRow))) == tuple(sorted(REPORT_COLUMNS))
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def format_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -84,15 +61,7 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows) -> str:
-    payload = []
-    for row in rows:
-        obj = {}
-        for col in REPORT_COLUMNS:
-            value = getattr(row, col)
-            if isinstance(value, float):
-                value = float(format(value, ".17g"))
-            obj[col] = value
-        payload.append(obj)
+    payload = [{col: getattr(row, col) for col in REPORT_COLUMNS} for row in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

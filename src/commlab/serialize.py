@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box, Cover, DomainShape, Protocol, TranscriptSelector, validate_cover
+from .core import (SELECTOR_SEED_MAX, Box, Cover, DomainShape, Protocol, TranscriptSelector,
+                   validate_cover)
 from .errors import SchemaError
 from .functions import (
     AMProtocol,
@@ -22,12 +24,8 @@ from .functions import (
     ErrorProtocol,
     Relation,
     approx_xor_relation,
-    constant_function,
-    eq_function,
-    matvec_function,
-    random_function,
+    gen_function,
     relation_from_table,
-    xor_function,
 )
 from .info import JointDistribution
 
@@ -104,24 +102,77 @@ def canonical_json(value, indent: int = 0) -> str:
     raise SchemaError(f"cannot serialize value of type {type(value)!r}")
 
 
-def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
-    keys = set(obj)
-    missing = required - keys
+# ---------------------------------------------------------------------------
+# Field checks
+
+# JSON values arrive as exact ints and floats, so type() tells a bool apart too
+_INT64 = np.iinfo(np.int64)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _fields(obj, required: set, optional: set, where: str) -> None:
+    """obj is a dict holding all of required and nothing outside optional."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object, got {obj!r:.40}")
+    missing = required - set(obj)
     if missing:
         raise SchemaError(f"{where}: missing fields {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = set(obj) - required - optional
     if unknown:
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an exact integer, got {value!r}")
+def _kind(obj, what: str, kinds: dict, where: str) -> str:
+    """The kind of a {"kind": ..., <fields>} spec whose fields are exactly
+    those its kind takes (kinds maps each kind to its field names)."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str):
+        raise SchemaError(f"{where}: {what} needs a kind")
+    if kind not in kinds:
+        raise SchemaError(f"{where}: unknown {what} kind {kind!r}")
+    _fields(obj, {"kind", *kinds[kind]}, set(), where)
+    return kind
+
+
+def _int(value, where: str, low: int = _INT64.min, high: int = _INT64.max) -> int:
+    if type(value) is not int or not low <= value <= high:
+        raise SchemaError(f"{where}: expected an integer in {low}..{high}, got {value!r:.40}")
     return value
+
+
+def _number(value, where: str) -> float:
+    if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:  # refuses nan too
+        raise SchemaError(f"{where}: expected a finite number, got {value!r:.40}")
+    return float(value)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list, got {value!r:.40}")
+    return value
+
+
+def _ints(value, where: str) -> list[int]:
+    return [_int(v, where) for v in _list(value, where)]
+
+
+def _int_table(value, where: str) -> np.ndarray:
+    """A list of equal-length integer lists, as a 2-D int64 array."""
+    rows = [_ints(row, where) for row in _list(value, where)]
+    if len({len(row) for row in rows}) > 1:
+        raise SchemaError(f"{where}: rows differ in length")
+    return np.array(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Object <-> schema dicts
+
+# Each object's spec kinds, with the fields each takes besides "kind"
+_SELECTOR_SPECS = {"min-index": (), "seeded-random": ("seed",), "explicit": ("table",)}
+_FUNCTION_SPECS = {"explicit": ("colors",), "xor": ("n",), "eq": ("n",), "matvec": ("arity", "n"),
+                   "constant": (), "random": ("num_colors", "seed")}
+_RELATION_SPECS = {"explicit": ("num_colors", "admissible"), "approx-xor": ("n", "delta")}
+_DISTRIBUTION_SPECS = {"uniform": (), "explicit": ("p",)}
 
 
 def _selector_to_obj(sel: TranscriptSelector) -> dict:
@@ -132,57 +183,29 @@ def _selector_to_obj(sel: TranscriptSelector) -> dict:
     return {"kind": "explicit", "table": list(sel.table)}
 
 
-def _selector_from_obj(obj: dict, where: str) -> TranscriptSelector:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError(f"{where}: selector needs a kind")
-    kind = obj["kind"]
-    if kind == "min-index":
-        _require_keys(obj, {"kind"}, set(), where)
-        return TranscriptSelector.min_index()
+def _selector_from_obj(obj, where: str) -> TranscriptSelector:
+    kind = _kind(obj, "selector", _SELECTOR_SPECS, where)
     if kind == "seeded-random":
-        _require_keys(obj, {"kind", "seed"}, set(), where)
-        return TranscriptSelector.seeded(_as_int(obj["seed"], where))
+        seed = _int(obj["seed"], f"{where}.seed", 0, SELECTOR_SEED_MAX)
+        return TranscriptSelector.seeded(seed)
     if kind == "explicit":
-        _require_keys(obj, {"kind", "table"}, set(), where)
-        return TranscriptSelector.explicit(
-            [_as_int(t, where) for t in obj["table"]]
-        )
-    raise SchemaError(f"{where}: unknown selector kind {kind!r}")
+        return TranscriptSelector.explicit(_ints(obj["table"], f"{where}.table"))
+    return TranscriptSelector.min_index()
 
 
 def _function_to_obj(fn: ColoredFunction) -> dict:
     return {"kind": "explicit", "colors": fn.flat().tolist()}
 
 
-def _function_from_obj(obj: dict, shape: DomainShape, where: str) -> ColoredFunction:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError(f"{where}: function needs a kind")
-    kind = obj["kind"]
+def _function_from_obj(obj, shape: DomainShape, where: str) -> ColoredFunction:
+    kind = _kind(obj, "function", _FUNCTION_SPECS, where)
     if kind == "explicit":
-        _require_keys(obj, {"kind", "colors"}, set(), where)
-        colors = np.array([_as_int(c, where) for c in obj["colors"]], dtype=np.int64)
+        colors = np.array(_ints(obj["colors"], f"{where}.colors"), dtype=np.int64)
         if colors.size != shape.num_cells:
             raise SchemaError(f"{where}: color table length does not match sizes")
         return ColoredFunction(shape, colors.reshape(shape.sizes))
-    if kind == "xor":
-        _require_keys(obj, {"kind", "n"}, set(), where)
-        fn = xor_function(_as_int(obj["n"], where))
-    elif kind == "eq":
-        _require_keys(obj, {"kind", "n"}, set(), where)
-        fn = eq_function(_as_int(obj["n"], where))
-    elif kind == "matvec":
-        _require_keys(obj, {"kind", "arity", "n"}, set(), where)
-        fn = matvec_function(_as_int(obj["arity"], where), _as_int(obj["n"], where))
-    elif kind == "constant":
-        _require_keys(obj, {"kind"}, set(), where)
-        fn = constant_function(shape)
-    elif kind == "random":
-        _require_keys(obj, {"kind", "num_colors", "seed"}, set(), where)
-        fn = random_function(
-            shape, _as_int(obj["num_colors"], where), _as_int(obj["seed"], where)
-        )
-    else:
-        raise SchemaError(f"{where}: unknown function kind {kind!r}")
+    params = {k: _int(obj[k], f"{where}.{k}") for k in _FUNCTION_SPECS[kind]}
+    fn = gen_function(kind, shape=shape, **params)
     if fn.shape.sizes != shape.sizes:
         raise SchemaError(f"{where}: function domain {fn.shape.sizes} does not match sizes")
     return fn
@@ -197,47 +220,34 @@ def _relation_to_obj(rel: Relation) -> dict:
     }
 
 
-def _relation_from_obj(obj: dict, shape: DomainShape, where: str) -> Relation:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError(f"{where}: relation needs a kind")
-    kind = obj["kind"]
-    if kind == "approx-xor":
-        _require_keys(obj, {"kind", "n", "delta"}, set(), where)
-        rel = approx_xor_relation(_as_int(obj["n"], where), float(obj["delta"]))
+def _relation_from_obj(obj, shape: DomainShape, where: str) -> Relation:
+    if _kind(obj, "relation", _RELATION_SPECS, where) == "approx-xor":
+        rel = approx_xor_relation(_int(obj["n"], f"{where}.n"),
+                                  _number(obj["delta"], f"{where}.delta"))
         if rel.shape.sizes != shape.sizes:
             raise SchemaError(f"{where}: relation domain does not match sizes")
         return rel
-    if kind == "explicit":
-        _require_keys(obj, {"kind", "num_colors", "admissible"}, set(), where)
-        lists = obj["admissible"]
-        if len(lists) != shape.num_cells:
-            raise SchemaError(f"{where}: admissible table length does not match sizes")
-        return relation_from_table(
-            shape,
-            [[_as_int(z, where) for z in ids] for ids in lists],
-            _as_int(obj["num_colors"], where),
-        )
-    raise SchemaError(f"{where}: unknown relation kind {kind!r}")
+    lists = _list(obj["admissible"], f"{where}.admissible")
+    if len(lists) != shape.num_cells:
+        raise SchemaError(f"{where}: admissible table length does not match sizes")
+    return relation_from_table(
+        shape,
+        [_ints(ids, f"{where}.admissible") for ids in lists],
+        _int(obj["num_colors"], f"{where}.num_colors"),
+    )
 
 
 def _distribution_to_obj(dist: JointDistribution) -> dict:
     return {"kind": "explicit", "p": dist.p.tolist()}
 
 
-def _distribution_from_obj(obj: dict, shape: DomainShape, where: str) -> JointDistribution:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError(f"{where}: distribution needs a kind")
-    kind = obj["kind"]
-    if kind == "uniform":
-        _require_keys(obj, {"kind"}, set(), where)
+def _distribution_from_obj(obj, shape: DomainShape, where: str) -> JointDistribution:
+    if _kind(obj, "distribution", _DISTRIBUTION_SPECS, where) == "uniform":
         return JointDistribution.uniform(shape)
-    if kind == "explicit":
-        _require_keys(obj, {"kind", "p"}, set(), where)
-        p = np.asarray([float(v) for v in obj["p"]], dtype=np.float64)
-        if p.size != shape.num_cells:
-            raise SchemaError(f"{where}: probability table length does not match sizes")
-        return JointDistribution(shape, p)
-    raise SchemaError(f"{where}: unknown distribution kind {kind!r}")
+    p = np.array([_number(v, f"{where}.p") for v in _list(obj["p"], f"{where}.p")])
+    if p.size != shape.num_cells:
+        raise SchemaError(f"{where}: probability table length does not match sizes")
+    return JointDistribution(shape, p)
 
 
 def _instance_body(bundle: InstanceBundle) -> dict:
@@ -265,23 +275,23 @@ _BODY_REQUIRED = {"arity", "sizes", "rectangles", "selector"}
 _BODY_OPTIONAL = {"function", "relation", "distribution", "g_a", "g_b"}
 
 
-def _instance_from_body(obj: dict, where: str) -> InstanceBundle:
-    _require_keys(obj, _BODY_REQUIRED, _BODY_OPTIONAL, where)
-    arity = _as_int(obj["arity"], where)
-    sizes = tuple(_as_int(s, f"{where}.sizes") for s in obj["sizes"])
+def _optional(obj: dict, key: str, read, shape: DomainShape, where: str):
+    return read(obj[key], shape, f"{where}.{key}") if key in obj else None
+
+
+def _instance_from_body(obj, where: str) -> InstanceBundle:
+    _fields(obj, _BODY_REQUIRED, _BODY_OPTIONAL, where)
+    arity = _int(obj["arity"], f"{where}.arity")
+    sizes = tuple(_ints(obj["sizes"], f"{where}.sizes"))
     if len(sizes) != arity:
         raise SchemaError(f"{where}: arity {arity} does not match sizes {sizes}")
     shape = DomainShape(sizes)
     boxes = []
-    for k, factors in enumerate(obj["rectangles"]):
-        if len(factors) != arity:
-            raise SchemaError(f"{where}.rectangles[{k}]: wrong number of factors")
-        boxes.append(
-            Box.from_factors(
-                [[_as_int(i, f"{where}.rectangles[{k}]") for i in f] for f in factors],
-                shape,
-            )
-        )
+    for k, factors in enumerate(_list(obj["rectangles"], f"{where}.rectangles")):
+        at = f"{where}.rectangles[{k}]"
+        if len(_list(factors, at)) != arity:
+            raise SchemaError(f"{at}: wrong number of factors")
+        boxes.append(Box.from_factors([_ints(f, at) for f in factors], shape))
     cover = Cover(shape, tuple(boxes))
     report = validate_cover(cover)
     if not report.covers_domain:
@@ -289,54 +299,43 @@ def _instance_from_body(obj: dict, where: str) -> InstanceBundle:
             f"{where}: boxes do not cover the domain, first uncovered cell "
             f"{report.uncovered[0]}"
         )
-    selector = _selector_from_obj(obj["selector"], f"{where}.selector")
-    protocol = Protocol(cover, selector)
-
-    function = relation = distribution = error = None
-    if "function" in obj:
-        function = _function_from_obj(obj["function"], shape, f"{where}.function")
-    if "relation" in obj:
-        relation = _relation_from_obj(obj["relation"], shape, f"{where}.relation")
-    if "distribution" in obj:
-        distribution = _distribution_from_obj(
-            obj["distribution"], shape, f"{where}.distribution"
-        )
+    protocol = Protocol(cover, _selector_from_obj(obj["selector"], f"{where}.selector"))
     if ("g_a" in obj) != ("g_b" in obj):
         raise SchemaError(f"{where}: g_a and g_b must be given together")
+    error = None
     if "g_a" in obj:
-        g_a = np.array(
-            [[_as_int(v, f"{where}.g_a") for v in row] for row in obj["g_a"]],
-            dtype=np.int64,
+        error = ErrorProtocol(
+            protocol,
+            _int_table(obj["g_a"], f"{where}.g_a"),
+            _int_table(obj["g_b"], f"{where}.g_b"),
         )
-        g_b = np.array(
-            [[_as_int(v, f"{where}.g_b") for v in row] for row in obj["g_b"]],
-            dtype=np.int64,
-        )
-        error = ErrorProtocol(protocol, g_a, g_b)
     return InstanceBundle(
         protocol=protocol,
-        function=function,
-        relation=relation,
-        distribution=distribution,
+        function=_optional(obj, "function", _function_from_obj, shape, where),
+        relation=_optional(obj, "relation", _relation_from_obj, shape, where),
+        distribution=_optional(obj, "distribution", _distribution_from_obj, shape, where),
         error=error,
     )
 
 
-def instance_to_text(bundle: InstanceBundle) -> str:
-    obj = {"schema": INSTANCE_SCHEMA}
-    obj.update(_instance_body(bundle))
-    return canonical_json(obj) + "\n"
-
-
-def instance_from_text(text: str, where: str = "instance") -> InstanceBundle:
+def _parse(text: str | bytes, schema: str, where: str) -> dict:
+    """The top-level object of a file tagged schema; bytes are read as UTF-8."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits, too deep
         raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
-    if not isinstance(obj, dict) or obj.get("schema") != INSTANCE_SCHEMA:
-        raise SchemaError(f"{where}: expected schema tag {INSTANCE_SCHEMA!r}")
-    body = {k: v for k, v in obj.items() if k != "schema"}
-    return _instance_from_body(body, where)
+    if not isinstance(obj, dict) or obj.get("schema") != schema:
+        raise SchemaError(f"{where}: expected schema tag {schema!r}")
+    return obj
+
+
+def instance_to_text(bundle: InstanceBundle) -> str:
+    return canonical_json({"schema": INSTANCE_SCHEMA, **_instance_body(bundle)}) + "\n"
+
+
+def instance_from_text(text: str | bytes, where: str = "instance") -> InstanceBundle:
+    obj = _parse(text, INSTANCE_SCHEMA, where)
+    return _instance_from_body({k: v for k, v in obj.items() if k != "schema"}, where)
 
 
 def save_instance(bundle: InstanceBundle, path: str) -> None:
@@ -345,49 +344,38 @@ def save_instance(bundle: InstanceBundle, path: str) -> None:
 
 
 def load_instance(path: str) -> InstanceBundle:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return instance_from_text(fh.read(), where=str(path))
 
 
 def am_to_text(bundle: AMBundle) -> str:
-    obj: dict = {"schema": AM_SCHEMA, "branches": []}
+    branches = [_instance_body(InstanceBundle(protocol=b.protocol, error=b))
+                for b in bundle.am.branches]
+    obj: dict = {"schema": AM_SCHEMA, "branches": branches}
     if bundle.function is not None:
         obj["function"] = _function_to_obj(bundle.function)
     if bundle.relation is not None:
         obj["relation"] = _relation_to_obj(bundle.relation)
-    for branch in bundle.am.branches:
-        body = _instance_body(
-            InstanceBundle(protocol=branch.protocol, error=branch)
-        )
-        obj["branches"].append(body)
     return canonical_json(obj) + "\n"
 
 
-def am_from_text(text: str, where: str = "am") -> AMBundle:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
-    if not isinstance(obj, dict) or obj.get("schema") != AM_SCHEMA:
-        raise SchemaError(f"{where}: expected schema tag {AM_SCHEMA!r}")
-    _require_keys(obj, {"schema", "branches"}, {"function", "relation"}, where)
-    if not obj["branches"]:
-        raise SchemaError(f"{where}: AM file needs at least one branch")
+def am_from_text(text: str | bytes, where: str = "am") -> AMBundle:
+    obj = _parse(text, AM_SCHEMA, where)
+    _fields(obj, {"schema", "branches"}, {"function", "relation"}, where)
     branches = []
-    shape = None
-    for k, body in enumerate(obj["branches"]):
+    for k, body in enumerate(_list(obj["branches"], f"{where}.branches")):
         inner = _instance_from_body(body, f"{where}.branches[{k}]")
         if inner.error is None:
             raise SchemaError(f"{where}.branches[{k}]: branch needs g_a and g_b tables")
-        if shape is None:
-            shape = inner.shape
         branches.append(inner.error)
-    function = relation = None
-    if "function" in obj:
-        function = _function_from_obj(obj["function"], shape, f"{where}.function")
-    if "relation" in obj:
-        relation = _relation_from_obj(obj["relation"], shape, f"{where}.relation")
-    return AMBundle(am=AMProtocol(tuple(branches)), function=function, relation=relation)
+    if not branches:
+        raise SchemaError(f"{where}: AM file needs at least one branch")
+    shape = branches[0].shape
+    return AMBundle(
+        am=AMProtocol(tuple(branches)),
+        function=_optional(obj, "function", _function_from_obj, shape, where),
+        relation=_optional(obj, "relation", _relation_from_obj, shape, where),
+    )
 
 
 def save_am(bundle: AMBundle, path: str) -> None:
@@ -396,5 +384,5 @@ def save_am(bundle: AMBundle, path: str) -> None:
 
 
 def load_am(path: str) -> AMBundle:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return am_from_text(fh.read(), where=str(path))

@@ -270,7 +270,6 @@ def check_profile(
 
     row = ReportRow(
         instance_id=profile.fingerprint[:12],
-        status="ok",
         sizes="x".join(str(s) for s in profile.sizes),
         rho_global=profile.rho_global,
         # every cell lies in its selected box and a box's thickness is the

@@ -207,6 +207,15 @@ def test_bad_integer_exits_two(bad, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["gen", "cover", "bounds"])
+def test_random_function_past_int64_colors_exits_two(command, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "inst.json")] if command == "gen" else []
+    argv = [command, *out, "--fn", "random", "--sizes", "4x4", "--colors", str(10**20)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: need 1 <= colors <=") and err.count("\n") == 1
+
+
 def test_verify_empty_seed_list(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "main", "--seeds", "")
     assert code == 0

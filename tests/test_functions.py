@@ -103,6 +103,24 @@ def test_random_function_deterministic_and_contiguous():
     assert not np.array_equal(f1.colors, f3.colors)
 
 
+@pytest.mark.parametrize("num_colors, seed", [(0, 0), (2**63, 0), (10**20, 0), (2, -1)])
+def test_random_function_refuses_out_of_range_inputs(num_colors, seed):
+    with pytest.raises(InvalidInputError):
+        random_function(DomainShape((4, 4)), num_colors, seed)
+
+
+def test_random_function_with_more_colors_than_cells():
+    # past the cell count the ids come from a sort, not a presence table
+    # num_colors long; they are the same ranks
+    from commlab.functions import dense_ids
+
+    shape = DomainShape((4, 4))
+    raw = np.random.default_rng(3).integers(0, 17, size=shape.sizes)
+    assert random_function(shape, 17, 3).colors.tolist() == dense_ids(raw, 17).tolist()
+    f = random_function(shape, 2**63 - 1, 3)
+    assert np.array_equal(np.unique(f.colors), np.arange(f.num_colors))
+
+
 def test_colored_function_rejects_gaps():
     # ids past the cell count cannot be contiguous, and are rejected before
     # any table of that length is built

@@ -1,5 +1,7 @@
 """Instance-file schema: round trips, determinism, strict validation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,92 @@ def test_canonical_json_shape():
     text = canonical_json({"b": [1, 2], "a": 0.25, "c": {"x": None, "y": True}})
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     assert "0.25" in text and "null" in text and "true" in text
+
+
+# ---------------------------------------------------------------------------
+# Malformed files: each exits 2 with one "error:" line, never a traceback
+
+_BASE = {
+    "schema": "commlab-instance-v1",
+    "arity": 2,
+    "sizes": [2, 2],
+    "rectangles": [[[0], [0]], [[0], [1]], [[1], [0]], [[1], [1]]],
+    "selector": {"kind": "min-index"},
+}
+_XOR = {"kind": "xor", "n": 1}
+_G_B = [[0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def _file(**fields) -> bytes:
+    return json.dumps({**_BASE, **fields}).encode()
+
+
+def _am_file(**fields) -> bytes:
+    return json.dumps({"schema": "commlab-am-v1", "function": _XOR, **fields}).encode()
+
+
+_MALFORMED = {
+    "int-5000-digits": _file().replace(b'"arity": 2', b'"arity": ' + b"9" * 5000),
+    "nested-100000-deep": _file().replace(
+        b'"sizes": [2, 2]', b'"sizes": ' + b"[" * 100_000 + b"]" * 100_000
+    ),
+    "not-utf8": _file().replace(b"min-index", b"min-ind\xe9x"),
+    "sizes-scalar": _file(sizes=2),
+    "rectangles-scalar": _file(rectangles=1),
+    "factor-scalar": _file(rectangles=[[[0, 1], 1]]),
+    "colors-scalar": _file(function={"kind": "explicit", "colors": 0}),
+    "admissible-scalar": _file(relation={"kind": "explicit", "num_colors": 2, "admissible": 1}),
+    "p-scalar": _file(distribution={"kind": "explicit", "p": 1}),
+    "am-branches-scalar": _am_file(branches=1),
+    "delta-string": _file(relation={"kind": "approx-xor", "n": 1, "delta": "x"}),
+    "g_a-ragged": _file(function=_XOR, g_a=[[0, 0, 0, 0], [0]], g_b=_G_B),
+    "color-2**70": _file(function={"kind": "explicit", "colors": [2**70, 0, 0, 0]}),
+    "g_a-entry-2**70": _file(function=_XOR, g_a=[[2**70, 0, 0, 0], [0, 0, 0, 0]], g_b=_G_B),
+    "selector-entry-2**70": _file(selector={"kind": "explicit", "table": [2**70, 1, 2, 3]}),
+    "random-seed-negative": _file(function={"kind": "random", "num_colors": 2, "seed": -1}),
+    "random-colors-10**30": _file(function={"kind": "random", "num_colors": 10**30, "seed": 0}),
+    # these two loaded before: a bool or a string is not a number
+    "p-bool-and-string": _file(distribution={"kind": "explicit", "p": [True, "0", 0, 0]}),
+    "delta-bool": _file(relation={"kind": "approx-xor", "n": 1, "delta": True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_file_exits_two(name, tmp_path, capsys):
+    from commlab.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_bytes(_MALFORMED[name])
+    command = ["am"] if name.startswith("am-") else ["verify", "main"]
+    assert main([*command, "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_selector_seed_range_ends_round_trip(seed, tmp_path, capsys):
+    from commlab import selector_labels
+    from commlab.cli import main
+
+    path = str(tmp_path / "seeded.json")
+    argv = ["gen", "--out", path, "--cover", "random-bounded", "--sizes", "4x4",
+            "--selector", "seeded-random", "--selector-seed", str(seed)]
+    assert main(argv) == 0
+    loaded = load_instance(path)
+    assert loaded.protocol.selector == TranscriptSelector.seeded(seed)
+    made = Protocol(loaded.protocol.cover, TranscriptSelector.seeded(seed))
+    assert selector_labels(loaded.protocol).tolist() == selector_labels(made).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_selector_seed_outside_the_range_is_refused(seed, tmp_path):
+    from commlab.cli import main
+
+    path = str(tmp_path / "seeded.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--out", path, "--cover", "windmill",
+              "--selector", "seeded-random", "--selector-seed", str(seed)])
+    assert exc.value.code == 2
+    obj = dict(_BASE, selector={"kind": "seeded-random", "seed": seed})
+    with pytest.raises(SchemaError, match="seed"):
+        instance_from_text(json.dumps(obj))
