@@ -392,18 +392,22 @@ def cover_number(
     `timeout_s` is one budget for the whole call, checked at every step of
     enumeration (when `catalog` is None), setup and search; a budget <= 0
     times out at the first check. On timeout it raises SolverTimeoutError
-    carrying (lower, upper). During enumeration or setup that is (color
-    count, row-strip cover size); during the search, the solved colors'
-    minima plus, for the rest, their root lower bounds and their best
-    covers, with the upper bound capped at the row-strip cover size."""
+    carrying (lower, upper). During enumeration or setup, or on a catalog
+    that reached its cap, that is (color count, row-strip cover size);
+    during the search, the solved colors' minima plus, for the rest, their
+    root lower bounds and their best covers, with the upper bound capped at
+    the row-strip cover size."""
     _require_bounds_domain(f)
     if mode not in ("exact", "greedy"):
         raise InvalidInputError(f"unknown cover mode {mode!r}")
     deadline = time.monotonic() + timeout_s
     if catalog is None:
         catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
-    if catalog.partial:
-        raise InvalidInputError("catalog is partial; raise the cap first")
+    if catalog.partial:  # a spent cap ends the call as a spent budget does
+        raise SolverTimeoutError(
+            "maximal-box enumeration reached its cap",
+            lower=f.num_colors, upper=_row_strip_cover_size(f),
+        )
     if not catalog.num_boxes:
         raise InvalidInputError("empty catalog")
     setups = _color_setups(f, catalog, deadline)
@@ -621,7 +625,7 @@ class BoundSummary:
     fooling: dict[int, int] = field(default_factory=dict)
     rank_gf2: dict[int, int] = field(default_factory=dict)
     rank_rational: dict[int, int] = field(default_factory=dict)
-    status: dict[str, str] = field(default_factory=dict)
+    status: dict[str, str] = field(default_factory=dict)  # "internal": a failed consistency check
 
     @property
     def fooling_best(self) -> int:
@@ -698,7 +702,6 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     summary.cover_greedy, summary.cover_exact, summary.cover_witness, summary.cover_bounds = (
         solve_cover(f, deadline, summary.fooling_sum)
     )
-    summary.status["cover_exact"] = "timeout" if summary.cover_bounds else "ok"
     problems = []
     exact, greedy, witness = summary.cover_exact, summary.cover_greedy, summary.cover_witness
     if greedy is not None and summary.color_count > greedy:

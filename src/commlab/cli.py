@@ -14,7 +14,7 @@ import sys
 import time
 
 from .core import MAX_BITS, SELECTOR_SEED_MAX, DomainShape, Protocol, TranscriptSelector
-from .errors import CommlabError, InvalidInputError, SolverTimeoutError
+from .errors import CommlabError, InvalidInputError
 from .functions import (
     approx_xor_relation,
     gen_cover,
@@ -62,6 +62,9 @@ def _int_in(low: int, high: int | None = None):
 
 _positive_int = _int_in(1)
 _bits = _int_in(1, MAX_BITS)
+# am --fn: the trivial Merlin protocol's output tables hold 2**n x 4**n
+# int64 entries each, 134 MB apiece at n = 8 and 8.6 GB at n = 10
+AM_MAX_BITS = 8
 
 
 def parse_rho_max(text: str) -> tuple[int, ...]:
@@ -84,7 +87,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    report = argparse.ArgumentParser(add_help=False)  # where a command writes its rows
+    report.add_argument("--out")
+    report.add_argument("--format", choices=["csv", "json"], default="csv")
+    target = argparse.ArgumentParser(add_help=False)  # the function cover and bounds take
+    target.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
+    target.add_argument("--n", type=_bits, default=1)
+    target.add_argument("--sizes", type=parse_sizes)
+    target.add_argument("--colors", type=int, default=2)
+    target.add_argument("--seed", type=_int_in(0), default=0)
+    target.add_argument("--instance")
+    target.add_argument("--timeout-s", type=_finite_float, default=60.0)
+
     gen = sub.add_parser("gen", help="generate an instance file")
+    gen.set_defaults(run=_cmd_gen)
     gen.add_argument("--out", required=True)
     gen.add_argument("--preset", choices=["parity-tightness"])
     gen.add_argument("--fn", choices=["xor", "eq", "matvec", "constant", "random"])
@@ -105,10 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dist", choices=["uniform", "random"])
     gen.add_argument("--seed", type=_int_in(0), default=0)
 
-    verify = sub.add_parser("verify", help="run an inequality suite")
+    verify = sub.add_parser("verify", parents=[report], help="run an inequality suite")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("suite", choices=["main", "tree", "multiparty"])
-    verify.add_argument("--gen", choices=["random-bounded", "random-tree"],
-                        default="random-bounded")
     verify.add_argument("--seeds", type=parse_seeds, default=())
     verify.add_argument("--instance")
     verify.add_argument("--arity", type=_int_in(2), default=None)
@@ -121,42 +136,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "expected, the expected log2 thickness of the selected box",
     )
     verify.add_argument("--tol", type=_finite_float, default=1e-9)
-    verify.add_argument("--out")
-    verify.add_argument("--format", choices=["csv", "json"], default="csv")
     verify.add_argument("--plot")
 
-    cover = sub.add_parser("cover", help="monochromatic cover number")
+    cover = sub.add_parser("cover", parents=[target, report], help="monochromatic cover number")
+    cover.set_defaults(run=_cmd_cover)
     mode = cover.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--greedy", dest="exact", action="store_false")
-    cover.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
-    cover.add_argument("--n", type=_bits, default=1)
-    cover.add_argument("--sizes", type=parse_sizes)
-    cover.add_argument("--colors", type=int, default=2)
-    cover.add_argument("--seed", type=_int_in(0), default=0)
-    cover.add_argument("--instance")
-    cover.add_argument("--timeout-s", type=_finite_float, default=60.0)
-    cover.add_argument("--out")
-    cover.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    bounds = sub.add_parser("bounds", help="full bound summary")
-    bounds.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
-    bounds.add_argument("--n", type=_bits, default=1)
-    bounds.add_argument("--sizes", type=parse_sizes)
-    bounds.add_argument("--colors", type=int, default=2)
-    bounds.add_argument("--seed", type=_int_in(0), default=0)
-    bounds.add_argument("--instance")
-    bounds.add_argument("--timeout-s", type=_finite_float, default=60.0)
-    bounds.add_argument("--out")
-    bounds.add_argument("--format", choices=["csv", "json"], default="csv")
+    bounds = sub.add_parser("bounds", parents=[target, report], help="full bound summary")
+    bounds.set_defaults(run=_cmd_bounds)
 
-    am = sub.add_parser("am", help="analyze an AM protocol")
+    am = sub.add_parser("am", parents=[report], help="analyze an AM protocol")
+    am.set_defaults(run=_cmd_am)
     am.add_argument("--instance")
     am.add_argument("--fn", choices=["xor", "eq"])
-    am.add_argument("--n", type=_bits, default=2)
+    am.add_argument("--n", type=_int_in(1, AM_MAX_BITS), default=2)
     am.add_argument("--correctness", choices=["per-input", "uniform"], default="uniform")
-    am.add_argument("--out")
-    am.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
@@ -253,7 +249,6 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig(
         suite=args.suite,
         seeds=args.seeds,
-        generator=args.gen,
         arity=arity,
         max_bits=args.max_bits,
         rho_max=args.rho_max,
@@ -286,6 +281,12 @@ def _cover_target(args):
     return _cli_function(args)
 
 
+def _fn_row(f, **fields) -> ReportRow:
+    """The report row of a cover or bounds run on f, before its results."""
+    sizes = "x".join(str(s) for s in f.shape.sizes)
+    return ReportRow(instance_id=f"fn-{sizes}", sizes=sizes, color_count=f.num_colors, **fields)
+
+
 def _cmd_cover(args) -> int:
     """Greedy (or with --exact, minimum) cover; --timeout-s bounds the
     fooling sets behind a timeout's lower bound, catalog enumeration and the
@@ -296,11 +297,7 @@ def _cmd_cover(args) -> int:
     start = time.monotonic()
     deadline = start + args.timeout_s
     fooling_sum = sum(fooling_sizes(f).values())
-    row = ReportRow(
-        instance_id="fn-" + "x".join(str(s) for s in f.shape.sizes),
-        sizes="x".join(str(s) for s in f.shape.sizes),
-        color_count=f.num_colors,
-    )
+    row = _fn_row(f)
     row.cover_greedy, row.cover_exact, _, bounds = solve_cover(f, deadline, fooling_sum, args.exact)
     if bounds is not None:
         row.status = f"timeout:lower={bounds[0]},upper={bounds[1]}"
@@ -320,11 +317,9 @@ def _cmd_bounds(args) -> int:
     f = _cover_target(args)
     start = time.monotonic()
     summary = bound_summary(f, timeout_s=args.timeout_s)
-    row = ReportRow(
-        instance_id="fn-" + "x".join(str(s) for s in f.shape.sizes),
+    row = _fn_row(
+        f,
         status="timeout" if summary.cover_bounds else "ok",
-        sizes="x".join(str(s) for s in f.shape.sizes),
-        color_count=summary.color_count,
         cover_exact=summary.cover_exact,
         cover_greedy=summary.cover_greedy,
         fooling_best=summary.fooling_best,
@@ -379,24 +374,10 @@ def _cmd_am(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "verify": _cmd_verify,
-        "cover": _cmd_cover,
-        "bounds": _cmd_bounds,
-        "am": _cmd_am,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except SolverTimeoutError as exc:
-        print(f"timeout: {exc} bounds=[{exc.lower}, {exc.upper}]", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except CommlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+        return args.run(args)
+    except (CommlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -177,13 +177,6 @@ class Box:
     def contains(self, cell) -> bool:
         return all((m >> int(c)) & 1 for m, c in zip(self.masks, cell))
 
-    @property
-    def num_cells(self) -> int:
-        n = 1
-        for m in self.masks:
-            n *= m.bit_count()
-        return n
-
     def validate(self, shape: DomainShape) -> None:
         if len(self.masks) != shape.arity:
             raise InvalidInputError("box arity does not match shape")

@@ -30,6 +30,8 @@ from .core import (
 )
 from .errors import GenerationFailureError, InvalidInputError
 
+MAX_RELATION_COLORS = 1 << MAX_BITS  # approx_xor_relation's colors at the widest n
+
 # ---------------------------------------------------------------------------
 # Targets
 
@@ -80,6 +82,8 @@ class Relation:
     num_colors: int
 
     def __post_init__(self):
+        if not 1 <= self.num_colors <= MAX_RELATION_COLORS:  # before masks that wide are built
+            raise InvalidInputError(f"a relation has 1..{MAX_RELATION_COLORS} colors")
         masks = tuple(int(m) for m in self.admissible)
         if len(masks) != self.shape.num_cells:
             raise InvalidInputError("admissible table length does not match domain")

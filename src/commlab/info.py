@@ -114,14 +114,6 @@ class JointDistribution:
         return cls(shape, np.full(n, 1.0 / n))
 
     @classmethod
-    def from_cells(cls, shape: DomainShape, weights: dict) -> "JointDistribution":
-        """Build from a {cell: probability} mapping; unmentioned cells get 0."""
-        p = np.zeros(shape.num_cells)
-        for cell, w in weights.items():
-            p[shape.linear_index(cell)] = w
-        return cls(shape, p)
-
-    @classmethod
     def random_integer_weights(
         cls,
         shape: DomainShape,
@@ -175,16 +167,6 @@ class VariableSpec:
             radices[name] = int(arr.max()) + 1
         object.__setattr__(self, "labels", clean)
         object.__setattr__(self, "radices", radices)
-
-    @classmethod
-    def coordinates(cls, shape: DomainShape) -> "VariableSpec":
-        coords = shape.coordinate_labels()
-        return cls(shape, {f"X{i}": c for i, c in enumerate(coords)})
-
-    def with_variable(self, name: str, labels) -> "VariableSpec":
-        merged = dict(self.labels)
-        merged[name] = np.asarray(labels)
-        return VariableSpec(self.shape, merged)
 
 
 def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -260,12 +242,6 @@ class InfoEngine:
         if key not in self._joint_cache:
             self.entropies([key])
         return self._joint_cache[key]
-
-    def cond_entropy(self, names, given=()) -> float:
-        return _cond_entropy(self.entropy, _as_names(names), _as_names(given))
-
-    def mutual_information(self, a, b, given=()) -> float:
-        return _mutual_information(self.entropy, _as_names(a), _as_names(b), _as_names(given))
 
 
 def _as_names(value) -> tuple[str, ...]:
@@ -390,13 +366,13 @@ def _row_conditional_entropy(dist: JointDistribution) -> float:
 
 def _profile_groups(arity: int, with_f: bool) -> list[tuple[str, ...]]:
     """The groups whose joint entropies build_profile reads: T; all, X0 and X1,
-    each and all but each coordinate, with and without T; and with F, F alone,
-    with all coordinates, and with each coordinate, with and without T."""
+    each and all but each coordinate, with and without T; and with F, each
+    coordinate with F, with and without T."""
     xs = tuple(f"X{i}" for i in range(arity))
     bases = [xs, ("X0", "X1")] + [(x,) for x in xs] + [xs[:i] + xs[i + 1 :] for i in range(arity)]
     groups = [("T",)] + bases + [g + ("T",) for g in bases]
     if with_f:
-        groups += [("F",), xs + ("F",)] + [(x, "F") for x in xs] + [(x, "T", "F") for x in xs]
+        groups += [(x, "F") for x in xs] + [(x, "T", "F") for x in xs]
     return groups
 
 
@@ -437,39 +413,31 @@ def build_profile(
             raise InvalidInputError("explicit f table has wrong length")
         mode = "explicit"
     elif target is not None:
-        if f_mode == "function":
-            if not isinstance(target, ColoredFunction):
-                raise InvalidInputError("function mode needs a ColoredFunction target")
-            if target.shape.sizes != shape.sizes:
-                raise InvalidInputError("target shape does not match protocol domain")
-            f_labels = target.flat()
-            mode = "function"
-        elif f_mode == "box-color":
-            if not isinstance(target, (ColoredFunction, Relation)):
-                raise InvalidInputError("box-color mode needs a function or relation target")
-            if target.shape.sizes != shape.sizes:
-                raise InvalidInputError("target shape does not match protocol domain")
-            selected = sorted(set(int(i) for i in np.unique(t_labels)))
-            box_colors = {}
-            colorless = []
-            for i in selected:
-                color = monochromatic_color(protocol.cover.boxes[i], target)
-                if color is None:
-                    colorless.append(i)
-                else:
-                    box_colors[i] = color
-            sentinel = (
-                max(box_colors.values()) + 1 if box_colors else 0
-            )
-            f_labels = np.array(
-                [box_colors.get(int(t), sentinel) for t in t_labels], dtype=np.int64
-            )
-            if colorless:
-                keep = ~np.isin(t_labels, colorless)
-                dist, excluded_mass = dist.condition_on(keep)
-            mode = "box-color"
-        else:
+        kinds = {"function": (ColoredFunction,), "box-color": (ColoredFunction, Relation)}
+        if f_mode not in kinds:
             raise InvalidInputError(f"unknown f mode {f_mode!r}")
+        if not isinstance(target, kinds[f_mode]):
+            needs = " or ".join(k.__name__ for k in kinds[f_mode])
+            raise InvalidInputError(f"{f_mode} mode needs a {needs} target")
+        if target.shape.sizes != shape.sizes:
+            raise InvalidInputError("target shape does not match protocol domain")
+        mode = f_mode
+        if f_mode == "function":
+            f_labels = target.flat()
+        else:
+            # each selected box's color; one label past them all marks the
+            # colorless boxes, whose cells are conditioned away
+            boxes = protocol.cover.boxes
+            selected = np.unique(t_labels)
+            colors = [monochromatic_color(boxes[i], target) for i in selected.tolist()]
+            colored = [c is not None for c in colors]
+            known = [c for c in colors if c is not None]
+            sentinel = max(known, default=-1) + 1
+            color_of = np.full(len(boxes), sentinel, dtype=np.int64)
+            color_of[selected[colored]] = known
+            f_labels = color_of[t_labels]
+            if not all(colored):
+                dist, excluded_mass = dist.condition_on(f_labels != sentinel)
 
     labels = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
     labels["T"] = t_labels
@@ -508,11 +476,9 @@ def build_profile(
     q["IC"] = _information_cost(h, arity)
 
     if f_labels is not None:
-        q["H(F)"] = h(("F",))
         for x in xs:
             q[f"H(F|{x})"] = _cond_entropy(h, ("F",), (x,))
             q[f"H(T|{x},F)"] = _cond_entropy(h, ("T",), (x, "F"))
-        q["H(F|X0,X1)"] = _cond_entropy(h, ("F",), xs)
 
     return InfoProfile(
         arity=arity,

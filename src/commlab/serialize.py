@@ -19,6 +19,7 @@ from .core import (SELECTOR_SEED_MAX, Box, Cover, DomainShape, Protocol, Transcr
                    validate_cover)
 from .errors import SchemaError
 from .functions import (
+    MAX_RELATION_COLORS,
     AMProtocol,
     ColoredFunction,
     ErrorProtocol,
@@ -233,7 +234,7 @@ def _relation_from_obj(obj, shape: DomainShape, where: str) -> Relation:
     return relation_from_table(
         shape,
         [_ints(ids, f"{where}.admissible") for ids in lists],
-        _int(obj["num_colors"], f"{where}.num_colors"),
+        _int(obj["num_colors"], f"{where}.num_colors", 1, MAX_RELATION_COLORS),
     )
 
 

@@ -183,7 +183,6 @@ MAX_COLORS = 8  # each suite instance colors its boxes from 0..MAX_COLORS-1
 class SuiteConfig:
     suite: str = "main"  # main | tree | multiparty
     seeds: tuple[int, ...] = ()
-    generator: str = "random-bounded"  # random-bounded | random-tree
     arity: int = 2
     max_bits: int = 4
     rho_max: tuple[int, ...] = (2, 4, 8)
@@ -211,7 +210,7 @@ def _random_instance(config: SuiteConfig, seed: int):
     rng = np.random.default_rng(seed)
     bits = rng.integers(1, config.max_bits + 1, size=config.arity)
     shape = DomainShape(tuple(1 << int(b) for b in bits))
-    if config.suite == "tree" or config.generator == "random-tree":
+    if config.suite == "tree":
         cover = random_tree_cover(shape, rng=rng)
     else:
         rho_max = int(config.rho_max[int(rng.integers(len(config.rho_max)))])

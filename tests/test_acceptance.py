@@ -108,7 +108,7 @@ def test_criterion_02_xor_singleton_structure():
             for color in range(size):
                 boxes = catalog.boxes_by_color[color]
                 assert len(boxes) == size
-                assert all(b.num_cells == 1 for b in boxes)
+                assert all([m.bit_count() for m in b.masks] == [1, 1] for b in boxes)
         assert time.monotonic() - start < 60.0
 
 
@@ -214,7 +214,8 @@ def test_criterion_10_oracle_equivalence():
                 sizes = (1 << a, 1 << b)
             shape = DomainShape(sizes)
             dist = JointDistribution.random_integer_weights(shape, rng=rng)
-            engine = InfoEngine(dist, VariableSpec.coordinates(shape))
+            coords = dict(zip(("X0", "X1"), shape.coordinate_labels()))
+            engine = InfoEngine(dist, VariableSpec(shape, coords))
             naive = -float(np.sum([p * math.log2(p) for p in dist.p if p > 0.0]))
             assert abs(engine.entropy(("X0", "X1")) - naive) <= TOL
 

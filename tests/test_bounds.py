@@ -58,7 +58,7 @@ def test_catalog_xor1_singletons():
     for color, boxes in catalog.boxes_by_color.items():
         assert len(boxes) == 2
         for b in boxes:
-            assert b.num_cells == 1
+            assert [m.bit_count() for m in b.masks] == [1, 1]
 
 
 def test_catalog_eq2_color1_diagonal_singletons():
@@ -66,7 +66,7 @@ def test_catalog_eq2_color1_diagonal_singletons():
     catalog = enumerate_maximal_monochromatic(f)
     ones = catalog.boxes_by_color[1]
     assert len(ones) == 4
-    assert all(b.num_cells == 1 for b in ones)
+    assert all([m.bit_count() for m in b.masks] == [1, 1] for b in ones)
     # color 0: maximal boxes are S x complement(S), 2^4 - 2 of them
     zeros = catalog.boxes_by_color[0]
     assert len(zeros) == 14
@@ -109,6 +109,16 @@ def test_catalog_cap_flags_partial():
     f = eq_function(2)
     catalog = enumerate_maximal_monochromatic(f, cap=3)
     assert catalog.partial
+
+
+def test_partial_catalog_ends_like_a_timeout():
+    # a catalog cut at its cap certifies no cover: the call ends as a spent
+    # budget ends it, with (color count, row-strip cover size)
+    f = eq_function(2)
+    for mode in ("exact", "greedy"):
+        with pytest.raises(SolverTimeoutError) as err:
+            cover_number(f, mode, catalog=enumerate_maximal_monochromatic(f, cap=3))
+        assert (err.value.lower, err.value.upper) == (2, 8)
 
 
 def test_cover_number_constant():
@@ -259,7 +269,7 @@ def test_bound_summary_eq4_honours_budget():
     start = time.monotonic()
     summary = bound_summary(eq_function(4), timeout_s=1.0)
     assert time.monotonic() - start < 2.5
-    assert summary.status["cover_exact"] == "timeout"
+    assert summary.cover_bounds is not None
     lower, upper = summary.cover_bounds
     assert summary.fooling_sum <= lower <= 22 <= upper
     assert "internal" not in summary.status
@@ -267,7 +277,7 @@ def test_bound_summary_eq4_honours_budget():
     start = time.monotonic()
     summary = bound_summary(eq_function(4), timeout_s=3.0)
     assert time.monotonic() - start < 3.5
-    assert summary.status["cover_exact"] == "timeout"
+    assert summary.cover_bounds is not None
     lower, upper = summary.cover_bounds
     assert 20 <= lower <= 22 <= upper <= 24
     assert "internal" not in summary.status
@@ -308,7 +318,7 @@ def test_timeout_upper_bound_is_at_most_row_strip_cover():
     # the greedy covers sum to 35 here; one strip per (row, color) needs 32
     f = random_function(DomainShape((16, 16)), 2, 1)
     summary = bound_summary(f, timeout_s=0.5)
-    assert summary.status["cover_exact"] == "timeout"
+    assert summary.cover_bounds is not None
     assert summary.cover_bounds[1] <= 32
 
 

@@ -250,6 +250,23 @@ def test_catalog_timeout_reports_bounds(command, capsys):
     assert 18 <= lower <= 22 <= upper
 
 
+@pytest.mark.parametrize("command", ["bounds", "cover"])
+def test_partial_catalog_exits_three_with_bounds(command, capsys, monkeypatch):
+    # a catalog past its cap (10**6 boxes, reached by random 100x100
+    # functions) ends the command as a spent budget does; a cap of 3 boxes
+    # stands in for it here
+    import functools
+
+    from commlab import bounds
+
+    capped = functools.partial(bounds.enumerate_maximal_monochromatic, cap=3)
+    monkeypatch.setattr(bounds, "enumerate_maximal_monochromatic", capped)
+    code, stdout, err = run(capsys, command, "--fn", "eq", "--n", "2")
+    assert code == 3 and err == ""
+    # fooling sets 3 + 4 below, one strip per (row, color) above
+    assert "timeout: bounds=[7, 8]" in stdout.split("\n")
+
+
 def test_cover_and_bounds_agree_on_a_zero_budget(capsys):
     for command in ("cover", "bounds"):
         code, stdout, _ = run(capsys, command, "--fn", "eq", "--n", "4", "--timeout-s", "0")
@@ -356,6 +373,19 @@ def test_am_instance_file(tmp_path, capsys):
     code, stdout, _ = run(capsys, "am", "--instance", path)
     assert code == 0
     assert "cost=2" in stdout
+
+
+def test_am_n_is_capped_in_the_parser():
+    # the trivial Merlin protocol's output tables hold 2**n x 4**n entries
+    # each, 8.6 GB apiece at n = 10; parsing alone builds none of them
+    from commlab.cli import _build_parser
+
+    parser = _build_parser()
+    assert parser.parse_args(["am", "--fn", "xor", "--n", "8"]).n == 8
+    for n in ("9", "10"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["am", "--fn", "eq", "--n", n])
+        assert exc.value.code == 2
 
 
 def test_invalid_input_exit_two(tmp_path, capsys):

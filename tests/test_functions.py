@@ -173,6 +173,18 @@ def test_approx_xor_relation_delta_out_of_range():
         approx_xor_relation(2, 1.5)
 
 
+def test_relation_color_count_is_capped_at_the_widest_approx_xor():
+    from commlab.functions import MAX_RELATION_COLORS
+
+    shape = DomainShape((1, 1))
+    assert approx_xor_relation(2, 0.0).num_colors == 1 << 2
+    assert MAX_RELATION_COLORS == 1 << functions.MAX_BITS  # approx-xor at the widest n
+    assert Relation(shape, (1,), MAX_RELATION_COLORS).num_colors == MAX_RELATION_COLORS
+    for bad in (0, -1, MAX_RELATION_COLORS + 1):
+        with pytest.raises(InvalidInputError, match="colors"):
+            Relation(shape, (1,), bad)
+
+
 def test_trivial_merlin_cover_properties():
     f = xor_function(1)
     cover = gen_cover("trivial-merlin", shape=f.shape)
@@ -180,7 +192,7 @@ def test_trivial_merlin_cover_properties():
     assert validate_cover(cover).is_partition
     assert thickness_table(cover).max() == 1
     for b in cover.boxes:
-        assert b.num_cells == 1
+        assert [m.bit_count() for m in b.masks] == [1, 1]
         assert monochromatic_color(b, f) is not None
 
 

@@ -31,7 +31,7 @@ from commlab import (
     xor_function,
 )
 from commlab.core import box, box_thickness_table, selector_labels, thickness_table
-from commlab.info import InfoEngine, grouped_pairwise_sums
+from commlab.info import InfoEngine, _cond_entropy, _mutual_information, grouped_pairwise_sums
 
 from naive import (
     grouped_pairwise_sums_levels,
@@ -44,7 +44,17 @@ from naive import (
 
 
 def dist_from_dict(shape, cells):
-    return JointDistribution.from_cells(shape, cells)
+    """The distribution with these {cell: probability} entries, 0 elsewhere."""
+    p = np.zeros(shape.num_cells)
+    for cell, w in cells.items():
+        p[shape.linear_index(cell)] = w
+    return JointDistribution(shape, p)
+
+
+def coordinates(shape, **labels):
+    """The coordinates X0, X1, ... of the shape's cells, and the given labels."""
+    coords = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
+    return VariableSpec(shape, {**coords, **labels})
 
 
 def to_dict(dist):
@@ -137,21 +147,21 @@ def test_distribution_validation():
 def test_uniform_entropy_two_bits():
     shape = DomainShape((2, 2))
     dist = JointDistribution.uniform(shape)
-    engine = InfoEngine(dist, VariableSpec.coordinates(shape))
+    engine = InfoEngine(dist, coordinates(shape))
     assert engine.entropy(("X0", "X1")) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_diagonal_mutual_information():
     shape = DomainShape((2, 2))
     dist = dist_from_dict(shape, {(0, 0): 0.5, (1, 1): 0.5})
-    engine = InfoEngine(dist, VariableSpec.coordinates(shape))
-    assert engine.mutual_information("X0", "X1") == pytest.approx(1.0, abs=1e-12)
+    engine = InfoEngine(dist, coordinates(shape))
+    assert _mutual_information(engine.entropy, ("X0",), ("X1",)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_marginal_entropy_three_cell_dist():
     shape = DomainShape((2, 2))
     dist = dist_from_dict(shape, {(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25})
-    engine = InfoEngine(dist, VariableSpec.coordinates(shape))
+    engine = InfoEngine(dist, coordinates(shape))
     # H(X) = h(1/4), computed independently from the definition
     expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
     assert expected == pytest.approx(0.8112781244591328, abs=1e-12)
@@ -169,7 +179,7 @@ def test_binary_entropy_values():
 
 def test_unknown_variable_rejected():
     shape = DomainShape((2, 2))
-    engine = InfoEngine(JointDistribution.uniform(shape), VariableSpec.coordinates(shape))
+    engine = InfoEngine(JointDistribution.uniform(shape), coordinates(shape))
     with pytest.raises(InvalidInputError):
         engine.entropy("X9")
 
@@ -188,7 +198,7 @@ def test_chain_rule_exact(weights):
     shape = DomainShape((4, 4))
     p = np.asarray(weights, dtype=np.float64)
     dist = JointDistribution(shape, p / p.sum())
-    variables = VariableSpec.coordinates(shape)
+    variables = coordinates(shape)
     engine = InfoEngine(dist, variables)
     # H(X1|X0) row by row, the way build_profile's chain-rule check reads it
     table = dist.p.reshape(4, 4)
@@ -208,7 +218,7 @@ def test_chain_rule_exact(weights):
 def test_triple_information_constant_w():
     shape = DomainShape((2, 2))
     dist = JointDistribution.uniform(shape)
-    variables = VariableSpec.coordinates(shape).with_variable("W", [0, 0, 0, 0])
+    variables = coordinates(shape, W=[0, 0, 0, 0])
     t = triple_information(dist, variables, "X0", "X1", "W")
     assert t.value == pytest.approx(0.0, abs=1e-12)
     assert t.formula_gap <= 1e-9
@@ -220,7 +230,7 @@ def test_triple_information_xor_is_minus_one():
     shape = DomainShape((2, 2))
     dist = JointDistribution.uniform(shape)
     xor_labels = [0, 1, 1, 0]
-    variables = VariableSpec.coordinates(shape).with_variable("W", xor_labels)
+    variables = coordinates(shape, W=xor_labels)
     t = triple_information(dist, variables, "X0", "X1", "W")
     d = to_dict(dist)
     expected = naive_mutual_information(d, lambda c: c[0], lambda c: c[1]) - naive_conditional_mi(
@@ -234,7 +244,7 @@ def test_triple_information_xor_is_minus_one():
 def test_triple_information_copy_equals_mi():
     shape = DomainShape((2, 2))
     dist = dist_from_dict(shape, {(0, 0): 0.5, (1, 1): 0.5})
-    variables = VariableSpec.coordinates(shape).with_variable("W", [0, 0, 1, 1])
+    variables = coordinates(shape, W=[0, 0, 1, 1])
     t = triple_information(dist, variables, "X0", "X1", "W")
     assert t.value == pytest.approx(1.0, abs=1e-12)
 
@@ -250,7 +260,7 @@ def test_triple_formula_gap_random(weights, labels):
     shape = DomainShape((2, 4))
     p = np.asarray(weights, dtype=np.float64)
     dist = JointDistribution(shape, p / p.sum())
-    variables = VariableSpec.coordinates(shape).with_variable("W", labels)
+    variables = coordinates(shape, W=labels)
     t = triple_information(dist, variables, "X0", "X1", "W")
     assert t.formula_gap <= 1e-9
 
@@ -356,7 +366,24 @@ def test_profile_parity_selector_brute_force():
     assert profile.rho_global == 2
 
 
-def test_profile_box_color_exclusion():
+def _profile_and_engine(monkeypatch, *args, **kwargs):
+    """build_profile(*args, **kwargs) and the InfoEngine it read its entropies
+    from, to read an entropy the profile does not report, such as H(F)."""
+    engines = []
+    init = InfoEngine.__init__
+
+    def record(self, dist, variables):
+        init(self, dist, variables)
+        engines.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(InfoEngine, "__init__", record)
+        profile = build_profile(*args, **kwargs)
+    assert len(engines) == 1
+    return profile, engines[0]
+
+
+def test_profile_box_color_exclusion(monkeypatch):
     # two boxes: a non-monochromatic full box and a monochromatic row box;
     # cells selecting the colorless box get conditioned away
     from commlab import ColoredFunction
@@ -368,12 +395,12 @@ def test_profile_box_color_exclusion():
     cover = Cover(shape, (full, row0))
     protocol = Protocol(cover, TranscriptSelector.explicit([1, 1, 0, 0]))
     dist = JointDistribution.uniform(shape)
-    profile = build_profile(dist, protocol, target=f, f_mode="box-color")
+    profile, engine = _profile_and_engine(monkeypatch, dist, protocol, target=f, f_mode="box-color")
     assert profile.excluded_mass == pytest.approx(0.5, abs=1e-12)
-    assert profile["H(F)"] == pytest.approx(0.0, abs=1e-12)
+    assert engine.entropy("F") == pytest.approx(0.0, abs=1e-12)
 
 
-def test_profile_box_color_relation():
+def test_profile_box_color_relation(monkeypatch):
     from commlab import approx_xor_relation
 
     rel = approx_xor_relation(1, 1.0)  # every color admissible everywhere
@@ -381,11 +408,11 @@ def test_profile_box_color_relation():
     protocol = Protocol(
         Cover(shape, (box(shape, [0, 1], [0, 1]),)), TranscriptSelector.min_index()
     )
-    profile = build_profile(
-        JointDistribution.uniform(shape), protocol, target=rel, f_mode="box-color"
+    profile, engine = _profile_and_engine(
+        monkeypatch, JointDistribution.uniform(shape), protocol, target=rel, f_mode="box-color"
     )
     assert profile.excluded_mass == 0.0
-    assert profile["H(F)"] == pytest.approx(0.0, abs=1e-12)  # single box, one color
+    assert engine.entropy("F") == pytest.approx(0.0, abs=1e-12)  # single box, one color
 
 
 def test_profiles_match_naive_oracle_on_random_instances():
@@ -430,15 +457,11 @@ def test_triple_info_of_output_variable_identity():
         protocol = Protocol(cover, TranscriptSelector.min_index())
         f = random_function(shape, 3, seed=int(rng.integers(1 << 16)))
         dist = JointDistribution.random_integer_weights(shape, rng=rng)
-        variables = VariableSpec.coordinates(shape).with_variable("F", f.flat())
-        engine = InfoEngine(dist, variables)
-        assert engine.cond_entropy("F", ("X0", "X1")) <= 1e-9
+        variables = coordinates(shape, F=f.flat())
+        h = InfoEngine(dist, variables).entropy
+        assert _cond_entropy(h, ("F",), ("X0", "X1")) <= 1e-9
         triple = triple_information(dist, variables, "X0", "X1", "F")
-        collapsed = (
-            engine.entropy("F")
-            - engine.cond_entropy("F", "X0")
-            - engine.cond_entropy("F", "X1")
-        )
+        collapsed = h("F") - _cond_entropy(h, ("F",), ("X0",)) - _cond_entropy(h, ("F",), ("X1",))
         assert abs(triple.value - collapsed) <= 1e-9
 
 
@@ -449,7 +472,7 @@ def test_entropy_engine_matches_naive_on_large_random_dists():
         n_cols = int(rng.integers(2, 65))
         shape = DomainShape((n_rows, n_cols))
         dist = JointDistribution.random_integer_weights(shape, rng=rng)
-        variables = VariableSpec.coordinates(shape)
+        variables = coordinates(shape)
         engine = InfoEngine(dist, variables)
         naive = -sum(p * math.log2(p) for p in dist.p if p > 0)
         assert engine.entropy(("X0", "X1")) == pytest.approx(naive, abs=1e-9)
@@ -472,10 +495,7 @@ def _five_variables(shape, seed):
     weights[labels["A"] == 0] = 0.0
     weights[labels["A"] != 0] += 1.0
     dist = JointDistribution(shape, weights / weights.sum())
-    variables = VariableSpec.coordinates(shape)
-    for name, arr in labels.items():
-        variables = variables.with_variable(name, arr)
-    return dist, variables
+    return dist, coordinates(shape, **labels)
 
 
 @pytest.mark.parametrize("sizes, batches", [((3, 5), 1), ((64, 64), 2)])
@@ -622,32 +642,29 @@ def _engine_profile_quantities(dist, protocol, f_labels):
     from commlab.info import _information_cost, _row_conditional_entropy, _triple
 
     arity = protocol.shape.arity
-    t_labels = selector_labels(protocol)
-    variables = VariableSpec.coordinates(protocol.shape).with_variable("T", t_labels)
+    labels = {"T": selector_labels(protocol)}
     if f_labels is not None:
-        variables = variables.with_variable("F", f_labels)
-    engine = InfoEngine(dist, variables)
+        labels["F"] = f_labels
+    h = InfoEngine(dist, coordinates(protocol.shape, **labels)).entropy
     xs = tuple(f"X{i}" for i in range(arity))
-    q = {"H(T)": engine.entropy("T")}
+    q = {"H(T)": h("T")}
     for x in xs:
-        q[f"H({x})"] = engine.entropy(x)
-        q[f"H(T|{x})"] = engine.cond_entropy("T", x)
-    q["H(X0,X1)"] = engine.entropy(("X0", "X1"))
+        q[f"H({x})"] = h(x)
+        q[f"H(T|{x})"] = _cond_entropy(h, ("T",), (x,))
+    q["H(X0,X1)"] = h(("X0", "X1"))
     q["H(X1|X0)"] = _row_conditional_entropy(dist)
     q["chain_gap"] = abs(q["H(X0,X1)"] - q["H(X0)"] - q["H(X1|X0)"])
-    triple = _triple(engine.entropy, "X0", "X1", "T")
+    triple = _triple(h, "X0", "X1", "T")
     if arity == 2:
-        q["I(X0:X1)"] = engine.mutual_information("X0", "X1")
-        q["I(X0:X1|T)"] = engine.mutual_information("X0", "X1", given="T")
+        q["I(X0:X1)"] = _mutual_information(h, ("X0",), ("X1",))
+        q["I(X0:X1|T)"] = _mutual_information(h, ("X0",), ("X1",), ("T",))
         q["I(X0:X1:T)"] = triple.value
     q["triple_gap"] = triple.formula_gap
-    q["IC"] = _information_cost(engine.entropy, arity)
+    q["IC"] = _information_cost(h, arity)
     if f_labels is not None:
-        q["H(F)"] = engine.entropy("F")
         for x in xs:
-            q[f"H(F|{x})"] = engine.cond_entropy("F", x)
-            q[f"H(T|{x},F)"] = engine.cond_entropy("T", (x, "F"))
-        q["H(F|X0,X1)"] = engine.cond_entropy("F", xs)
+            q[f"H(F|{x})"] = _cond_entropy(h, ("F",), (x,))
+            q[f"H(T|{x},F)"] = _cond_entropy(h, ("T",), (x, "F"))
     return q
 
 

@@ -293,6 +293,16 @@ _MALFORMED = {
     # these two loaded before: a bool or a string is not a number
     "p-bool-and-string": _file(distribution={"kind": "explicit", "p": [True, "0", 0, 0]}),
     "delta-bool": _file(relation={"kind": "approx-xor", "n": 1, "delta": True}),
+    # a relation's masks are ints num_colors bits wide: these two ended in a
+    # MemoryError and a negative shift count
+    "relation-colors-2**40": _file(
+        sizes=[1, 1],
+        rectangles=[[[0], [0]]],
+        relation={"kind": "explicit", "num_colors": 2**40, "admissible": [[0]]},
+    ),
+    "relation-colors-negative": _file(
+        relation={"kind": "explicit", "num_colors": -1, "admissible": [[], [], [], []]}
+    ),
 }
 
 

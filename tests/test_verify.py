@@ -40,7 +40,10 @@ from commlab.verify import _random_instance, analyze_instance, run_suite_row
 
 
 def diag_dist(shape):
-    return JointDistribution.from_cells(shape, {(0, 0): 0.5, (1, 1): 0.5})
+    """Half the mass on cell (0, 0), half on (1, 1)."""
+    p = np.zeros(shape.num_cells)
+    p[[shape.linear_index((0, 0)), shape.linear_index((1, 1))]] = 0.5
+    return JointDistribution(shape, p)
 
 
 def alice_sends_x():
@@ -457,7 +460,7 @@ def test_analyze_instance_rejects_f_not_a_function_of_t():
     with pytest.raises(InvalidInputError, match="box 0"):
         analyze_instance(InstanceBundle(protocol=protocol, function=f))
     # without mass on the odd cell, F is a function of T where it counts
-    dist = JointDistribution.from_cells(protocol.shape, {(0, 0): 0.5, (1, 0): 0.5})
+    dist = JointDistribution(protocol.shape, [0.5, 0.0, 0.5, 0.0])  # cells (0, 0) and (1, 0)
     row, violations = analyze_instance(
         InstanceBundle(protocol=protocol, function=f, distribution=dist)
     )
