@@ -23,8 +23,8 @@ ENUMERATION_CELL_CAP = 1 << 16
 DEFAULT_CATALOG_CAP = 10**6
 EXACT_FOOLING_CAP = 64
 DUAL_SCALE = 1 << 20  # dual weights are integers in units of 1 / DUAL_SCALE
-DUAL_ROUNDS = 60  # subgradient steps behind one color's dual weights
-DUAL_AFTER_NODES = 32  # search nodes of a color before it computes dual weights
+DUAL_ROUNDS = 60  # subgradient steps, at most, behind one node's dual weights
+DUAL_AFTER_NODES = 32  # search nodes of a color before its nodes compute dual weights
 CATALOG_BLOCK = 64  # boxes built per enumeration deadline check: well under 1 ms
 SETUP_BLOCK_CELLS = 1 << 19  # box-cell pairs per setup deadline check: a few ms on NEQ(16)
 SEARCH_BLOCK = 4096  # branch candidates per search deadline check: a few ms on NEQ(16)
@@ -86,11 +86,12 @@ def enumerate_maximal_monochromatic(
     each with every row that contains it. Each new column set is intersected
     with every row until no new set appears. `deadline` is a
     time.monotonic() value checked at every column set and every
-    CATALOG_BLOCK boxes built (see _budget_check)."""
+    CATALOG_BLOCK boxes built (see _budget_check). Once the boxes found pass
+    `cap`, it returns at once, `partial` and without the boxes of the color
+    it was enumerating: a partial catalog certifies no cover."""
     _require_bounds_domain(f)
     check = _budget_check(f, deadline, "maximal-box enumeration")
     by_color: dict[int, tuple[Box, ...]] = {}
-    partial = False
     total = 0
     n_cols = f.shape.sizes[1]
     low = (1 << n_cols) - 1
@@ -110,8 +111,7 @@ def enumerate_maximal_monochromatic(
                     found[meet] = rows_of(meet)
                     queue.append(meet)
             if len(found) + total > cap:
-                partial = True
-                break
+                return MonochromaticCatalog(shape=f.shape, boxes_by_color=by_color, partial=True)
         # one int per box sorts like its (rows, columns) pair, as columns < 2**n_cols
         keys = [s << n_cols | t for t, s in found.items()]
         check()
@@ -122,9 +122,7 @@ def enumerate_maximal_monochromatic(
             boxes.extend(Box((k >> n_cols, k & low)) for k in keys[start : start + CATALOG_BLOCK])
         by_color[color] = tuple(boxes)
         total += len(found)
-        if partial:
-            break
-    return MonochromaticCatalog(shape=f.shape, boxes_by_color=by_color, partial=partial)
+    return MonochromaticCatalog(shape=f.shape, boxes_by_color=by_color, partial=False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,46 +218,78 @@ def _independent_lower_bound(uncovered: int, cell_boxes: list[int], banned: int 
     return count
 
 
-def _dual_weights(cell_boxes: list[int], n_boxes: int, upper: int, deadline: float) -> list[int]:
-    """Integer weights on the cells of `cell_boxes`, in units of 1 / DUAL_SCALE,
-    whose sum over the cells of any box is at most DUAL_SCALE. They are a
-    feasible dual of the covering LP, so the weight of a set of cells,
-    rounded up to whole units, lower-bounds the boxes that cover it, also
-    after boxes are banned or cells covered.
+def _dual_weights(
+    cell_boxes: list[int],
+    uncovered: int,
+    banned: int,
+    need: int,
+    start: np.ndarray | None,
+    deadline: float,
+) -> tuple[list[int], np.ndarray] | None:
+    """Integer weights on the cells of `uncovered`, in units of 1 / DUAL_SCALE,
+    whose sum over the uncovered cells of any box outside `banned` is at most
+    DUAL_SCALE. They are a feasible dual of the covering LP of that
+    subproblem, so the weight of any set of its cells, rounded up to whole
+    units, lower-bounds the boxes that cover it, also after more boxes are
+    banned.
 
-    Subgradient steps on the Lagrangian of the covering LP, aimed at the
-    incumbent cover size `upper`, move the multipliers; each step's
-    multipliers, divided per cell by the heaviest box through it, are a
-    feasible dual, and the heaviest of those is kept. Past `deadline`, a
-    time.monotonic() value checked between stages and steps, it returns []."""
-    a = unpack_rows(cell_boxes, n_boxes).astype(np.float64)  # cells x boxes incidence
+    Subgradient steps on the Lagrangian of the covering LP over the live
+    boxes, aimed at `need` boxes, move the multipliers, from `start` (per
+    cell of the color, as returned before) or else one over the largest box
+    through each cell. Each step's multipliers, divided per cell by the
+    heaviest box through it, are a feasible dual; the heaviest is kept, and
+    the steps stop once it proves that fewer than `need` boxes cannot cover
+    the cells. Returns (weights per cell of the color, 0 off `uncovered`;
+    the last multipliers, the same way), or None past `deadline`, a
+    time.monotonic() value checked between stages and steps."""
+    not_banned = ~banned
+    cells, rows = [], []
+    live = 0
+    for c in indices_from_mask(uncovered):
+        row = cell_boxes[c] & not_banned
+        if row:  # a cell that no live box holds has no constraint: weight 0
+            cells.append(c)
+            rows.append(row)
+            live |= row
+    a = unpack_rows(rows, live.bit_length())[:, indices_from_mask(live)]
+    a = a.astype(np.float64)  # cells x live boxes incidence
     if time.monotonic() >= deadline:
-        return []
-    lam = 1.0 / (a * a.sum(axis=0)).max(axis=1)  # 1 / largest box through the cell
-    best, best_sum = lam, 0.0
+        return None
+    lam = 1.0 / (a * a.sum(axis=0)).max(axis=1) if start is None else start[cells]
+    target = (need - 1) * DUAL_SCALE
+    best, best_sum = np.zeros(len(cells)), 0.0
     step = 2.0
     for _ in range(DUAL_ROUNDS):
         if time.monotonic() >= deadline:
-            return []
+            return None
         load = lam @ a  # per box: multiplier sum over its cells
-        y = lam / np.maximum((a * load).max(axis=1), 1.0)
-        if y.sum() > best_sum:
-            best, best_sum = y, float(y.sum())
+        # each cell's divisor is at least the load of every box through it,
+        # so every box sums to at most 1; a cell whose boxes all have load 0
+        # has multiplier 0 and keeps it
+        y = np.floor(lam * DUAL_SCALE / np.maximum((a * load).max(axis=1), np.finfo(float).tiny))
+        total = float(y.sum())
+        if total > best_sum:
+            best, best_sum = y, total
+            if best_sum > target:
+                break
         take = load > 1.0  # boxes with negative reduced cost
         lagrangian = lam.sum() + (1.0 - load[take]).sum()
         g = 1.0 - a @ take  # subgradient: 1 - times each cell is covered
         norm = float(g @ g)
         if norm == 0.0:
             break
-        lam = np.maximum(lam + step * (upper - lagrangian) / norm * g, 0.0)
+        lam = np.maximum(lam + step * (need - lagrangian) / norm * g, 0.0)
         step *= 0.95
     if time.monotonic() >= deadline:
-        return []
+        return None
+    weights = [0] * len(cell_boxes)
+    multipliers = np.zeros(len(cell_boxes))
+    multipliers[cells] = lam
     # exact in float64: box sums are integers below 2^20 weight * 2^24 cells
-    weights = np.floor(best * DUAL_SCALE)
-    if (weights @ a).max() > DUAL_SCALE:  # float rounding; not seen
-        return [0] * len(cell_boxes)
-    return weights.astype(np.int64).tolist()
+    if (best @ a).max() <= DUAL_SCALE:  # float rounding could break it; not seen
+        for c, w in zip(cells, best.astype(np.int64).tolist()):
+            weights[c] = w
+    return weights, multipliers
 
 
 def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
@@ -267,23 +297,28 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
     and bound from its greedy cover.
 
     A node prunes on three lower bounds: independent cells, the weight of
-    the uncovered cells under the color's dual weights (computed once the
-    search passes DUAL_AFTER_NODES nodes), and the gain bound. It branches
-    on the uncovered cell with the fewest live candidate boxes, largest
+    the uncovered cells under dual weights of the covering LP, and the gain
+    bound. Once the search passes DUAL_AFTER_NODES nodes, each node that may
+    still recurse computes dual weights over its own uncovered cells and
+    live boxes (_dual_weights); its subtree inherits them, as a subtree
+    only covers more cells and bans more boxes. It branches on the
+    uncovered cell with the fewest live candidate boxes, largest
     restriction to the uncovered cells first. Each branch bans the
     candidates before it from its subtree, as a cover using one of them is
     found in that candidate's branch, and a candidate whose restriction is
     contained in an earlier one's (equal restrictions: the lower index
     stays) is skipped. A branch that one more box must complete is checked
-    in place. The deadline is checked at every node, every SEARCH_BLOCK
-    candidates scored and every candidate tried; past it the search
-    raises SolverTimeoutError with this color's (lower, upper)."""
+    in place. Every bound is valid, so it cuts no subtree holding a cover
+    smaller than the incumbent, and the search meets the same incumbents,
+    in the same order, as one without the dual bound. The deadline is
+    checked at every node, every SEARCH_BLOCK candidates scored and every
+    candidate tried; past it the search raises SolverTimeoutError with this
+    color's (lower, upper)."""
     _, masks, cell_boxes, best, lower, by_size = setup
     universe = (1 << len(cell_boxes)) - 1
     nodes = 0
-    weights: list[int] = []
 
-    def weight(cells: int) -> int:
+    def weight(cells: int, weights: list[int]) -> int:
         total = 0
         while cells:
             low = cells & -cells
@@ -304,20 +339,18 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
         if time.monotonic() >= deadline:
             raise SolverTimeoutError("exact cover search timed out", lower=lower, upper=len(best))
 
-    def search(uncovered: int, chosen: list[int], banned: int, dual: int | None):
-        nonlocal best, nodes, weights
+    def search(uncovered: int, chosen: list[int], banned: int, weights, multipliers, dual: int):
+        """`weights`: the dual weights the node inherits (all 0 before any),
+        `multipliers` their multipliers (None before any), `dual` their sum
+        over `uncovered`."""
+        nonlocal best, nodes
         nodes += 1
         check()
-        if nodes == DUAL_AFTER_NODES:
-            weights = _dual_weights(cell_boxes, len(masks), len(best), deadline)
         need = len(best) - len(chosen)  # boxes left before matching the incumbent
         if _independent_lower_bound(uncovered, cell_boxes, banned) >= need:
             return
-        if weights:
-            if dual is None:
-                dual = weight(uncovered)
-            if dual > (need - 1) * DUAL_SCALE:
-                return
+        if dual > (need - 1) * DUAL_SCALE:
+            return
         # gain bound: ceil(|uncovered| / max gain) >= need unless some live
         # box covers at least |uncovered| / (need - 1) of the uncovered cells
         n_uncovered = uncovered.bit_count()
@@ -326,6 +359,13 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
                 break
         else:
             return
+        if need >= 4 and nodes > DUAL_AFTER_NODES:  # this node may recurse
+            own = _dual_weights(cell_boxes, uncovered, banned, need, multipliers, deadline)
+            if own is not None:
+                weights, multipliers = own
+                dual = sum(weights)
+                if dual > (need - 1) * DUAL_SCALE:
+                    return
         pick = -1
         pick_count = None
         m = uncovered
@@ -368,10 +408,10 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
                     best = chosen + [i, j]
                 continue
             chosen.append(i)
-            search(rest, chosen, banned, None if dual is None else dual - weight(r))
+            search(rest, chosen, banned, weights, multipliers, dual - weight(r, weights))
             chosen.pop()
 
-    search(universe, [], 0, None)
+    search(universe, [], 0, [0] * len(cell_boxes), None, 0)
     return best
 
 
@@ -567,9 +607,11 @@ def gf2_rank(matrix: np.ndarray) -> int:
     return len(basis)
 
 
-def rational_rank(matrix: np.ndarray) -> int:
+def rational_rank(matrix: np.ndarray, deadline: float = math.inf) -> int:
     """Exact rank over the rationals via fraction-free (Bareiss) elimination
-    on Python ints; no floating point anywhere."""
+    on Python ints; no floating point anywhere. `deadline`, a
+    time.monotonic() value, is checked at every pivot column; past it the
+    elimination raises SolverTimeoutError with (rank so far, min(rows, cols))."""
     work = [[int(v) for v in row] for row in matrix]
     n_rows = len(work)
     n_cols = len(work[0]) if n_rows else 0
@@ -577,6 +619,10 @@ def rational_rank(matrix: np.ndarray) -> int:
     pivot_row = 0
     prev_pivot = 1
     for col in range(n_cols):
+        if time.monotonic() >= deadline:
+            raise SolverTimeoutError(
+                "rank elimination ran out of budget", lower=rank, upper=min(n_rows, n_cols)
+            )
         pivot = None
         for r in range(pivot_row, n_rows):
             if work[r][col] != 0:
@@ -599,15 +645,19 @@ def rational_rank(matrix: np.ndarray) -> int:
 
 
 def comm_matrix_rank(
-    f: ColoredFunction, field_name: str = "gf2", color: int | None = None
+    f: ColoredFunction,
+    field_name: str = "gf2",
+    color: int | None = None,
+    deadline: float = math.inf,
 ) -> int:
-    """Rank of the color-indicator matrix (or of a 0/1-valued f itself)."""
+    """Rank of the color-indicator matrix (or of a 0/1-valued f itself). The
+    rational rank honours `deadline` (see rational_rank)."""
     _require_bounds_domain(f)
     matrix = _indicator_matrix(f, color)
     if field_name == "gf2":
         return gf2_rank(matrix)
     if field_name == "rational":
-        return rational_rank(matrix)
+        return rational_rank(matrix, deadline)
     raise InvalidInputError(f"unknown field {field_name!r}")
 
 
@@ -642,8 +692,12 @@ class BoundSummary:
         return max(self.rank_gf2.values()) if self.rank_gf2 else 0
 
     @property
-    def rank_rational_max(self) -> int:
-        return max(self.rank_rational.values()) if self.rank_rational else 0
+    def rank_rational_max(self) -> int | None:
+        """None when the budget cut some color's rank out: the maximum over
+        the other colors bounds nothing."""
+        if len(self.rank_rational) < self.color_count:
+            return None
+        return max(self.rank_rational.values())
 
 
 def fooling_sizes(f: ColoredFunction) -> dict[int, int]:
@@ -684,8 +738,10 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     """Run every bound within one budget and cross-check the internal
     consistency relations; a broken relation flags an internal error.
 
-    Fooling sets and ranks come first; catalog enumeration and the exact
-    search share what is left of the budget (see solve_cover). On timeout
+    Fooling sets and ranks come first. The rational ranks check the budget
+    at every pivot column, and a color whose rank it cuts is left out of
+    `rank_rational`, with every color after it. Catalog enumeration and the
+    exact search share what is left of the budget (see solve_cover). On timeout
     `cover_bounds` is (lower, upper) with the upper bound at most the
     row-strip cover size; a timeout before the greedy covers are built
     leaves `cover_greedy` unset and bounds the cover by the color count and
@@ -697,8 +753,12 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
         color_count=f.num_colors,
         fooling=fooling,
         rank_gf2={c: comm_matrix_rank(f, "gf2", c) for c in range(f.num_colors)},
-        rank_rational={c: comm_matrix_rank(f, "rational", c) for c in range(f.num_colors)},
     )
+    try:
+        for c in range(f.num_colors):
+            summary.rank_rational[c] = comm_matrix_rank(f, "rational", c, deadline)
+    except SolverTimeoutError:
+        pass  # the deadline has passed: every later color would be cut too
     summary.cover_greedy, summary.cover_exact, summary.cover_witness, summary.cover_bounds = (
         solve_cover(f, deadline, summary.fooling_sum)
     )

@@ -207,6 +207,81 @@ def brute_force_cover_number(n_rows: int, n_cols: int, boxes) -> int:
     raise ValueError("rectangles do not cover the grid")
 
 
+def plain_cover_search(masks, cell_boxes, by_size, best, uncovered, banned=0):
+    """The exact cover search of one colour with no LP dual bound, on plain
+    ints: masks[i] is box i's cells, cell_boxes[c] the boxes through cell c,
+    by_size the boxes most cells first. From `best`, a cover of the cells of
+    `uncovered` by boxes outside `banned`, depth first: prune when the
+    independent cells (lowest first, pairwise without a common live box)
+    or the gain bound (no live box covers 1/(need-1) of the cells) show
+    that `need` more boxes cannot beat the incumbent; branch on the first
+    cell with the fewest live boxes, its boxes largest restriction first
+    (ties: lower index), each banning those before it, skipping one whose
+    restriction lies inside a kept one's, and completing in place a branch
+    that one more box must finish. Returns the last cover found: a minimum,
+    or `best` when none is smaller."""
+    best = list(best)
+
+    def bits(m):
+        out = []
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
+
+    def count(m):
+        return bin(m).count("1")
+
+    def search(uncovered, chosen, banned):
+        nonlocal best
+        need = len(best) - len(chosen)
+        taken = independent = 0
+        for c in bits(uncovered):
+            live = cell_boxes[c] & ~banned
+            if not live & taken:
+                taken |= live
+                independent += 1
+        if independent >= need:
+            return
+        n_uncovered = count(uncovered)
+        if not any(
+            not banned >> i & 1 and count(masks[i] & uncovered) * (need - 1) >= n_uncovered
+            for i in by_size
+        ):
+            return
+        pick, pick_count = -1, None
+        for c in bits(uncovered):
+            n = count(cell_boxes[c] & ~banned)
+            if pick_count is None or n < pick_count:
+                pick, pick_count = c, n
+                if n <= 1:
+                    break
+        kept = []
+        for i in sorted(bits(cell_boxes[pick] & ~banned), key=lambda i: -count(masks[i] & uncovered)):
+            r = masks[i] & uncovered
+            banned |= 1 << i
+            if any(r | s == s for s in kept):
+                continue
+            kept.append(r)
+            rest = uncovered & ~r
+            if not rest:
+                best = chosen + [i]
+                return
+            need = len(best) - len(chosen)
+            if need <= 2:
+                continue
+            if need == 3:
+                completing = [j for j in range(len(masks)) if not banned >> j & 1 and rest & masks[j] == rest]
+                if completing:
+                    best = chosen + [i, completing[0]]
+                continue
+            search(rest, chosen + [i], banned)
+
+    search(uncovered, [], banned)
+    return best
+
+
 def bounded_additions_full_budget(sizes, base_counts: dict, rho_max: int, extra: int, budget: int, rng):
     """Rejection sampling of `extra` boxes under a thickness cap, run to the
     end of its budget: draw a random box (per factor, with probability 1/4 a

@@ -27,6 +27,7 @@ from commlab.bounds import (
     MonochromaticCatalog,
     _color_setups,
     _dual_weights,
+    _exact_color_cover,
     fooling_set,
     fooling_sizes,
     gf2_rank,
@@ -40,7 +41,18 @@ from naive import (
     first_maximum_fooling_set,
     greedy_fooling_set,
     is_fooling_set,
+    plain_cover_search,
 )
+
+
+def _ladder():
+    """The functions of the bounds ladder: xor(4), eq(3), random 9x9 2-colour
+    seeds 1-4, 10x10 3-colour seeds 1-2 and 12x12 2-colour seeds 1-6."""
+    yield xor_function(4)
+    yield eq_function(3)
+    for side, k, seeds in ((9, 2, range(1, 5)), (10, 3, range(1, 3)), (12, 2, range(1, 7))):
+        for seed in seeds:
+            yield random_function(DomainShape((side, side)), k, seed)
 
 
 def test_catalog_constant_full_box():
@@ -109,6 +121,24 @@ def test_catalog_cap_flags_partial():
     f = eq_function(2)
     catalog = enumerate_maximal_monochromatic(f, cap=3)
     assert catalog.partial
+
+
+def test_catalog_cap_builds_no_box_of_the_capped_color(monkeypatch):
+    # eq(2): color 0 (NEQ) has 14 boxes, color 1 the 4 diagonal cells, so a
+    # cap of 15 is passed inside color 1, whose boxes are never built
+    import commlab.bounds as bounds
+
+    built = []
+
+    def counting_box(masks):
+        built.append(masks)
+        return Box(masks)
+
+    monkeypatch.setattr(bounds, "Box", counting_box)
+    catalog = enumerate_maximal_monochromatic(eq_function(2), cap=15)
+    assert catalog.partial
+    assert len(built) == 14
+    assert list(catalog.boxes_by_color) == [0]
 
 
 def test_partial_catalog_ends_like_a_timeout():
@@ -227,15 +257,73 @@ def test_dual_weights_are_a_feasible_dual():
         catalog = enumerate_maximal_monochromatic(f)
         _, witness = cover_number(f, catalog=catalog)
         for color, setup in enumerate(_color_setups(f, catalog, math.inf)):
-            n_cells = len(setup.cell_boxes)
-            weights = _dual_weights(setup.cell_boxes, len(setup.masks), len(setup.greedy), math.inf)
-            assert len(weights) == n_cells and min(weights) >= 0
-            for m in setup.masks:
+            masks, cell_boxes = setup.masks, setup.cell_boxes
+            universe = (1 << len(cell_boxes)) - 1
+            weights, multipliers = _dual_weights(
+                cell_boxes, universe, 0, len(setup.greedy), None, math.inf
+            )
+            assert len(weights) == len(cell_boxes) and min(weights) >= 0
+            for m in masks:
                 assert sum(weights[c] for c in indices_from_mask(m)) <= DUAL_SCALE
             bound = -(-sum(weights) // DUAL_SCALE)
             # LP optimum is about 10 on these colours; the start point, one
             # over the largest box through each cell, is about 5
             assert 10 <= bound <= sum(monochromatic_color(b, f) == color for b in witness)
+            # a node: the first two greedy boxes chosen, every third box
+            # banned that leaves each uncovered cell a live box
+            uncovered = universe & ~masks[setup.greedy[0]] & ~masks[setup.greedy[1]]
+            banned = 0
+            for i in range(0, len(masks), 3):
+                if all(cell_boxes[c] & ~(banned | 1 << i) for c in indices_from_mask(masks[i] & uncovered)):
+                    banned |= 1 << i
+            cells = indices_from_mask(uncovered)
+            lowest_live = {(cell_boxes[c] & ~banned & -(cell_boxes[c] & ~banned)).bit_length() - 1 for c in cells}
+            minimum = len(plain_cover_search(masks, cell_boxes, setup.by_size, sorted(lowest_live), uncovered, banned))
+            # aimed at the minimum (it would prune) and past it, cold and warm
+            for need in (minimum, minimum + 1):
+                for start in (None, multipliers):
+                    node, _ = _dual_weights(cell_boxes, uncovered, banned, need, start, math.inf)
+                    assert min(node) >= 0
+                    assert all(node[c] == 0 for c in range(len(cell_boxes)) if not uncovered >> c & 1)
+                    for i, m in enumerate(masks):
+                        if not banned >> i & 1:
+                            assert sum(node[c] for c in indices_from_mask(m & uncovered)) <= DUAL_SCALE
+                    assert minimum - 2 <= -(-sum(node) // DUAL_SCALE) <= minimum
+
+
+def test_exact_search_meets_the_plain_searchs_covers():
+    # every bound of the search is valid, so the dual bound cuts no subtree
+    # holding a cover smaller than the incumbent: the search meets the plain
+    # search's incumbents in the same order and returns the same witness
+    rng = np.random.default_rng(21)
+    sample = [
+        random_function(DomainShape((side, side)), int(rng.integers(2, 4)), int(rng.integers(1 << 16)))
+        for side in rng.integers(6, 11, size=60).tolist()
+    ]
+    searched = 0
+    for f in [*_ladder(), eq_function(2), *sample]:
+        catalog = enumerate_maximal_monochromatic(f)
+        for setup in _color_setups(f, catalog, math.inf):
+            if setup.lower < len(setup.greedy):
+                universe = (1 << len(setup.cell_boxes)) - 1
+                want = plain_cover_search(setup.masks, setup.cell_boxes, setup.by_size, setup.greedy, universe)
+                assert _exact_color_cover(setup, math.inf) == want
+                searched += 1
+    assert searched >= 100
+
+
+def test_eq3_search_takes_at_most_200_nodes(monkeypatch):
+    # perfbench counts search nodes as calls of _independent_lower_bound;
+    # with one dual at the root, the NEQ(8) colour took 2,766 nodes
+    import commlab.bounds as bounds
+
+    calls = []
+    independent = bounds._independent_lower_bound
+    monkeypatch.setattr(
+        bounds, "_independent_lower_bound", lambda *args: calls.append(1) or independent(*args)
+    )
+    assert cover_number(eq_function(3))[0] == 13
+    assert len(calls) <= 200
 
 
 def test_catalog_deadline_bounds_cover():
@@ -315,11 +403,21 @@ def test_cover_setup_honours_deadline():
 
 
 def test_timeout_upper_bound_is_at_most_row_strip_cover():
-    # the greedy covers sum to 35 here; one strip per (row, color) needs 32
+    # the greedy covers sum to 39 here; one strip per (row, color) needs 32.
+    # The search starts after a few ms and solves after about 0.9 s on 2 cores
     f = random_function(DomainShape((16, 16)), 2, 1)
-    summary = bound_summary(f, timeout_s=0.5)
+    summary = bound_summary(f, timeout_s=0.25)
     assert summary.cover_bounds is not None
     assert summary.cover_bounds[1] <= 32
+
+
+def test_random_16x16_is_solved_within_five_seconds():
+    f = random_function(DomainShape((16, 16)), 2, 1)
+    summary = bound_summary(f, timeout_s=5.0)
+    assert summary.cover_exact == len(summary.cover_witness) == 30
+    assert validate_cover(Cover(f.shape, summary.cover_witness)).covers_domain
+    assert all(monochromatic_color(b, f) is not None for b in summary.cover_witness)
+    assert "internal" not in summary.status
 
 
 def test_fooling_eq2_diagonal():
@@ -431,6 +529,31 @@ def test_rank_rejects_nonboolean_without_color():
     f = xor_function(2)  # 4 colors
     with pytest.raises(InvalidInputError):
         comm_matrix_rank(f, "gf2")
+
+
+def test_rational_rank_checks_the_deadline_at_every_pivot_column(monkeypatch):
+    import commlab.bounds as bounds
+
+    ticks = iter(range(1000))  # each clock read is one second later
+    monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    with pytest.raises(SolverTimeoutError) as err:
+        rational_rank(np.eye(6, dtype=np.int64), deadline=3.0)
+    assert (err.value.lower, err.value.upper) == (3, 6)  # columns 0-2 done
+
+
+def test_bound_summary_leaves_out_a_rank_the_budget_cut(monkeypatch):
+    # eq(3): bound_summary reads the clock once, then each color's rational
+    # rank once per pivot column, 8 each; a 12 s budget on a clock that
+    # reads one second later each time cuts color 1 at its 4th column
+    import commlab.bounds as bounds
+
+    ticks = iter(range(1000))
+    monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    summary = bound_summary(eq_function(3), timeout_s=12.0)
+    assert summary.rank_rational == {0: 8}
+    assert summary.rank_rational_max is None  # not 8, the maximum over the rest
+    assert summary.rank_gf2 == {0: 8, 1: 8}
+    assert summary.cover_bounds is not None
 
 
 def test_rank_oracles_match_numpy_on_random_01_matrices():
