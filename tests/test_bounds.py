@@ -276,13 +276,13 @@ def test_dual_weights_are_a_feasible_dual():
             for i in range(0, len(masks), 3):
                 if all(cell_boxes[c] & ~(banned | 1 << i) for c in indices_from_mask(masks[i] & uncovered)):
                     banned |= 1 << i
-            cells = indices_from_mask(uncovered)
-            lowest_live = {(cell_boxes[c] & ~banned & -(cell_boxes[c] & ~banned)).bit_length() - 1 for c in cells}
-            minimum = len(plain_cover_search(masks, cell_boxes, setup.by_size, sorted(lowest_live), uncovered, banned))
+            # the oracle starts from each uncovered cell's lowest live box
+            start = sorted({indices_from_mask(cell_boxes[c] & ~banned)[0] for c in indices_from_mask(uncovered)})
+            minimum = len(plain_cover_search(masks, cell_boxes, setup.by_size, start, uncovered, banned))
             # aimed at the minimum (it would prune) and past it, cold and warm
             for need in (minimum, minimum + 1):
-                for start in (None, multipliers):
-                    node, _ = _dual_weights(cell_boxes, uncovered, banned, need, start, math.inf)
+                for warm in (None, multipliers):
+                    node, _ = _dual_weights(cell_boxes, uncovered, banned, need, warm, math.inf)
                     assert min(node) >= 0
                     assert all(node[c] == 0 for c in range(len(cell_boxes)) if not uncovered >> c & 1)
                     for i, m in enumerate(masks):
