@@ -23,7 +23,7 @@ ENUMERATION_CELL_CAP = 1 << 16
 DEFAULT_CATALOG_CAP = 10**6
 EXACT_FOOLING_CAP = 64
 DUAL_SCALE = 1 << 20  # dual weights are integers in units of 1 / DUAL_SCALE
-DUAL_ROUNDS = 60  # subgradient steps, at most, behind one node's dual weights
+DUAL_ROUNDS = 40  # subgradient steps, at most, behind one node's dual weights
 DUAL_AFTER_NODES = 32  # search nodes of a color before its nodes compute dual weights
 CATALOG_BLOCK = 64  # boxes built per enumeration deadline check: well under 1 ms
 SETUP_BLOCK_CELLS = 1 << 19  # box-cell pairs per setup deadline check: a few ms on NEQ(16)
