@@ -24,7 +24,7 @@ DEFAULT_CATALOG_CAP = 10**6
 EXACT_FOOLING_CAP = 64
 DUAL_SCALE = 1 << 20  # dual weights are integers in units of 1 / DUAL_SCALE
 DUAL_ROUNDS = 40  # subgradient steps, at most, behind one node's dual weights
-DUAL_AFTER_NODES = 32  # search nodes of a color before its nodes compute dual weights
+DUAL_AFTER_NODES = 32  # search nodes of a color before any dual weights, its root's too
 CATALOG_BLOCK = 64  # boxes built per enumeration deadline check: well under 1 ms
 SETUP_BLOCK_CELLS = 1 << 19  # box-cell pairs per setup deadline check: a few ms on NEQ(16)
 SEARCH_BLOCK = 4096  # branch candidates per search deadline check: a few ms on NEQ(16)
@@ -235,8 +235,9 @@ def _dual_weights(
 
     Subgradient steps on the Lagrangian of the covering LP over the live
     boxes, aimed at `need` boxes, move the multipliers, from `start` (per
-    cell of the color, as returned before) or else one over the largest box
-    through each cell. Each step's multipliers, divided per cell by the
+    cell of the color, as returned before: a parent node's or the root's)
+    or else one over the largest box through each cell. Any start gives a
+    feasible dual. Each step's multipliers, divided per cell by the
     heaviest box through it, are a feasible dual; the heaviest is kept, and
     the steps stop once it proves that fewer than `need` boxes cannot cover
     the cells. Returns (weights per cell of the color, 0 off `uncovered`;
@@ -301,9 +302,14 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
     bound. Once the search passes DUAL_AFTER_NODES nodes, each node that may
     still recurse computes dual weights over its own uncovered cells and
     live boxes (_dual_weights); its subtree inherits them, as a subtree
-    only covers more cells and bans more boxes. It branches on the
-    uncovered cell with the fewest live candidate boxes, largest
-    restriction to the uncovered cells first. Each branch bans the
+    only covers more cells and bans more boxes. The steps start from the
+    parent's multipliers or, where no ancestor computed weights, from those
+    of the root dual (every cell, no box banned, aimed at the incumbent),
+    which the first such node computes once for the whole search. Its
+    weight, rounded up, also raises this color's timeout lower bound.
+
+    It branches on the uncovered cell with the fewest live candidate boxes,
+    largest restriction to the uncovered cells first. Each branch bans the
     candidates before it from its subtree, as a cover using one of them is
     found in that candidate's branch, and a candidate whose restriction is
     contained in an earlier one's (equal restrictions: the lower index
@@ -313,10 +319,12 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
     in the same order, as one without the dual bound. The deadline is
     checked at every node, every SEARCH_BLOCK candidates scored and every
     candidate tried; past it the search raises SolverTimeoutError with this
-    color's (lower, upper)."""
+    color's (lower, upper): lower is the setup's bound, or the root dual's
+    when larger."""
     _, masks, cell_boxes, best, lower, by_size = setup
     universe = (1 << len(cell_boxes)) - 1
     nodes = 0
+    root = None  # the root's dual weights and multipliers, once a node needs them
 
     def weight(cells: int, weights: list[int]) -> int:
         total = 0
@@ -343,7 +351,7 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
         """`weights`: the dual weights the node inherits (all 0 before any),
         `multipliers` their multipliers (None before any), `dual` their sum
         over `uncovered`."""
-        nonlocal best, nodes
+        nonlocal best, nodes, root, lower
         nodes += 1
         check()
         need = len(best) - len(chosen)  # boxes left before matching the incumbent
@@ -360,6 +368,13 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
         else:
             return
         if need >= 4 and nodes > DUAL_AFTER_NODES:  # this node may recurse
+            if multipliers is None:
+                if root is None:
+                    root = _dual_weights(cell_boxes, universe, 0, len(best), None, deadline)
+                    if root is not None:
+                        lower = max(lower, -(-sum(root[0]) // DUAL_SCALE))
+                if root is not None:
+                    multipliers = root[1]
             own = _dual_weights(cell_boxes, uncovered, banned, need, multipliers, deadline)
             if own is not None:
                 weights, multipliers = own

@@ -251,7 +251,24 @@ def test_exact_matches_plain_search_on_long_searches():
         assert validate_cover(Cover(f.shape, witness)).covers_domain
 
 
-def test_dual_weights_are_a_feasible_dual():
+def _assert_feasible_node_dual(setup, uncovered, banned, weights):
+    """`weights` is a feasible dual of the node: 0 off its uncovered cells,
+    every live box at most DUAL_SCALE on them, and rounded up at most the
+    minimum cover of the node (the oracle's, from each uncovered cell's
+    lowest live box). Returns that minimum."""
+    masks, cell_boxes = setup.masks, setup.cell_boxes
+    assert min(weights) >= 0
+    assert all(weights[c] == 0 for c in range(len(cell_boxes)) if not uncovered >> c & 1)
+    for i, m in enumerate(masks):
+        if not banned >> i & 1:
+            assert sum(weights[c] for c in indices_from_mask(m & uncovered)) <= DUAL_SCALE
+    start = sorted({indices_from_mask(cell_boxes[c] & ~banned)[0] for c in indices_from_mask(uncovered)})
+    minimum = len(plain_cover_search(masks, cell_boxes, setup.by_size, start, uncovered, banned))
+    assert -(-sum(weights) // DUAL_SCALE) <= minimum
+    return minimum
+
+
+def test_dual_weights_are_a_feasible_dual(monkeypatch):
     for seed in (1, 2, 3):
         f = random_function(DomainShape((12, 12)), 2, seed)
         catalog = enumerate_maximal_monochromatic(f)
@@ -276,19 +293,39 @@ def test_dual_weights_are_a_feasible_dual():
             for i in range(0, len(masks), 3):
                 if all(cell_boxes[c] & ~(banned | 1 << i) for c in indices_from_mask(masks[i] & uncovered)):
                     banned |= 1 << i
-            # the oracle starts from each uncovered cell's lowest live box
-            start = sorted({indices_from_mask(cell_boxes[c] & ~banned)[0] for c in indices_from_mask(uncovered)})
-            minimum = len(plain_cover_search(masks, cell_boxes, setup.by_size, start, uncovered, banned))
-            # aimed at the minimum (it would prune) and past it, cold and warm
+            # aimed at the minimum (it would prune) and past it, cold and
+            # warm from the root's multipliers
+            minimum = _assert_feasible_node_dual(setup, uncovered, banned, [0] * len(cell_boxes))
             for need in (minimum, minimum + 1):
                 for warm in (None, multipliers):
                     node, _ = _dual_weights(cell_boxes, uncovered, banned, need, warm, math.inf)
-                    assert min(node) >= 0
-                    assert all(node[c] == 0 for c in range(len(cell_boxes)) if not uncovered >> c & 1)
-                    for i, m in enumerate(masks):
-                        if not banned >> i & 1:
-                            assert sum(node[c] for c in indices_from_mask(m & uncovered)) <= DUAL_SCALE
-                    assert minimum - 2 <= -(-sum(node) // DUAL_SCALE) <= minimum
+                    _assert_feasible_node_dual(setup, uncovered, banned, node)
+                    assert minimum - 2 <= -(-sum(node) // DUAL_SCALE)
+    # every node dual the search itself starts from its root dual's
+    # multipliers, on eq(3)'s NEQ(8) and random 12x12 seed 1
+    import commlab.bounds as bounds
+
+    calls = []
+    dual_weights = bounds._dual_weights
+
+    def recording(cell_boxes, uncovered, banned, need, start, deadline):
+        out = dual_weights(cell_boxes, uncovered, banned, need, start, deadline)
+        calls.append((uncovered, banned, start, out))
+        return out
+
+    monkeypatch.setattr(bounds, "_dual_weights", recording)
+    warm_started = 0
+    for f in (eq_function(3), random_function(DomainShape((12, 12)), 2, 1)):
+        for setup in _color_setups(f, enumerate_maximal_monochromatic(f), math.inf):
+            calls.clear()
+            _exact_color_cover(setup, math.inf)
+            universe = (1 << len(setup.cell_boxes)) - 1
+            roots = [out[1] for u, b, start, out in calls if start is None and u == universe and not b]
+            for uncovered, banned, start, (node, _) in calls:
+                if roots and start is roots[0]:
+                    _assert_feasible_node_dual(setup, uncovered, banned, node)
+                    warm_started += 1
+    assert warm_started >= 61  # NEQ(8) alone starts 61 node duals from its root dual
 
 
 def test_exact_search_meets_the_plain_searchs_covers():
@@ -324,6 +361,56 @@ def test_eq3_search_takes_at_most_200_nodes(monkeypatch):
     )
     assert cover_number(eq_function(3))[0] == 13
     assert len(calls) <= 200
+
+
+def test_node_duals_start_from_one_root_dual_per_colour(monkeypatch):
+    # a node dual that inherits no multipliers starts from the colour's
+    # root dual, computed once; before, each started cold (61 on NEQ(8))
+    import commlab.bounds as bounds
+
+    cold = []
+    dual_weights = bounds._dual_weights
+    monkeypatch.setattr(
+        bounds, "_dual_weights", lambda *args: cold.append(args[4] is None) or dual_weights(*args)
+    )
+    ladder = list(_ladder())
+    for f in ladder[1:2] + ladder[-6:]:  # eq(3) and the 12x12 cases
+        catalog = enumerate_maximal_monochromatic(f)
+        searched = sum(s.lower < len(s.greedy) for s in _color_setups(f, catalog, math.inf))
+        cold.clear()
+        cover_number(f, catalog=catalog)
+        assert sum(cold) <= searched
+        assert len(cold) > sum(cold)  # nodes started from the root dual
+        if f.shape.sizes == (8, 8):  # eq(3): NEQ(8) alone is searched
+            assert sum(cold) == searched == 1
+
+
+def test_timeout_lower_bound_is_raised_by_the_root_dual(monkeypatch):
+    # the clock runs out right after colour 0's root dual: that colour's
+    # lower bound rises from its setup bound, 8, to the dual's rounded-up
+    # weight, 11, its exact cover; colour 1 keeps its setup bound, 8
+    import commlab.bounds as bounds
+
+    f = random_function(DomainShape((12, 12)), 2, 2)
+    catalog = enumerate_maximal_monochromatic(f)
+    setups = _color_setups(f, catalog, math.inf)
+    roots = []
+    dual_weights = bounds._dual_weights
+
+    def root_then_expire(cell_boxes, uncovered, banned, need, start, deadline):
+        out = dual_weights(cell_boxes, uncovered, banned, need, start, deadline)
+        if start is None:
+            roots.append(-(-sum(out[0]) // DUAL_SCALE))
+        return out
+
+    monkeypatch.setattr(bounds, "_dual_weights", root_then_expire)
+    monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(len(roots))))
+    with pytest.raises(SolverTimeoutError) as err:
+        cover_number(f, catalog=catalog, timeout_s=0.5)
+    assert [s.lower for s in setups] == [8, 8] and roots == [11]
+    assert len(_exact_color_cover(setups[0], math.inf)) == 11
+    assert err.value.lower == 11 + 8
+    assert err.value.lower <= 22  # the cover number
 
 
 def test_catalog_deadline_bounds_cover():
