@@ -251,21 +251,24 @@ def test_exact_matches_plain_search_on_long_searches():
         assert validate_cover(Cover(f.shape, witness)).covers_domain
 
 
-def _assert_feasible_node_dual(setup, uncovered, banned, weights):
+def _node_minimum(setup, uncovered, banned):
+    """The minimum cover of a node's uncovered cells by its live boxes, by
+    the oracle search from each uncovered cell's lowest live box."""
+    cell_boxes = setup.cell_boxes
+    start = sorted({indices_from_mask(cell_boxes[c] & ~banned)[0] for c in indices_from_mask(uncovered)})
+    return len(plain_cover_search(setup.masks, cell_boxes, setup.by_size, start, uncovered, banned))
+
+
+def _assert_feasible_node_dual(setup, uncovered, banned, weights, minimum):
     """`weights` is a feasible dual of the node: 0 off its uncovered cells,
     every live box at most DUAL_SCALE on them, and rounded up at most the
-    minimum cover of the node (the oracle's, from each uncovered cell's
-    lowest live box). Returns that minimum."""
-    masks, cell_boxes = setup.masks, setup.cell_boxes
+    node's `minimum` cover."""
     assert min(weights) >= 0
-    assert all(weights[c] == 0 for c in range(len(cell_boxes)) if not uncovered >> c & 1)
-    for i, m in enumerate(masks):
+    assert all(weights[c] == 0 for c in range(len(weights)) if not uncovered >> c & 1)
+    for i, m in enumerate(setup.masks):
         if not banned >> i & 1:
             assert sum(weights[c] for c in indices_from_mask(m & uncovered)) <= DUAL_SCALE
-    start = sorted({indices_from_mask(cell_boxes[c] & ~banned)[0] for c in indices_from_mask(uncovered)})
-    minimum = len(plain_cover_search(masks, cell_boxes, setup.by_size, start, uncovered, banned))
     assert -(-sum(weights) // DUAL_SCALE) <= minimum
-    return minimum
 
 
 def test_dual_weights_are_a_feasible_dual(monkeypatch):
@@ -295,11 +298,11 @@ def test_dual_weights_are_a_feasible_dual(monkeypatch):
                     banned |= 1 << i
             # aimed at the minimum (it would prune) and past it, cold and
             # warm from the root's multipliers
-            minimum = _assert_feasible_node_dual(setup, uncovered, banned, [0] * len(cell_boxes))
+            minimum = _node_minimum(setup, uncovered, banned)
             for need in (minimum, minimum + 1):
                 for warm in (None, multipliers):
                     node, _ = _dual_weights(cell_boxes, uncovered, banned, need, warm, math.inf)
-                    _assert_feasible_node_dual(setup, uncovered, banned, node)
+                    _assert_feasible_node_dual(setup, uncovered, banned, node, minimum)
                     assert minimum - 2 <= -(-sum(node) // DUAL_SCALE)
     # every node dual the search itself starts from its root dual's
     # multipliers, on eq(3)'s NEQ(8) and random 12x12 seed 1
@@ -323,7 +326,8 @@ def test_dual_weights_are_a_feasible_dual(monkeypatch):
             roots = [out[1] for u, b, start, out in calls if start is None and u == universe and not b]
             for uncovered, banned, start, (node, _) in calls:
                 if roots and start is roots[0]:
-                    _assert_feasible_node_dual(setup, uncovered, banned, node)
+                    minimum = _node_minimum(setup, uncovered, banned)
+                    _assert_feasible_node_dual(setup, uncovered, banned, node, minimum)
                     warm_started += 1
     assert warm_started >= 61  # NEQ(8) alone starts 61 node duals from its root dual
 
