@@ -433,7 +433,7 @@ def _exact_color_cover(setup: _ColorSetup, deadline: float) -> list[int]:
 def cover_number(
     f: ColoredFunction,
     mode: str = "exact",
-    timeout_s: float = 60.0,
+    deadline: float = math.inf,
     catalog: MonochromaticCatalog | None = None,
 ) -> tuple[int, tuple[Box, ...]]:
     """Minimum (exact) or greedy number of monochromatic boxes covering the
@@ -444,18 +444,17 @@ def cover_number(
     minimum of per-color minima, each found by branch and bound over that
     color's maximal boxes from its greedy cover.
 
-    `timeout_s` is one budget for the whole call, checked at every step of
-    enumeration (when `catalog` is None), setup and search; a budget <= 0
-    times out at the first check. On timeout it raises SolverTimeoutError
-    carrying (lower, upper). During enumeration or setup, or on a catalog
-    that reached its cap, that is (color count, row-strip cover size);
-    during the search, the solved colors' minima plus, for the rest, their
-    root lower bounds and their best covers, with the upper bound capped at
-    the row-strip cover size."""
+    `deadline`, a time.monotonic() value, is one budget for the whole call,
+    checked at every step of enumeration (when `catalog` is None), setup and
+    search; a deadline already past times out at the first check. On timeout
+    it raises SolverTimeoutError carrying (lower, upper). During enumeration
+    or setup, or on a catalog that reached its cap, that is (color count,
+    row-strip cover size); during the search, the solved colors' minima plus,
+    for the rest, their root lower bounds and their best covers, with the
+    upper bound capped at the row-strip cover size."""
     _require_bounds_domain(f)
     if mode not in ("exact", "greedy"):
         raise InvalidInputError(f"unknown cover mode {mode!r}")
-    deadline = time.monotonic() + timeout_s
     if catalog is None:
         catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
     if catalog.partial:  # a spent cap ends the call as a spent budget does
@@ -476,7 +475,7 @@ def cover_number(
                 rest = setups[k + 1 :]
                 upper = len(chosen) + exc.upper + sum(len(p.greedy) for p in rest)
                 raise SolverTimeoutError(
-                    f"exact cover search timed out after {timeout_s}s",
+                    "exact cover search timed out",
                     lower=len(chosen) + exc.lower + sum(p.lower for p in rest),
                     upper=min(upper, _row_strip_cover_size(f)),
                 ) from None
@@ -666,8 +665,11 @@ def comm_matrix_rank(
     deadline: float = math.inf,
 ) -> int:
     """Rank of the color-indicator matrix (or of a 0/1-valued f itself). The
-    rational rank honours `deadline` (see rational_rank)."""
+    GF(2) rank checks `deadline` before building it, the rational rank at every
+    pivot column (see rational_rank)."""
     _require_bounds_domain(f)
+    if field_name == "gf2" and time.monotonic() >= deadline:
+        raise SolverTimeoutError("GF(2) rank ran out of budget", lower=0, upper=min(f.shape.sizes))
     matrix = _indicator_matrix(f, color)
     if field_name == "gf2":
         return gf2_rank(matrix)
@@ -702,17 +704,20 @@ class BoundSummary:
         cover, so the sum lower-bounds the cover number."""
         return sum(self.fooling.values())
 
+    def _rank_max(self, ranks: dict[int, int]) -> int | None:
+        """The largest per-color rank; None when the budget cut a color out.
+        A color's rank bounds its boxes in any partition (not in a cover:
+        NEQ(8) has rank 8 and a 5-box cover), so a maximum over some colors
+        would still be a bound; None keeps the column a maximum over all."""
+        return max(ranks.values()) if len(ranks) == self.color_count else None
+
     @property
-    def rank_gf2_max(self) -> int:
-        return max(self.rank_gf2.values()) if self.rank_gf2 else 0
+    def rank_gf2_max(self) -> int | None:
+        return self._rank_max(self.rank_gf2)
 
     @property
     def rank_rational_max(self) -> int | None:
-        """None when the budget cut some color's rank out: the maximum over
-        the other colors bounds nothing."""
-        if len(self.rank_rational) < self.color_count:
-            return None
-        return max(self.rank_rational.values())
+        return self._rank_max(self.rank_rational)
 
 
 def fooling_sizes(f: ColoredFunction) -> dict[int, int]:
@@ -737,13 +742,9 @@ def solve_cover(
     greedy = count = witness = None
     try:
         catalog = enumerate_maximal_monochromatic(f, deadline=deadline)
-        greedy, _ = cover_number(
-            f, mode="greedy", timeout_s=deadline - time.monotonic(), catalog=catalog
-        )
+        greedy, _ = cover_number(f, mode="greedy", deadline=deadline, catalog=catalog)
         if exact:
-            count, witness = cover_number(
-                f, mode="exact", timeout_s=deadline - time.monotonic(), catalog=catalog
-            )
+            count, witness = cover_number(f, mode="exact", deadline=deadline, catalog=catalog)
     except SolverTimeoutError as exc:
         return greedy, None, None, (max(exc.lower, fooling_sum), exc.upper)
     return greedy, count, witness, None
@@ -753,27 +754,24 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     """Run every bound within one budget and cross-check the internal
     consistency relations; a broken relation flags an internal error.
 
-    Fooling sets and ranks come first. The rational ranks check the budget
-    at every pivot column, and a color whose rank it cuts is left out of
-    `rank_rational`, with every color after it. Catalog enumeration and the
-    exact search share what is left of the budget (see solve_cover). On timeout
-    `cover_bounds` is (lower, upper) with the upper bound at most the
-    row-strip cover size; a timeout before the greedy covers are built
-    leaves `cover_greedy` unset and bounds the cover by the color count and
-    the row-strip cover."""
+    Fooling sets and ranks come first. The fooling sets do not check the
+    budget. The GF(2) ranks check it before each color, the rational ranks at
+    every pivot column, and a color whose rank it cuts is left out of
+    `rank_gf2` or `rank_rational`, with every color after it. Catalog
+    enumeration and the exact search share what is left of the budget (see
+    solve_cover). On timeout `cover_bounds` is (lower, upper) with the upper
+    bound at most the row-strip cover size; a timeout before the greedy
+    covers are built leaves `cover_greedy` unset and bounds the cover by the
+    color count and the row-strip cover."""
     _require_bounds_domain(f)
     deadline = time.monotonic() + timeout_s
-    fooling = fooling_sizes(f)
-    summary = BoundSummary(
-        color_count=f.num_colors,
-        fooling=fooling,
-        rank_gf2={c: comm_matrix_rank(f, "gf2", c) for c in range(f.num_colors)},
-    )
-    try:
-        for c in range(f.num_colors):
-            summary.rank_rational[c] = comm_matrix_rank(f, "rational", c, deadline)
-    except SolverTimeoutError:
-        pass  # the deadline has passed: every later color would be cut too
+    summary = BoundSummary(color_count=f.num_colors, fooling=fooling_sizes(f))
+    for field_name, ranks in (("gf2", summary.rank_gf2), ("rational", summary.rank_rational)):
+        try:
+            for c in range(f.num_colors):
+                ranks[c] = comm_matrix_rank(f, field_name, c, deadline)
+        except SolverTimeoutError:
+            pass  # the deadline has passed: every later color would be cut too
     summary.cover_greedy, summary.cover_exact, summary.cover_witness, summary.cover_bounds = (
         solve_cover(f, deadline, summary.fooling_sum)
     )
@@ -791,7 +789,7 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
         if summary.fooling_sum > exact:
             problems.append("fooling_sum > cover_exact")
         witness_colors = [monochromatic_color(b, f) for b in witness]
-        for color, size in fooling.items():
+        for color, size in summary.fooling.items():
             if size > witness_colors.count(color):
                 problems.append(f"fooling[{color}] exceeds witness boxes of that color")
     if problems:

@@ -31,15 +31,15 @@ EXIT_TIMEOUT = 3
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
-    """"0..99" (inclusive), "3,7,9", or a single integer; seeds are >= 0."""
+    """"0..99" (inclusive), "3,7,9", or a single integer: one or more seeds >= 0."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         seeds = tuple(range(int(lo), int(hi) + 1))
     else:
         seeds = tuple(int(t) for t in text.split(",") if t.strip())
-    if any(s < 0 for s in seeds):
-        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text!r}")
+    if not seeds or any(s < 0 for s in seeds):
+        raise argparse.ArgumentTypeError(f"need one or more seeds >= 0, got {text!r}")
     return seeds
 
 
@@ -124,8 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[report], help="run an inequality suite")
     verify.set_defaults(run=_cmd_verify)
     verify.add_argument("suite", choices=["main", "tree", "multiparty"])
-    verify.add_argument("--seeds", type=parse_seeds, default=())
-    verify.add_argument("--instance")
+    inputs = verify.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--seeds", type=parse_seeds)
+    inputs.add_argument("--instance")
     verify.add_argument("--arity", type=_int_in(2), default=None)
     verify.add_argument("--max-bits", type=_bits, default=4)
     verify.add_argument("--rho-max", type=parse_rho_max, default=(2, 4, 8))

@@ -23,7 +23,6 @@ from .core import (
     TreeSplit,
     box,
     indices_from_mask,
-    mask_from_indices,
     pack_rows,
     selector_labels,
     unpack_rows,
@@ -265,13 +264,6 @@ def approx_xor_relation(n: int, delta: float) -> Relation:
     return Relation(shape, tuple(ball_masks[int(v)] for v in target), size)
 
 
-def relation_from_table(shape: DomainShape, admissible_lists, num_colors: int) -> Relation:
-    masks = []
-    for ids in admissible_lists:
-        masks.append(mask_from_indices(ids, num_colors))
-    return Relation(shape, tuple(masks), num_colors)
-
-
 # ---------------------------------------------------------------------------
 # Cover generators
 
@@ -404,16 +396,6 @@ def random_tree(
     return ProtocolTree(shape, _grow_tree(shape, _Draws(rng), split_prob, nodes=True)[0])
 
 
-def random_tree_cover(
-    shape: DomainShape, seed: int | None = None, rng: np.random.Generator | None = None
-) -> Cover:
-    """compile_tree(random_tree(shape, seed, rng)).cover from the same
-    draws, without building the tree's nodes or checking its splits."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return Cover(shape, tuple(Box(m) for m in _grow_tree(shape, _Draws(rng), None, nodes=False)[1]))
-
-
 def _random_box(shape: DomainShape, draws: _Draws) -> tuple[list[int], ...]:
     """The drawn indices of each factor of one random box."""
     # factor sizes biased small so additions fit under tight thickness caps;
@@ -437,7 +419,9 @@ def random_bounded_cover(
     attempt_budget: int | None = None,
 ) -> Cover:
     """Random tree partition plus `extra` random boxes, rejecting any addition
-    that would push a cell's thickness above rho_max.
+    that would push a cell's thickness above rho_max. With extra=0 it is the
+    tree partition alone: compile_tree(random_tree(shape, seed, rng)).cover
+    from the same draws, without building the tree's nodes.
 
     Sampling stops as soon as every cell is at rho_max. Until then a draw can
     still be accepted (any single cell is a possible box), so stopping early
@@ -484,7 +468,7 @@ def gen_cover(kind: str, **params) -> Cover:
     if kind == "trivial-merlin":
         return trivial_merlin_cover(params["shape"])
     if kind == "random-tree":
-        return random_tree_cover(params["shape"], seed=params["seed"])
+        return random_bounded_cover(params["shape"], 1, 0, seed=params["seed"])
     if kind == "random-bounded":
         return random_bounded_cover(
             params["shape"], params["rho_max"], params["extra"], seed=params["seed"]

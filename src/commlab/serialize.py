@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SELECTOR_SEED_MAX, Box, Cover, DomainShape, Protocol, TranscriptSelector,
-                   validate_cover)
+                   mask_from_indices, validate_cover)
 from .errors import SchemaError
 from .functions import (
     MAX_RELATION_COLORS,
@@ -26,7 +26,6 @@ from .functions import (
     Relation,
     approx_xor_relation,
     gen_function,
-    relation_from_table,
 )
 from .info import JointDistribution
 
@@ -231,11 +230,10 @@ def _relation_from_obj(obj, shape: DomainShape, where: str) -> Relation:
     lists = _list(obj["admissible"], f"{where}.admissible")
     if len(lists) != shape.num_cells:
         raise SchemaError(f"{where}: admissible table length does not match sizes")
-    return relation_from_table(
-        shape,
-        [_ints(ids, f"{where}.admissible") for ids in lists],
-        _int(obj["num_colors"], f"{where}.num_colors", 1, MAX_RELATION_COLORS),
-    )
+    admissible = [_ints(ids, f"{where}.admissible") for ids in lists]
+    num_colors = _int(obj["num_colors"], f"{where}.num_colors", 1, MAX_RELATION_COLORS)
+    masks = tuple(mask_from_indices(ids, num_colors) for ids in admissible)
+    return Relation(shape, masks, num_colors)
 
 
 def _distribution_to_obj(dist: JointDistribution) -> dict:

@@ -30,7 +30,6 @@ from .functions import (
     dense_ids,
     good_mask,
     random_bounded_cover,
-    random_tree_cover,
 )
 from .info import InfoProfile, JointDistribution, build_profile
 from .reports import ReportRow
@@ -211,7 +210,7 @@ def _random_instance(config: SuiteConfig, seed: int):
     bits = rng.integers(1, config.max_bits + 1, size=config.arity)
     shape = DomainShape(tuple(1 << int(b) for b in bits))
     if config.suite == "tree":
-        cover = random_tree_cover(shape, rng=rng)
+        cover = random_bounded_cover(shape, rho_max=1, extra=0, rng=rng)
     else:
         rho_max = int(config.rho_max[int(rng.integers(len(config.rho_max)))])
         # tiny grids cannot absorb many extra boxes under a tight cap

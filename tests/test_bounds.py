@@ -410,7 +410,7 @@ def test_timeout_lower_bound_is_raised_by_the_root_dual(monkeypatch):
     monkeypatch.setattr(bounds, "_dual_weights", root_then_expire)
     monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(len(roots))))
     with pytest.raises(SolverTimeoutError) as err:
-        cover_number(f, catalog=catalog, timeout_s=0.5)
+        cover_number(f, catalog=catalog, deadline=0.5)
     assert [s.lower for s in setups] == [8, 8] and roots == [11]
     assert len(_exact_color_cover(setups[0], math.inf)) == 11
     assert err.value.lower == 11 + 8
@@ -465,14 +465,14 @@ def test_bound_summary_eq4_honours_budget():
 def test_cover_timeout_returns_bounds():
     f = eq_function(2)  # overlapping color-0 catalog, no partition fast path
     with pytest.raises(SolverTimeoutError) as err:
-        cover_number(f, "exact", timeout_s=0.0)
+        cover_number(f, "exact", deadline=time.monotonic())
     assert 1 <= err.value.lower <= err.value.upper
 
 
 def test_zero_budget_times_out_at_the_first_check():
     # xor(2) needs no search: every color is a partition
     with pytest.raises(SolverTimeoutError):
-        cover_number(xor_function(2), "exact", timeout_s=0)
+        cover_number(xor_function(2), "exact", deadline=time.monotonic())
 
 
 def test_cover_setup_honours_deadline():
@@ -488,7 +488,7 @@ def test_cover_setup_honours_deadline():
     )
     start = time.monotonic()
     with pytest.raises(SolverTimeoutError) as err:
-        cover_number(f, "exact", timeout_s=0.05, catalog=catalog)
+        cover_number(f, "exact", deadline=time.monotonic() + 0.05, catalog=catalog)
     assert time.monotonic() - start < 1.0
     assert (err.value.lower, err.value.upper) == (2, 32)  # color count, row strips
 
@@ -633,9 +633,10 @@ def test_rational_rank_checks_the_deadline_at_every_pivot_column(monkeypatch):
 
 
 def test_bound_summary_leaves_out_a_rank_the_budget_cut(monkeypatch):
-    # eq(3): bound_summary reads the clock once, then each color's rational
-    # rank once per pivot column, 8 each; a 12 s budget on a clock that
-    # reads one second later each time cuts color 1 at its 4th column
+    # eq(3): bound_summary reads the clock once, then each color's GF(2)
+    # rank once, then each color's rational rank once per pivot column, 8
+    # each; a 12 s budget on a clock that reads one second later each time
+    # cuts color 1 at its 2nd column
     import commlab.bounds as bounds
 
     ticks = iter(range(1000))
@@ -645,6 +646,31 @@ def test_bound_summary_leaves_out_a_rank_the_budget_cut(monkeypatch):
     assert summary.rank_rational_max is None  # not 8, the maximum over the rest
     assert summary.rank_gf2 == {0: 8, 1: 8}
     assert summary.cover_bounds is not None
+
+
+def test_bound_summary_checks_the_deadline_before_each_gf2_rank(monkeypatch):
+    # xor(2), 4 colors: bound_summary reads the clock once, then once before
+    # each color's GF(2) rank; a 2.5 s budget on a clock that reads one
+    # second later each time cuts color 2 before its matrix is built. The
+    # rational rank of color 0 then builds its matrix and stops at its first
+    # pivot column
+    import commlab.bounds as bounds
+
+    built = []
+    indicator_matrix = bounds._indicator_matrix
+    monkeypatch.setattr(
+        bounds, "_indicator_matrix", lambda f, c: built.append(c) or indicator_matrix(f, c)
+    )
+    ticks = iter(range(1000))
+    monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    summary = bound_summary(xor_function(2), timeout_s=2.5)
+    assert built == [0, 1, 0]
+    assert summary.rank_gf2 == {0: 4, 1: 4}
+    assert summary.rank_gf2_max is None  # not 4, the maximum over the rest
+    assert summary.rank_rational == {}
+    assert summary.cover_bounds is not None
+    with pytest.raises(SolverTimeoutError):
+        comm_matrix_rank(xor_function(2), "gf2", 0, deadline=0.5)
 
 
 def test_rank_oracles_match_numpy_on_random_01_matrices():

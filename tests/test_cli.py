@@ -175,6 +175,9 @@ def test_gen_cover_file_golden_digest(options, tmp_path, capsys):
         ["bounds", "--fn", "eq", "--n", "2", "--timeout-s", "nan"],
         # max-box would be the global mode under a second name, so it is not a mode
         ["verify", "main", "--seeds", "0..2", "--rho-mode", "max-box"],
+        # nothing to run would pass with an empty report
+        ["verify", "main", "--seeds", "5..3"],
+        ["verify", "main"],
     ],
 )
 def test_verify_bad_option_exits_two(bad, capsys):
@@ -217,9 +220,11 @@ def test_random_function_past_int64_colors_exits_two(command, tmp_path, capsys):
 
 
 def test_verify_empty_seed_list(tmp_path, capsys):
-    code, stdout, _ = run(capsys, "verify", "main", "--seeds", "")
-    assert code == 0
-    assert "rows=0" in stdout
+    # an empty list runs nothing, so it is refused rather than reported clean
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "main", "--seeds", ""])
+    assert exc.value.code == 2
+    assert "need one or more seeds" in capsys.readouterr().err
 
 
 def test_cover_exact_xor2(capsys):

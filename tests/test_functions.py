@@ -233,7 +233,7 @@ def test_random_bounded_reports_failure_with_seed():
         + [(2, 2, 2), (3, 2, 4), (4, 3, 2), (16, 4), (3, 16), (16, 16), (64, 2), (5, 64), (2, 16, 4)]
     ),
     st.integers(1, 3),  # rho_max
-    st.integers(1, 8),  # extra
+    st.integers(0, 8),  # extra; 0 is the tree partition alone
     st.integers(0, 2**32 - 1),  # seed
 )
 def test_random_bounded_matches_sampling_to_the_full_budget(sizes, rho_max, extra, seed):
