@@ -664,18 +664,18 @@ def comm_matrix_rank(
     color: int | None = None,
     deadline: float = math.inf,
 ) -> int:
-    """Rank of the color-indicator matrix (or of a 0/1-valued f itself). The
-    GF(2) rank checks `deadline` before building it, the rational rank at every
-    pivot column (see rational_rank)."""
+    """Rank of the color-indicator matrix (or of a 0/1-valued f itself).
+    `deadline` is checked before the matrix is built, and the rational rank
+    checks it again at every pivot column (see rational_rank)."""
     _require_bounds_domain(f)
-    if field_name == "gf2" and time.monotonic() >= deadline:
-        raise SolverTimeoutError("GF(2) rank ran out of budget", lower=0, upper=min(f.shape.sizes))
+    if field_name not in ("gf2", "rational"):
+        raise InvalidInputError(f"unknown field {field_name!r}")
+    if time.monotonic() >= deadline:
+        raise SolverTimeoutError(f"{field_name} rank ran out of budget", lower=0, upper=min(f.shape.sizes))
     matrix = _indicator_matrix(f, color)
     if field_name == "gf2":
         return gf2_rank(matrix)
-    if field_name == "rational":
-        return rational_rank(matrix, deadline)
-    raise InvalidInputError(f"unknown field {field_name!r}")
+    return rational_rank(matrix, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +755,9 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     consistency relations; a broken relation flags an internal error.
 
     Fooling sets and ranks come first. The fooling sets do not check the
-    budget. The GF(2) ranks check it before each color, the rational ranks at
-    every pivot column, and a color whose rank it cuts is left out of
-    `rank_gf2` or `rank_rational`, with every color after it. Catalog
+    budget. Both ranks check it before each color's matrix is built, the
+    rational ranks also at every pivot column, and a color whose rank it cuts
+    is left out of `rank_gf2` or `rank_rational`, with every color after it. Catalog
     enumeration and the exact search share what is left of the budget (see
     solve_cover). On timeout `cover_bounds` is (lower, upper) with the upper
     bound at most the row-strip cover size; a timeout before the greedy

@@ -13,7 +13,7 @@ import math
 import sys
 import time
 
-from .core import MAX_BITS, SELECTOR_SEED_MAX, DomainShape, Protocol, TranscriptSelector
+from .core import MAX_BITS, MAX_CELLS, SELECTOR_SEED_MAX, DomainShape, Protocol, TranscriptSelector
 from .errors import CommlabError, InvalidInputError
 from .functions import (
     approx_xor_relation,
@@ -65,6 +65,7 @@ _bits = _int_in(1, MAX_BITS)
 # am --fn: the trivial Merlin protocol's output tables hold 2**n x 4**n
 # int64 entries each, 134 MB apiece at n = 8 and 8.6 GB at n = 10
 AM_MAX_BITS = 8
+CELL_BITS = MAX_CELLS.bit_length() - 1  # verify --arity x --max-bits: at most 2**24 cells
 
 
 def parse_rho_max(text: str) -> tuple[int, ...]:
@@ -76,6 +77,13 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -136,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="the log2(rho) term: global, the largest cell thickness; "
         "expected, the expected log2 thickness of the selected box",
     )
-    verify.add_argument("--tol", type=_finite_float, default=1e-9)
+    verify.add_argument("--tol", type=_tolerance, default=1e-9)
     verify.add_argument("--plot")
 
     cover = sub.add_parser("cover", parents=[target, report], help="monochromatic cover number")
@@ -242,6 +250,13 @@ def _cmd_verify(args) -> int:
         print(f"rows=1 violations={1 if violations else 0}")
         return EXIT_VIOLATION if violations else EXIT_OK
     arity = args.arity if args.arity is not None else (3 if args.suite == "multiparty" else 2)
+    if args.suite != "multiparty" and arity != 2:
+        raise InvalidInputError(f"verify {args.suite} is two-party; --arity {arity} needs multiparty")
+    if arity * args.max_bits > CELL_BITS:  # the largest shape the suite can draw
+        raise InvalidInputError(
+            f"--arity {arity} x --max-bits {args.max_bits} can draw 2**{arity * args.max_bits} "
+            f"cells; the cap is 2**{CELL_BITS}"
+        )
     out_dir = None
     if args.out:
         import os

@@ -7,6 +7,7 @@ numpy's seeded PCG64 stream and from the portable hash in core.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,50 +292,121 @@ def windmill_cover() -> Cover:
     )
 
 
+READER_FIRST_BLOCK = 64  # words in a reader's first block; each later block doubles
+READER_BLOCK = 4096  # words in a reader's largest block, about 160 KB as Python ints
+
+
 class _Draws:
-    """Small draws taken straight from a Generator's bit generator, by
-    numpy's own rules, so every value and the generator state after them are
-    those of the numpy calls they stand for.
+    """A reader of a Generator's draws. It takes the bit generator's raw
+    words in growing blocks (`random_raw`) and follows numpy's rules in plain
+    Python, so every value, and the generator state once the reader closes,
+    are those of the numpy calls it stands for. Open it with `with`; no numpy
+    draw may touch the generator until the reader closes.
 
-    numpy bounds an integer draw below n by Lemire's method (Lemire 2019,
-    "Fast random integer generation in an interval"): a 32-bit draw x gives
-    m = x * n, redrawn while m mod 2**32 < (2**32 - n) mod n, and the value
-    is m >> 32; a range of 1 draws nothing. `choice(s, size=k,
-    replace=False)` runs Floyd's algorithm over j = s-k..s-1, then shuffles
-    positions k-1..1 (numpy's path for populations up to 10,000, and
-    MAX_DIM_SIZE keeps every dimension below that). Each numpy call pays
-    2-8 us of argument handling for a few next_uint32 draws; a ctypes call
-    costs about 0.4 us, and skips the Generator's lock (no commlab code
-    shares a generator between threads). Long runs of draws stay numpy
-    calls."""
+    - A 64-bit word gives numpy's buffered next_uint32 halves, low half
+      first. The high half waits in the state's `has_uint32` and `uinteger`,
+      which the reader reads on entry and writes back on exit; a half that is
+      taken leaves `uinteger` stale, as numpy does. random() is
+      (word >> 11) * 2**-53. MT19937's 32-bit words go to _Draws32.
+    - A bounded integer below n (`rng.integers(n)`) follows Lemire's method
+      (Lemire 2019, "Fast random integer generation in an interval"): a
+      next_uint32 x gives m = x * n, redrawn while
+      m mod 2**32 < (2**32 - n) mod n, and the value is m >> 32. A range of
+      1 draws nothing.
+    - `choice(s, size=k, replace=False)` runs Floyd's algorithm over
+      j = s-k..s-1, then shuffles positions k-1..1 (numpy's path for
+      populations up to 10,000, and MAX_DIM_SIZE keeps every dimension below
+      that).
 
-    __slots__ = ("rng", "random", "_next", "_state")
+    On every exit, an exception's included, the generator goes back to the
+    state saved before the last block and re-draws the words read from it."""
+
+    __slots__ = ("_bits", "_words", "_pop", "_block", "_saved", "_has", "_half")
+
+    def __new__(cls, rng: np.random.Generator):
+        return object.__new__(_Draws32 if isinstance(rng.bit_generator, np.random.MT19937) else cls)
 
     def __init__(self, rng: np.random.Generator):
-        bits = rng.bit_generator.ctypes
-        self.rng, self.random = rng, rng.random
-        self._next, self._state = bits.next_uint32, bits.state
+        self._bits = rng.bit_generator
+        self._words: list[int] = []  # the last block's unread words, the next one last
+        self._pop = self._words.pop
+        self._block = 0  # the last block's size
+
+    def __enter__(self) -> "_Draws":
+        state = self._saved = self._bits.state
+        self._has, self._half = state.get("has_uint32", 0), state.get("uinteger", 0)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        state = self._saved
+        if "has_uint32" in state:
+            state["has_uint32"], state["uinteger"] = self._has, self._half
+        self._bits.state = state
+        self._bits.random_raw(self._block - len(self._words))
+
+    def _refill(self) -> None:
+        """Read the next block, twice the last one up to READER_BLOCK words,
+        after saving the state it starts from."""
+        if self._block:
+            self._saved = self._bits.state
+        n = self._block = min(2 * self._block or READER_FIRST_BLOCK, READER_BLOCK)
+        self._words[:] = self._bits.random_raw(n)[::-1].tolist()
+
+    def _word(self) -> int:
+        try:
+            return self._pop()
+        except IndexError:
+            self._refill()
+            return self._pop()
+
+    def _take(self, n: int) -> list[int]:
+        """The next n words, in order."""
+        words = self._words
+        out: list[int] = []
+        while n > len(words):
+            n -= len(words)
+            out += reversed(words)
+            self._refill()
+        if n:
+            out += words[: -n - 1 : -1]
+            del words[-n:]
+        return out
+
+    def _next32(self) -> int:
+        """numpy's next_uint32: the waiting high half, else a new word's low half."""
+        if self._has:
+            self._has = 0
+            return self._half
+        w = self._word()
+        self._has, self._half = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """rng.random(): one whole word; a waiting half keeps waiting."""
+        return (self._word() >> 11) * 2.0**-53
 
     def below(self, n: int) -> int:
         """int(rng.integers(n)), for 1 <= n <= 2**32."""
         if n == 1:
             return 0
-        m = self._next(self._state) * n
+        m = self._next32() * n
         if m & 0xFFFFFFFF < n:  # n bounds the threshold, so most draws skip it
             threshold = (0x100000000 - n) % n
             while m & 0xFFFFFFFF < threshold:
-                m = self._next(self._state) * n
+                m = self._next32() * n
         return m >> 32
 
     def sample(self, s: int, k: int) -> list[int]:
         """rng.choice(s, size=k, replace=False).tolist(), for k <= s <= 10,000."""
-        if k > 5:  # numpy's loop beats 2k - 1 ctypes calls from about here
-            return self.rng.choice(s, size=k, replace=False).tolist()
         below = self.below
         out: list[int] = []
+        taken: set[int] = set()
         for j in range(s - k, s):
             v = below(j + 1)
-            out.append(j if v in out else v)
+            if v in taken:
+                v = j
+            taken.add(v)
+            out.append(v)
         for i in range(k - 1, 0, -1):
             j = below(i + 1)
             out[i], out[j] = out[j], out[i]
@@ -343,61 +415,102 @@ class _Draws:
     def coins(self, k: int) -> list[int]:
         """rng.integers(0, 2, size=k).tolist(): for a range of 2 each value
         is the top bit of one next_uint32, as 2 divides 2**32."""
-        if k >= 8:  # numpy's loop beats k ctypes calls from about here
-            return self.rng.integers(0, 2, size=k).tolist()
-        return [self._next(self._state) >> 31 for _ in range(k)]
+        out = []
+        if k and self._has:
+            self._has = 0
+            out.append(self._half >> 31)
+            k -= 1
+        words = self._take((k + 1) // 2)
+        if words:  # each word's high half passes through `uinteger`
+            out += [(w >> s) & 1 for w in words for s in (31, 63)]
+            self._half = words[-1] >> 32
+            if k & 1:  # the last high half waits
+                del out[-1]
+                self._has = 1
+        return out
+
+
+class _Draws32(_Draws):
+    """The reader of MT19937, whose words are 32 bits: next_uint32 is one
+    word, and random() numpy's formula over two."""
+
+    __slots__ = ()
+
+    _next32 = _Draws._word
+
+    def random(self) -> float:
+        a, b = self._word() >> 5, self._word() >> 6
+        return (a * 67108864.0 + b) / 9007199254740992.0
+
+    def coins(self, k: int) -> list[int]:
+        return [w >> 31 for w in self._take(k)]
+
+
+def _reader(rng: np.random.Generator | _Draws | None, seed: int | None):
+    """The reader to draw with: a new one over rng, or over a generator from
+    seed when rng is None. An open reader passed as rng is used as it is;
+    its owner closes it."""
+    if isinstance(rng, _Draws):
+        return contextlib.nullcontext(rng)
+    return _Draws(np.random.default_rng(seed) if rng is None else rng)
 
 
 def _grow_tree(shape: DomainShape, draws: _Draws, split_prob: float | None, nodes: bool):
     """random_tree's recursion, which the cover generators share: returns
     the root (None unless `nodes`) and the leaves' masks, left to right, the
-    order in which compile_tree lists them."""
+    order in which compile_tree lists them. Each party's index list goes
+    down the recursion next to its mask."""
     if split_prob is None:
         split_prob = (30 + draws.below(61)) / 100.0  # rng.integers(30, 91)
     random, below, coins = draws.random, draws.below, draws.coins
     leaves: list[tuple[int, ...]] = []
     leaf = TreeLeaf()
 
-    def build(masks: tuple[int, ...]):
-        splittable = [i for i, m in enumerate(masks) if m & (m - 1)]  # two or more indices
+    def build(masks: tuple[int, ...], idxs: tuple[list[int], ...]):
+        splittable = [i for i, ix in enumerate(idxs) if len(ix) > 1]
         if not splittable or random() >= split_prob:
             leaves.append(masks)
             return leaf
         owner = splittable[below(len(splittable))]
-        mask = masks[owner]
-        idxs = indices_from_mask(mask)
+        ix = idxs[owner]
         while True:
-            left = 0
-            for t, i in zip(coins(len(idxs)), idxs):
-                if t:
-                    left |= 1 << i
-            if 0 < left < mask:  # a proper nonempty subset: both halves nonempty
+            side = coins(len(ix))
+            left_ix = [i for t, i in zip(side, ix) if t]
+            if 0 < len(left_ix) < len(ix):  # both halves nonempty
                 break
-        right = mask ^ left
-        first = build(masks[:owner] + (left,) + masks[owner + 1 :])
-        second = build(masks[:owner] + (right,) + masks[owner + 1 :])
+        right_ix = [i for t, i in zip(side, ix) if not t]
+        left = 0
+        for i in left_ix:
+            left |= 1 << i
+        right = masks[owner] ^ left
+        head, tail = masks[:owner], masks[owner + 1 :]
+        ihead, itail = idxs[:owner], idxs[owner + 1 :]
+        first = build(head + (left,) + tail, ihead + (left_ix,) + itail)
+        second = build(head + (right,) + tail, ihead + (right_ix,) + itail)
         return TreeSplit(owner, left, right, first, second) if nodes else None
 
-    return build(tuple((1 << s) - 1 for s in shape.sizes)), leaves
+    sizes = shape.sizes
+    return build(tuple((1 << s) - 1 for s in sizes), tuple(list(range(s)) for s in sizes)), leaves
 
 
 def random_tree(
     shape: DomainShape,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | _Draws | None = None,
     split_prob: float | None = None,
 ) -> ProtocolTree:
     """Random protocol tree: at each node, with probability split_prob pick
     a splittable party uniformly and cut its index set into two random
     nonempty halves, by fair coins redrawn until both are nonempty.
     split_prob defaults to a per-tree draw from [0.30, 0.90]."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return ProtocolTree(shape, _grow_tree(shape, _Draws(rng), split_prob, nodes=True)[0])
+    with _reader(rng, seed) as draws:
+        return ProtocolTree(shape, _grow_tree(shape, draws, split_prob, nodes=True)[0])
 
 
 def _random_box(shape: DomainShape, draws: _Draws) -> tuple[list[int], ...]:
-    """The drawn indices of each factor of one random box."""
+    """The drawn indices of each factor of one random box, all from the
+    reader: per factor a size, with probability 1/4 uniform in 1..s and else
+    uniform in 1..min(s, 3), then that many distinct indices."""
     # factor sizes biased small so additions fit under tight thickness caps;
     # occasionally draw a large factor for variety
     drawn = []
@@ -415,7 +528,7 @@ def random_bounded_cover(
     rho_max: int,
     extra: int,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | _Draws | None = None,
     attempt_budget: int | None = None,
 ) -> Cover:
     """Random tree partition plus `extra` random boxes, rejecting any addition
@@ -425,41 +538,49 @@ def random_bounded_cover(
 
     Sampling stops as soon as every cell is at rho_max. Until then a draw can
     still be accepted (any single cell is a possible box), so stopping early
-    changes no outcome and no RNG call of a successful seed."""
+    changes no outcome and no RNG call of a successful seed.
+
+    A row is a cell's coordinates but the last. at[j][row], for
+    1 <= j <= rho_max, is the bitset of the last coordinates of the row's
+    cells at thickness j or more."""
     if rho_max < 1:
         raise InvalidInputError("rho_max must be >= 1")
     if extra < 0:
         raise InvalidInputError("extra must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    draws = _Draws(rng)
-    boxes = [Box(m) for m in _grow_tree(shape, draws, None, nodes=False)[1]]
-    counts = np.ones(shape.sizes, dtype=np.int64)  # tree leaves partition the grid
-    open_cells = counts.size if rho_max > 1 else 0  # cells still below rho_max
+    *heads, last = shape.sizes
+    rows = shape.num_cells // last
+    # the tree leaves partition the grid, so every cell starts at thickness 1
+    at = [None, [(1 << last) - 1] * rows] + [[0] * rows for _ in range(rho_max - 1)]
+    top = at[rho_max]
+    open_cells = shape.num_cells if rho_max > 1 else 0  # cells still below rho_max
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
     added = 0
-    while added < extra:
-        if open_cells == 0 or attempts >= budget:
-            why = "every cell is at the cap" if open_cells == 0 else f"no fit in {attempts} attempts"
-            raise GenerationFailureError(
-                f"could not add {extra} boxes under rho_max={rho_max}: {why} (seed={seed})",
-                seed=seed,
-            )
-        attempts += 1
-        drawn = _random_box(shape, draws)
-        # the open mesh np.ix_ builds, without its per-call cost; the drawn
-        # indices are distinct, so each cell is written once
-        cells = tuple(
-            np.asarray(d).reshape((-1,) + (1,) * (len(drawn) - 1 - k)) for k, d in enumerate(drawn)
-        )
-        sub = counts[cells]
-        if (sub >= rho_max).any():
-            continue
-        counts[cells] = sub + 1
-        open_cells -= int(np.count_nonzero(sub == rho_max - 1))
-        boxes.append(Box.from_factors(drawn, shape))
-        added += 1
+    with _reader(rng, seed) as draws:
+        boxes = [Box(m) for m in _grow_tree(shape, draws, None, nodes=False)[1]]
+        while added < extra:
+            if open_cells == 0 or attempts >= budget:
+                why = "every cell is at the cap" if open_cells == 0 else f"no fit in {attempts} attempts"
+                raise GenerationFailureError(
+                    f"could not add {extra} boxes under rho_max={rho_max}: {why} (seed={seed})",
+                    seed=seed,
+                )
+            attempts += 1
+            drawn = _random_box(shape, draws)
+            box_rows = [0]
+            for d, s in zip(drawn, heads):
+                box_rows = [r * s + i for r in box_rows for i in d]
+            cols = 0
+            for i in drawn[-1]:
+                cols |= 1 << i
+            if any(top[r] & cols for r in box_rows):
+                continue
+            for r in box_rows:
+                for j in range(rho_max - 1, 0, -1):  # each level from the one below before this box
+                    at[j + 1][r] |= at[j][r] & cols
+                open_cells -= (top[r] & cols).bit_count()
+            boxes.append(Box.from_factors(drawn, shape))
+            added += 1
     return Cover(shape, tuple(boxes))
 
 

@@ -24,6 +24,7 @@ from .errors import (
     InvalidInputError,
 )
 from .functions import (
+    _Draws,
     AMProtocol,
     ColoredFunction,
     Relation,
@@ -205,23 +206,26 @@ class BatchResult:
 
 
 def _random_instance(config: SuiteConfig, seed: int):
-    """One seeded instance: protocol, box-colored function, distribution."""
+    """One seeded instance: protocol, box-colored function, distribution. One
+    reader makes every scalar draw, the cover's included; the sized draws
+    (box colors, weights) are numpy calls after it closes."""
     rng = np.random.default_rng(seed)
-    bits = rng.integers(1, config.max_bits + 1, size=config.arity)
-    shape = DomainShape(tuple(1 << int(b) for b in bits))
-    if config.suite == "tree":
-        cover = random_bounded_cover(shape, rho_max=1, extra=0, rng=rng)
-    else:
-        rho_max = int(config.rho_max[int(rng.integers(len(config.rho_max)))])
-        # tiny grids cannot absorb many extra boxes under a tight cap
-        extra = min(config.extra, max(1, shape.num_cells // 4))
-        cover = random_bounded_cover(
-            shape, rho_max=rho_max, extra=extra, seed=seed, rng=rng
-        )
-    if rng.random() < 0.5:
-        selector = TranscriptSelector.min_index()
-    else:
-        selector = TranscriptSelector.seeded(int(rng.integers(1 << 32)))
+    with _Draws(rng) as draws:
+        bits = [1 + draws.below(config.max_bits) for _ in range(config.arity)]
+        shape = DomainShape(tuple(1 << b for b in bits))
+        if config.suite == "tree":
+            cover = random_bounded_cover(shape, rho_max=1, extra=0, rng=draws)
+        else:
+            rho_max = config.rho_max[draws.below(len(config.rho_max))]
+            # tiny grids cannot absorb many extra boxes under a tight cap
+            extra = min(config.extra, max(1, shape.num_cells // 4))
+            cover = random_bounded_cover(
+                shape, rho_max=rho_max, extra=extra, seed=seed, rng=draws
+            )
+        if draws.random() < 0.5:
+            selector = TranscriptSelector.min_index()
+        else:
+            selector = TranscriptSelector.seeded(draws.below(1 << 32))
     protocol = Protocol(cover, selector)
 
     # color the boxes, then read the function off the selected box so that the

@@ -634,9 +634,9 @@ def test_rational_rank_checks_the_deadline_at_every_pivot_column(monkeypatch):
 
 def test_bound_summary_leaves_out_a_rank_the_budget_cut(monkeypatch):
     # eq(3): bound_summary reads the clock once, then each color's GF(2)
-    # rank once, then each color's rational rank once per pivot column, 8
-    # each; a 12 s budget on a clock that reads one second later each time
-    # cuts color 1 at its 2nd column
+    # rank once, then each color's rational rank once before its matrix and
+    # once per pivot column, 8 each; a 12 s budget on a clock that reads one
+    # second later each time cuts color 1 before its matrix is built
     import commlab.bounds as bounds
 
     ticks = iter(range(1000))
@@ -648,12 +648,31 @@ def test_bound_summary_leaves_out_a_rank_the_budget_cut(monkeypatch):
     assert summary.cover_bounds is not None
 
 
+def test_bound_summary_builds_no_rational_matrix_past_the_deadline(monkeypatch):
+    # the clock of the test above: color 0's rational rank finishes at 11 s,
+    # and color 1's is cut at 12 s before its indicator matrix is built
+    import commlab.bounds as bounds
+
+    built = []
+    indicator_matrix = bounds._indicator_matrix
+    monkeypatch.setattr(
+        bounds, "_indicator_matrix", lambda f, c: built.append(c) or indicator_matrix(f, c)
+    )
+    ticks = iter(range(1000))
+    monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    summary = bound_summary(eq_function(3), timeout_s=12.0)
+    assert built == [0, 1, 0]  # GF(2) colors 0 and 1, then rational color 0 only
+    assert summary.rank_rational == {0: 8}
+    with pytest.raises(SolverTimeoutError):
+        comm_matrix_rank(eq_function(3), "rational", 1, deadline=0.5)
+    assert built == [0, 1, 0]
+
+
 def test_bound_summary_checks_the_deadline_before_each_gf2_rank(monkeypatch):
     # xor(2), 4 colors: bound_summary reads the clock once, then once before
     # each color's GF(2) rank; a 2.5 s budget on a clock that reads one
-    # second later each time cuts color 2 before its matrix is built. The
-    # rational rank of color 0 then builds its matrix and stops at its first
-    # pivot column
+    # second later each time cuts color 2 before its matrix is built, and
+    # the rational rank of color 0 before its own
     import commlab.bounds as bounds
 
     built = []
@@ -664,7 +683,7 @@ def test_bound_summary_checks_the_deadline_before_each_gf2_rank(monkeypatch):
     ticks = iter(range(1000))
     monkeypatch.setattr(bounds, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
     summary = bound_summary(xor_function(2), timeout_s=2.5)
-    assert built == [0, 1, 0]
+    assert built == [0, 1]
     assert summary.rank_gf2 == {0: 4, 1: 4}
     assert summary.rank_gf2_max is None  # not 4, the maximum over the rest
     assert summary.rank_rational == {}

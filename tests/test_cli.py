@@ -67,11 +67,11 @@ def test_verify_suite_exit_zero_and_determinism(tmp_path, capsys):
 
 
 def test_verify_violation_exit_and_reproducer(tmp_path, capsys):
-    # negative tolerance turns tight instances into "violations", exercising
-    # the reproducer path with real machinery
+    # a zero tolerance turns the floating-point noise of the identity gaps
+    # into "violations", exercising the reproducer path with real machinery
     out = str(tmp_path / "v.csv")
     code, stdout, _ = run(
-        capsys, "verify", "tree", "--seeds", "0..4", "--tol", "-0.5", "--out", out
+        capsys, "verify", "tree", "--seeds", "0..4", "--tol", "0", "--out", out
     )
     assert code == 1
     assert "violations=" in stdout
@@ -178,13 +178,29 @@ def test_gen_cover_file_golden_digest(options, tmp_path, capsys):
         # nothing to run would pass with an empty report
         ["verify", "main", "--seeds", "5..3"],
         ["verify", "main"],
+        # a negative tolerance would tag every row a violation
+        ["verify", "main", "--seeds", "0..2", "--tol", "-1"],
+        # 7 x 4 bits can draw 2**28 cells, past the 2**24 cap; 9 x 4 ran for minutes
+        ["verify", "multiparty", "--arity", "7", "--seeds", "0..5"],
+        ["verify", "multiparty", "--arity", "9", "--seeds", "0..2"],
+        ["verify", "multiparty", "--max-bits", "12", "--seeds", "0"],  # the default arity, 3
+        # main and tree are two-party suites
+        ["verify", "main", "--arity", "3", "--seeds", "0..2"],
+        ["verify", "tree", "--arity", "4", "--max-bits", "2", "--seeds", "0..2"],
     ],
 )
-def test_verify_bad_option_exits_two(bad, capsys):
+def test_verify_bad_option_exits_two(bad, capsys, monkeypatch):
+    # argparse exits 2 on a bad value, and main returns 2 on a bad
+    # combination; either way before any seed runs, with one error line
+    import commlab.verify
+
+    monkeypatch.setattr(commlab.verify, "_random_instance", lambda *a: pytest.fail("a seed ran"))
     with pytest.raises(SystemExit) as exc:
-        main(bad)
+        sys.exit(main(bad))
     assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error" in line for line in err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

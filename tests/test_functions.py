@@ -227,12 +227,14 @@ def test_random_bounded_reports_failure_with_seed():
 
 @settings(max_examples=1000, deadline=None)
 @given(
-    # 16- and 64-wide factors reach numpy's choice (k > 5)
+    # 16- and 64-wide factors draw samples of more than 5 indices; a 1-wide
+    # factor draws nothing, and as the last one its rows hold one bit
     st.sampled_from(
         [(r, c) for r in range(2, 9) for c in range(2, 9)]
         + [(2, 2, 2), (3, 2, 4), (4, 3, 2), (16, 4), (3, 16), (16, 16), (64, 2), (5, 64), (2, 16, 4)]
+        + [(1, 8), (8, 1), (2, 1, 4)]
     ),
-    st.integers(1, 3),  # rho_max
+    st.integers(1, 8),  # rho_max
     st.integers(0, 8),  # extra; 0 is the tree partition alone
     st.integers(0, 2**32 - 1),  # seed
 )
@@ -305,38 +307,93 @@ def test_random_tree_matches_the_reference_under_every_bit_generator(bits, sizes
     assert _plain(rng.bit_generator.state) == _plain(ref_rng.bit_generator.state)
 
 
-@pytest.mark.parametrize(
-    "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
-)
-def test_draws_equal_numpy_integers_and_choice(bits):
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def _count_next32(monkeypatch, draws):
+    """Count the 32-bit draws the reader consumes, through its next_uint32."""
+    calls = []
+    next32 = type(draws)._next32
+
+    def counted(self):
+        calls.append(None)
+        return next32(self)
+
+    monkeypatch.setattr(type(draws), "_next32", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bits", BIT_GENERATORS)
+def test_draws_equal_numpy_integers_and_choice(bits, monkeypatch):
     # a range of 1 draws nothing and 2**32 is one plain next_uint32; just
     # past 2**31 Lemire's method rejects about half of all draws
     ranges = (1, 2, 3, 61, 2**31 - 1, 2**31 + 1, 2**31 + 2**30, 2**32 - 1, 2**32)
     redraws = 0
     for seed in range(12):
         rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
-        draws = functions._Draws(rng)
-        calls = []
-        next_uint32 = draws._next
-
-        def counted(state):
-            calls.append(None)
-            return next_uint32(state)
-
-        draws._next = counted
-        for m in ranges:
-            del calls[:]
-            assert draws.below(m) == int(ref.integers(m))
-            if m <= 2**31:  # a redraw is rare here
-                assert len(calls) == (m > 1)
-            redraws += len(calls) > 1
-        for s in (1, 2, 3, 5, 16, 17, 64, 255, 4096):
-            for k in sorted({1, 2, 3, s // 2, s} & set(range(1, s + 1))):
-                assert draws.sample(s, k) == ref.choice(s, size=k, replace=False).tolist()
-        for k in (1, 2, 7, 8, 33):
-            assert draws.coins(k) == ref.integers(0, 2, size=k).tolist()
+        with functions._Draws(rng) as draws:
+            calls = _count_next32(monkeypatch, draws)
+            for m in ranges:
+                del calls[:]
+                assert draws.below(m) == int(ref.integers(m))
+                if m <= 2**31:  # a redraw is rare here
+                    assert len(calls) == (m > 1)
+                redraws += len(calls) > 1
+            for s in (1, 2, 3, 5, 16, 17, 64, 255, 4096):
+                for k in sorted({1, 2, 3, s // 2, s} & set(range(1, s + 1))):
+                    assert draws.sample(s, k) == ref.choice(s, size=k, replace=False).tolist()
+            for k in (1, 2, 7, 8, 33):
+                assert draws.coins(k) == ref.integers(0, 2, size=k).tolist()
         assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
     assert redraws > 0
+
+
+@pytest.mark.parametrize("bits", BIT_GENERATORS)
+@pytest.mark.parametrize("pending", [False, True])
+def test_reader_crosses_blocks_and_keeps_the_waiting_half(bits, pending):
+    # one reader over well past its largest block: 10,001 coins, samples of
+    # s = 4,096, and floats between them; with `pending` it opens on a
+    # waiting high half and closes on one. Both generators then go on alike
+    for seed in range(3):
+        rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+        if pending:
+            assert int(rng.integers(5)) == int(ref.integers(5))  # one next_uint32
+        with functions._Draws(rng) as draws:
+            assert draws.random() == ref.random()
+            assert draws.coins(10_001) == ref.integers(0, 2, size=10_001).tolist()
+            assert draws.random() == ref.random()
+            for k in (4096, 2048, 7, 4096):
+                assert draws.sample(4096, k) == ref.choice(4096, size=k, replace=False).tolist()
+                assert draws.coins(3) == ref.integers(0, 2, size=3).tolist()
+            assert draws.coins(20_000) == ref.integers(0, 2, size=20_000).tolist()
+            assert draws.random() == ref.random()
+            if pending:
+                assert draws.below(7) == int(ref.integers(7))
+        assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
+        assert rng.integers(2**32, size=5).tolist() == ref.integers(2**32, size=5).tolist()
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("bits", BIT_GENERATORS)
+def test_failed_generation_leaves_the_state_of_its_draws(bits, monkeypatch):
+    # a failure closes the reader too: the generator is where the reference
+    # leaves it after the tree and as many boxes as the failed call drew
+    shape = DomainShape((4, 4))
+    ones = {cell: 1 for cell in product(range(4), range(4))}
+    calls = _count_draws(monkeypatch)
+    failures = 0
+    for seed in range(40):
+        del calls[:]
+        rng = np.random.Generator(bits(seed))
+        try:
+            random_bounded_cover(shape, rho_max=2, extra=8, rng=rng, attempt_budget=15)
+        except GenerationFailureError:
+            failures += 1
+            ref = np.random.Generator(bits(seed))
+            functions.random_tree(shape, rng=ref)
+            assert bounded_additions_full_budget((4, 4), ones, 2, 8, len(calls), ref) is None
+            assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
+    assert failures >= 10
 
 
 @pytest.mark.parametrize("suite, arity", [("main", 2), ("tree", 2), ("multiparty", 3)])
