@@ -359,19 +359,6 @@ class _Draws:
             self._refill()
             return self._pop()
 
-    def _take(self, n: int) -> list[int]:
-        """The next n words, in order."""
-        words = self._words
-        out: list[int] = []
-        while n > len(words):
-            n -= len(words)
-            out += reversed(words)
-            self._refill()
-        if n:
-            out += words[: -n - 1 : -1]
-            del words[-n:]
-        return out
-
     def _next32(self) -> int:
         """numpy's next_uint32: the waiting high half, else a new word's low half."""
         if self._has:
@@ -415,19 +402,8 @@ class _Draws:
     def coins(self, k: int) -> list[int]:
         """rng.integers(0, 2, size=k).tolist(): for a range of 2 each value
         is the top bit of one next_uint32, as 2 divides 2**32."""
-        out = []
-        if k and self._has:
-            self._has = 0
-            out.append(self._half >> 31)
-            k -= 1
-        words = self._take((k + 1) // 2)
-        if words:  # each word's high half passes through `uinteger`
-            out += [(w >> s) & 1 for w in words for s in (31, 63)]
-            self._half = words[-1] >> 32
-            if k & 1:  # the last high half waits
-                del out[-1]
-                self._has = 1
-        return out
+        next32 = self._next32
+        return [next32() >> 31 for _ in range(k)]
 
 
 class _Draws32(_Draws):
@@ -442,9 +418,6 @@ class _Draws32(_Draws):
         a, b = self._word() >> 5, self._word() >> 6
         return (a * 67108864.0 + b) / 9007199254740992.0
 
-    def coins(self, k: int) -> list[int]:
-        return [w >> 31 for w in self._take(k)]
-
 
 def _reader(rng: np.random.Generator | _Draws | None, seed: int | None):
     """The reader to draw with: a new one over rng, or over a generator from
@@ -458,39 +431,41 @@ def _reader(rng: np.random.Generator | _Draws | None, seed: int | None):
 def _grow_tree(shape: DomainShape, draws: _Draws, split_prob: float | None, nodes: bool):
     """random_tree's recursion, which the cover generators share: returns
     the root (None unless `nodes`) and the leaves' masks, left to right, the
-    order in which compile_tree lists them. Each party's index list goes
-    down the recursion next to its mask."""
+    order in which compile_tree lists them. `masks` and `idxs` hold each
+    party's index set at the current node, as a bitmask and as a list: a
+    split sets the owner's entries for each child and puts them back
+    after."""
     if split_prob is None:
         split_prob = (30 + draws.below(61)) / 100.0  # rng.integers(30, 91)
     random, below, coins = draws.random, draws.below, draws.coins
     leaves: list[tuple[int, ...]] = []
     leaf = TreeLeaf()
+    masks = [(1 << s) - 1 for s in shape.sizes]
+    idxs = [list(range(s)) for s in shape.sizes]
 
-    def build(masks: tuple[int, ...], idxs: tuple[list[int], ...]):
+    def build():
         splittable = [i for i, ix in enumerate(idxs) if len(ix) > 1]
         if not splittable or random() >= split_prob:
-            leaves.append(masks)
+            leaves.append(tuple(masks))
             return leaf
         owner = splittable[below(len(splittable))]
-        ix = idxs[owner]
+        mask, ix = masks[owner], idxs[owner]
         while True:
             side = coins(len(ix))
             left_ix = [i for t, i in zip(side, ix) if t]
             if 0 < len(left_ix) < len(ix):  # both halves nonempty
                 break
-        right_ix = [i for t, i in zip(side, ix) if not t]
         left = 0
         for i in left_ix:
             left |= 1 << i
-        right = masks[owner] ^ left
-        head, tail = masks[:owner], masks[owner + 1 :]
-        ihead, itail = idxs[:owner], idxs[owner + 1 :]
-        first = build(head + (left,) + tail, ihead + (left_ix,) + itail)
-        second = build(head + (right,) + tail, ihead + (right_ix,) + itail)
-        return TreeSplit(owner, left, right, first, second) if nodes else None
+        masks[owner], idxs[owner] = left, left_ix
+        first = build()
+        masks[owner], idxs[owner] = mask ^ left, [i for t, i in zip(side, ix) if not t]
+        second = build()
+        masks[owner], idxs[owner] = mask, ix
+        return TreeSplit(owner, left, mask ^ left, first, second) if nodes else None
 
-    sizes = shape.sizes
-    return build(tuple((1 << s) - 1 for s in sizes), tuple(list(range(s)) for s in sizes)), leaves
+    return build(), leaves
 
 
 def random_tree(

@@ -310,16 +310,16 @@ def test_random_tree_matches_the_reference_under_every_bit_generator(bits, sizes
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
 
-def _count_next32(monkeypatch, draws):
-    """Count the 32-bit draws the reader consumes, through its next_uint32."""
+def _count_next32(monkeypatch, reader):
+    """Count the 32-bit draws a reader class consumes, through its next_uint32."""
     calls = []
-    next32 = type(draws)._next32
+    next32 = reader._next32
 
     def counted(self):
         calls.append(None)
         return next32(self)
 
-    monkeypatch.setattr(type(draws), "_next32", counted)
+    monkeypatch.setattr(reader, "_next32", counted)
     return calls
 
 
@@ -329,10 +329,10 @@ def test_draws_equal_numpy_integers_and_choice(bits, monkeypatch):
     # past 2**31 Lemire's method rejects about half of all draws
     ranges = (1, 2, 3, 61, 2**31 - 1, 2**31 + 1, 2**31 + 2**30, 2**32 - 1, 2**32)
     redraws = 0
+    calls = _count_next32(monkeypatch, type(functions._Draws(np.random.Generator(bits(0)))))
     for seed in range(12):
         rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
         with functions._Draws(rng) as draws:
-            calls = _count_next32(monkeypatch, draws)
             for m in ranges:
                 del calls[:]
                 assert draws.below(m) == int(ref.integers(m))
