@@ -671,7 +671,9 @@ def comm_matrix_rank(
     if field_name not in ("gf2", "rational"):
         raise InvalidInputError(f"unknown field {field_name!r}")
     if time.monotonic() >= deadline:
-        raise SolverTimeoutError(f"{field_name} rank ran out of budget", lower=0, upper=min(f.shape.sizes))
+        raise SolverTimeoutError(
+            f"{field_name} rank ran out of budget", lower=0, upper=min(f.shape.sizes)
+        )
     matrix = _indicator_matrix(f, color)
     if field_name == "gf2":
         return gf2_rank(matrix)
@@ -757,12 +759,12 @@ def bound_summary(f: ColoredFunction, timeout_s: float = 60.0) -> BoundSummary:
     Fooling sets and ranks come first. The fooling sets do not check the
     budget. Both ranks check it before each color's matrix is built, the
     rational ranks also at every pivot column, and a color whose rank it cuts
-    is left out of `rank_gf2` or `rank_rational`, with every color after it. Catalog
-    enumeration and the exact search share what is left of the budget (see
-    solve_cover). On timeout `cover_bounds` is (lower, upper) with the upper
-    bound at most the row-strip cover size; a timeout before the greedy
-    covers are built leaves `cover_greedy` unset and bounds the cover by the
-    color count and the row-strip cover."""
+    is left out of `rank_gf2` or `rank_rational`, with every color after
+    it. Catalog enumeration and the exact search share what is left of the
+    budget (see solve_cover). On timeout `cover_bounds` is (lower, upper)
+    with the upper bound at most the row-strip cover size; a timeout
+    before the greedy covers are built leaves `cover_greedy` unset and
+    bounds the cover by the color count and the row-strip cover."""
     _require_bounds_domain(f)
     deadline = time.monotonic() + timeout_s
     summary = BoundSummary(color_count=f.num_colors, fooling=fooling_sizes(f))

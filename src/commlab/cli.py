@@ -251,7 +251,9 @@ def _cmd_verify(args) -> int:
         return EXIT_VIOLATION if violations else EXIT_OK
     arity = args.arity if args.arity is not None else (3 if args.suite == "multiparty" else 2)
     if args.suite != "multiparty" and arity != 2:
-        raise InvalidInputError(f"verify {args.suite} is two-party; --arity {arity} needs multiparty")
+        raise InvalidInputError(
+            f"verify {args.suite} is two-party; --arity {arity} needs multiparty"
+        )
     if arity * args.max_bits > CELL_BITS:  # the largest shape the suite can draw
         raise InvalidInputError(
             f"--arity {arity} x --max-bits {args.max_bits} can draw 2**{arity * args.max_bits} "

@@ -244,7 +244,7 @@ class Cover:
         for f, w, s in zip(reversed(factors), reversed(widths), reversed(sizes)):
             rest, digit = np.divmod(rest, w[boxes])
             # each box's member indices: np.nonzero(f)[1], without its row array
-            cells +=(np.flatnonzero(f) % s)[(w.cumsum() - w)[boxes] + digit] * stride
+            cells += (np.flatnonzero(f) % s)[(w.cumsum() - w)[boxes] + digit] * stride
             stride *= s
         # int32 halves what every cover keeps: cells < MAX_CELLS = 2**24, and
         # box indices stay far below 2**31 (each box is a Python object)

@@ -515,9 +515,10 @@ def random_bounded_cover(
     still be accepted (any single cell is a possible box), so stopping early
     changes no outcome and no RNG call of a successful seed.
 
-    A row is a cell's coordinates but the last. at[j][row], for
-    1 <= j <= rho_max, is the bitset of the last coordinates of the row's
-    cells at thickness j or more."""
+    A row is a cell's coordinates but the last. at[j][row], for j >= 1, is
+    the bitset of the last coordinates of the row's cells at thickness j or
+    more. Level j is made when a cell first reaches it, so the levels take
+    memory in step with the boxes kept, whatever rho_max is."""
     if rho_max < 1:
         raise InvalidInputError("rho_max must be >= 1")
     if extra < 0:
@@ -525,8 +526,7 @@ def random_bounded_cover(
     *heads, last = shape.sizes
     rows = shape.num_cells // last
     # the tree leaves partition the grid, so every cell starts at thickness 1
-    at = [None, [(1 << last) - 1] * rows] + [[0] * rows for _ in range(rho_max - 1)]
-    top = at[rho_max]
+    at = [None, [(1 << last) - 1] * rows]
     open_cells = shape.num_cells if rho_max > 1 else 0  # cells still below rho_max
     budget = 1000 * extra if attempt_budget is None else attempt_budget
     attempts = 0
@@ -535,7 +535,9 @@ def random_bounded_cover(
         boxes = [Box(m) for m in _grow_tree(shape, draws, None, nodes=False)[1]]
         while added < extra:
             if open_cells == 0 or attempts >= budget:
-                why = "every cell is at the cap" if open_cells == 0 else f"no fit in {attempts} attempts"
+                why = (
+                    "every cell is at the cap" if open_cells == 0 else f"no fit in {attempts} attempts"
+                )
                 raise GenerationFailureError(
                     f"could not add {extra} boxes under rho_max={rho_max}: {why} (seed={seed})",
                     seed=seed,
@@ -548,12 +550,15 @@ def random_bounded_cover(
             cols = 0
             for i in drawn[-1]:
                 cols |= 1 << i
-            if any(top[r] & cols for r in box_rows):
+            if len(at) > rho_max and any(at[rho_max][r] & cols for r in box_rows):
                 continue
+            if any(at[-1][r] & cols for r in box_rows):  # a cell reaches a new level
+                at.append([0] * rows)
             for r in box_rows:
-                for j in range(rho_max - 1, 0, -1):  # each level from the one below before this box
+                for j in range(len(at) - 2, 0, -1):  # each level from the one below before this box
                     at[j + 1][r] |= at[j][r] & cols
-                open_cells -= (top[r] & cols).bit_count()
+            if len(at) > rho_max:
+                open_cells -= sum((at[rho_max][r] & cols).bit_count() for r in box_rows)
             boxes.append(Box.from_factors(drawn, shape))
             added += 1
     return Cover(shape, tuple(boxes))

@@ -24,10 +24,10 @@ from .errors import (
     InvalidInputError,
 )
 from .functions import (
-    _Draws,
     AMProtocol,
     ColoredFunction,
     Relation,
+    _Draws,
     dense_ids,
     good_mask,
     random_bounded_cover,
