@@ -99,12 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out")
     report.add_argument("--format", choices=["csv", "json"], default="csv")
     target = argparse.ArgumentParser(add_help=False)  # the function cover and bounds take
-    target.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
+    source = target.add_mutually_exclusive_group()
+    source.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
+    source.add_argument("--instance")
     target.add_argument("--n", type=_bits, default=1)
     target.add_argument("--sizes", type=parse_sizes)
     target.add_argument("--colors", type=int, default=2)
     target.add_argument("--seed", type=_int_in(0), default=0)
-    target.add_argument("--instance")
     target.add_argument("--timeout-s", type=_finite_float, default=60.0)
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -135,10 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
     inputs = verify.add_mutually_exclusive_group(required=True)
     inputs.add_argument("--seeds", type=parse_seeds)
     inputs.add_argument("--instance")
-    verify.add_argument("--arity", type=_int_in(2), default=None)
-    verify.add_argument("--max-bits", type=_bits, default=4)
-    verify.add_argument("--rho-max", type=parse_rho_max, default=(2, 4, 8))
-    verify.add_argument("--extra", type=int, default=4)
+    # generation options, for --seeds only; None takes SuiteConfig's default
+    verify.add_argument("--arity", type=_int_in(2))
+    verify.add_argument("--max-bits", type=_bits)
+    verify.add_argument("--rho-max", type=parse_rho_max)
+    verify.add_argument("--extra", type=int)
     verify.add_argument(
         "--rho-mode", choices=["global", "expected"], default="global",
         help="the log2(rho) term: global, the largest cell thickness; "
@@ -241,23 +243,24 @@ def _emit(rows, args) -> None:
 def _cmd_verify(args) -> int:
     from .verify import SuiteConfig, analyze_instance, batch_experiment
 
+    # the generation options that were given; SuiteConfig holds the defaults
+    names = ("arity", "max_bits", "rho_max", "extra")
+    generation = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.instance:
         from .serialize import load_instance
 
+        if generation:
+            given = ", ".join("--" + name.replace("_", "-") for name in generation)
+            raise InvalidInputError(f"{given} only apply to --seeds, not --instance")
         bundle = load_instance(args.instance)
         row, violations = analyze_instance(bundle, rho_mode=args.rho_mode, tol=args.tol)
         _emit([row], args)
         print(f"rows=1 violations={1 if violations else 0}")
         return EXIT_VIOLATION if violations else EXIT_OK
-    arity = args.arity if args.arity is not None else (3 if args.suite == "multiparty" else 2)
+    arity = generation.setdefault("arity", 3 if args.suite == "multiparty" else 2)
     if args.suite != "multiparty" and arity != 2:
         raise InvalidInputError(
             f"verify {args.suite} is two-party; --arity {arity} needs multiparty"
-        )
-    if arity * args.max_bits > CELL_BITS:  # the largest shape the suite can draw
-        raise InvalidInputError(
-            f"--arity {arity} x --max-bits {args.max_bits} can draw 2**{arity * args.max_bits} "
-            f"cells; the cap is 2**{CELL_BITS}"
         )
     out_dir = None
     if args.out:
@@ -267,14 +270,16 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig(
         suite=args.suite,
         seeds=args.seeds,
-        arity=arity,
-        max_bits=args.max_bits,
-        rho_max=args.rho_max,
-        extra=args.extra,
         rho_mode=args.rho_mode,
         tol=args.tol,
         out_dir=out_dir,
+        **generation,
     )
+    if arity * config.max_bits > CELL_BITS:  # the largest shape the suite can draw
+        raise InvalidInputError(
+            f"--arity {arity} x --max-bits {config.max_bits} can draw "
+            f"2**{arity * config.max_bits} cells; the cap is 2**{CELL_BITS}"
+        )
     result = batch_experiment(config)
     _emit(result.rows, args)
     print(

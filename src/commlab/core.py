@@ -71,17 +71,27 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def flat_positions(order: np.ndarray) -> np.ndarray:
+    """Per-row positions of a (..., width) array as positions in its flat
+    form: row r's plus r * width. One row's positions are already flat."""
+    width = order.shape[-1]
+    if order.size == width:
+        return order
+    return order + np.arange(0, order.size, width).reshape(order.shape[:-1] + (1,))
+
+
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """keys.argsort(axis=-1, kind="stable") for integer keys in [0, 2**32).
 
     numpy sorts keys of 16 bits or fewer by radix. So the keys are sorted by
     their low 16 bits, then stably by their high 16 bits when any key has
     them: two stable passes, least significant first, give the order of one
-    stable sort of the whole key."""
+    stable sort of the whole key. The passes are composed by 1-D gathers on
+    flat positions, which cost numpy less than take_along_axis over rows."""
     order = keys.astype(np.uint16).argsort(axis=-1, kind="stable")  # the cast keeps the low 16 bits
     if keys.size and int(keys.max()) >> 16:
-        high = np.take_along_axis((keys >> 16).astype(np.uint16), order, axis=-1)
-        order = np.take_along_axis(order, high.argsort(axis=-1, kind="stable"), axis=-1)
+        high = (keys >> 16).astype(np.uint16).reshape(-1)[flat_positions(order)]
+        order = order.reshape(-1)[flat_positions(high.argsort(axis=-1, kind="stable"))]
     return order
 
 

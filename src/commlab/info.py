@@ -20,6 +20,7 @@ from .core import (
     DomainShape,
     Protocol,
     box_thickness_table,
+    flat_positions,
     selector_labels,
     stable_argsort,
     thickness_table,
@@ -27,7 +28,9 @@ from .core import (
 from .errors import DegenerateInstanceError, InvalidInputError
 
 NORMALIZATION_TOL = 1e-12
-BATCH_CELLS = 1 << 16  # label cells per batched entropy sort: one group of a 65,536-cell grid
+# label cells per batched entropy sort: the fastest of 2**12..2**16 on verify-large
+# (BENCH_flatpasses.json); a profile's 11 groups on up to 1,024 cells are one batch
+BATCH_CELLS = 1 << 14
 KEY_LIMIT = 1 << 32  # combined label keys past this are ranked densely; well inside int64
 MAX_WEIGHT = 8  # random_integer_weights draws integer cell weights up to MAX_WEIGHT
 
@@ -49,10 +52,10 @@ def pairwise_sum(values) -> float:
     return float(buf[0])
 
 
-def grouped_pairwise_sums(values: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
-    """Per-group adjacent-pairwise sums, each the tree `pairwise_sum` builds
-    over that group's run. group_ids must be nondecreasing; the result is
-    ordered by group id.
+def grouped_pairwise_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-run adjacent-pairwise sums, each the tree `pairwise_sum` builds
+    over that run. starts holds the first position of every run, ascending
+    from 0; a run ends where the next starts, and the last at the end.
 
     Each run is padded with -0.0 to a power-of-two width, and the runs are laid
     out widest first, so every run starts at a multiple of its own width and
@@ -60,13 +63,10 @@ def grouped_pairwise_sums(values: np.ndarray, group_ids: np.ndarray) -> np.ndarr
     than one slot.
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
-    ids = np.asarray(group_ids).reshape(-1)
-    is_start = np.ones(vals.size + 1, dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=is_start[1:-1])
-    bounds = np.flatnonzero(is_start)
-    if bounds.size == vals.size + 1:  # every run is a single term
+    starts = np.asarray(starts).reshape(-1)
+    if starts.size == vals.size:  # every run is a single term
         return vals.copy()
-    lengths = bounds[1:] - bounds[:-1]
+    lengths = np.append(starts[1:], vals.size) - starts
     exponents = np.frexp(lengths - 1)[1]  # 2**e is the least power of two >= length
     order = (-exponents).argsort()
     widths = np.int64(1) << exponents[order]
@@ -74,7 +74,7 @@ def grouped_pairwise_sums(values: np.ndarray, group_ids: np.ndarray) -> np.ndarr
     offsets = np.empty_like(lengths)
     offsets[order] = ends - widths
     buf = np.full(int(ends[-1]), -0.0)
-    buf[np.repeat(offsets - bounds[:-1], lengths) + np.arange(vals.size)] = vals
+    buf[np.repeat(offsets - starts, lengths) + np.arange(vals.size)] = vals
     # level by level, the runs that are down to one slot are the last slots
     sums = np.empty(lengths.size)
     done = lengths.size
@@ -212,10 +212,13 @@ class InfoEngine:
         """Joint entropies H of many groups of named variables, in bits.
 
         Uncached groups are computed in batches of at most BATCH_CELLS label
-        cells: one stable radix argsort of the stacked label rows, then one
-        grouped sum for the mass of every outcome (a run of equal labels in a
-        row) and one for the entropy of every group. Each sum is the tree its
-        group gets alone, so no value depends on the batch."""
+        cells. A batch stacks its groups' label rows and sorts each row by one
+        stable radix argsort; every gather after it is a 1-D index on flat
+        positions. A run of equal labels in the flat sorted labels is one
+        outcome, and each row's first cell starts a run, so no run crosses a
+        row. One grouped sum over the run starts gives every outcome's mass,
+        and one over the rows' first runs every group's entropy. Each sum is
+        the tree its group gets alone, so no value depends on the batch."""
         keys = [frozenset(_as_names(g)) for g in groups]
         todo = [k for k in dict.fromkeys(keys) if k not in self._joint_cache]
         n = self.dist.p.size
@@ -224,15 +227,15 @@ class InfoEngine:
             batch = todo[start : start + step]
             labels = np.stack([self._group_labels(tuple(k)) for k in batch])
             order = stable_argsort(labels)  # every key is below KEY_LIMIT = 2**32
-            labels = np.take_along_axis(labels, order, axis=1)
-            is_start = np.ones(labels.shape, dtype=bool)
-            np.not_equal(labels[:, 1:], labels[:, :-1], out=is_start[:, 1:])
-            is_start = is_start.reshape(-1)
-            # int32 run ids: a batch holds at most max(BATCH_CELLS, MAX_CELLS) = 2**24 cells
-            runs = is_start.cumsum(dtype=np.int32)
-            q = grouped_pairwise_sums(self.dist.p[order].reshape(-1), runs)
+            labels = labels.reshape(-1)[flat_positions(order).reshape(-1)]
+            is_start = np.empty(labels.size, dtype=bool)
+            np.not_equal(labels[1:], labels[:-1], out=is_start[1:])
+            is_start[::n] = True
+            starts = np.flatnonzero(is_start)
+            q = grouped_pairwise_sums(self.dist.p[order.reshape(-1)], starts)
             terms = -q * np.log2(np.where(q > 0.0, q, 1.0))
-            values = grouped_pairwise_sums(terms, np.flatnonzero(is_start) // n)
+            first_runs = np.searchsorted(starts, np.arange(len(batch)) * n)
+            values = grouped_pairwise_sums(terms, first_runs)
             self._joint_cache.update(zip(batch, values.tolist()))
         return [self._joint_cache[k] for k in keys]
 

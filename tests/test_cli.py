@@ -187,16 +187,30 @@ def test_gen_cover_file_golden_digest(options, tmp_path, capsys):
         # main and tree are two-party suites
         ["verify", "main", "--arity", "3", "--seeds", "0..2"],
         ["verify", "tree", "--arity", "4", "--max-bits", "2", "--seeds", "0..2"],
+        # generation options mean nothing for an instance file
+        ["verify", "main", "--instance", "{inst}", "--max-bits", "12"],
+        ["verify", "main", "--instance", "{inst}", "--arity", "2"],
+        ["verify", "multiparty", "--instance", "{inst}", "--arity", "3"],
+        ["verify", "main", "--instance", "{inst}", "--rho-max", "9"],
+        ["verify", "tree", "--instance", "{inst}", "--extra", "7"],
     ],
 )
-def test_verify_bad_option_exits_two(bad, capsys, monkeypatch):
+def test_verify_bad_option_exits_two(bad, tmp_path, capsys, monkeypatch):
     # argparse exits 2 on a bad value, and main returns 2 on a bad
-    # combination; either way before any seed runs, with one error line
+    # combination; either way before any seed or instance runs, with one
+    # error line
     import commlab.verify
 
+    inst = str(tmp_path / "inst.json")
+    if "{inst}" in bad:
+        gen = ["gen", "--out", inst, "--cover", "random-bounded", "--sizes", "4x4"]
+        assert main([*gen, "--dist", "uniform"]) == 0
+        assert main(["verify", bad[1], "--instance", inst]) == 0  # the file alone is valid
+        capsys.readouterr()
     monkeypatch.setattr(commlab.verify, "_random_instance", lambda *a: pytest.fail("a seed ran"))
+    monkeypatch.setattr(commlab.verify, "analyze_instance", lambda *a, **k: pytest.fail("ran"))
     with pytest.raises(SystemExit) as exc:
-        sys.exit(main(bad))
+        sys.exit(main([arg.format(inst=inst) for arg in bad]))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -224,6 +238,23 @@ def test_bad_integer_exits_two(bad, tmp_path, capsys):
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["cover", "bounds"])
+def test_function_from_both_fn_and_instance_exits_two(command, tmp_path, capsys):
+    # the instance is the 2x2 XOR; --fn eq --n 3 is 8x8, and neither may win silently
+    inst = str(tmp_path / "xor2.json")
+    assert main(["gen", "--out", inst, "--fn", "xor", "--n", "1"]) == 0
+    assert main([command, "--instance", inst]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--fn", "eq", "--n", "3", "--instance", inst])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with" in err and "Traceback" not in err
+    code, _, err = run(capsys, command, "--n", "3")
+    assert code == 2
+    assert err == "error: need --fn or --instance\n"
 
 
 @pytest.mark.parametrize("command", ["gen", "cover", "bounds"])

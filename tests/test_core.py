@@ -423,3 +423,20 @@ def test_stable_argsort_matches_numpy_stable_argsort(alphabet, n_rows, width, se
     order = stable_argsort(keys)
     assert order.shape == keys.shape
     assert (order == keys.argsort(axis=-1, kind="stable")).all()
+
+
+@pytest.mark.parametrize(
+    "shape, top, dtype",
+    [
+        ((70_000,), (1 << 24) - 1, np.int32),  # Cover._by_cell's cells, up to MAX_CELLS
+        ((2, 4_096), (1 << 20) - 1, np.int64),  # batched label rows whose keys cross 2**16
+        ((3, 5_000), (1 << 32) - 1, np.int64),
+    ],
+)
+def test_stable_argsort_matches_numpy_at_cover_and_batch_sizes(shape, top, dtype):
+    # few distinct values, so every row has long runs of ties, plus both ends
+    rng = np.random.default_rng(shape[-1])
+    values = np.concatenate([[0, top], rng.integers(0, top + 1, size=500)])
+    keys = values[rng.integers(0, values.size, size=shape)].astype(dtype)
+    assert keys.max() >> 16
+    assert (stable_argsort(keys) == keys.argsort(axis=-1, kind="stable")).all()

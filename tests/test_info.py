@@ -75,13 +75,19 @@ def test_pairwise_sum_matches_fsum():
         assert got == pytest.approx(math.fsum(values), abs=1e-12)
 
 
+def _run_starts(ids) -> np.ndarray:
+    """The first position of every run of equal consecutive ids."""
+    ids = np.asarray(ids)
+    return np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+
+
 def test_grouped_pairwise_sums_match_per_group_fsum():
     rng = np.random.default_rng(1)
     for _ in range(20):
         n = int(rng.integers(1, 200))
         ids = np.sort(rng.integers(0, 20, size=n))
         vals = rng.random(n)
-        got = grouped_pairwise_sums(vals, ids)
+        got = grouped_pairwise_sums(vals, _run_starts(ids))
         expected = grouped_pairwise_sums_levels(vals.tolist(), ids.tolist())
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
         fsums = [math.fsum(vals[ids == g]) for g in np.unique(ids)]
@@ -120,7 +126,7 @@ def test_grouped_pairwise_sums_are_bit_identical_to_level_oracle(scale, runs, ga
     # at most 300 terms, in runs of any length and with gaps between ids
     values = [v * scale for run in runs for v in run][:300]
     ids = [gid for run, gid in zip(runs, np.cumsum(gaps).tolist()) for _ in run][:300]
-    got = grouped_pairwise_sums(np.array(values), np.array(ids))
+    got = grouped_pairwise_sums(np.array(values), _run_starts(ids))
     expected = grouped_pairwise_sums_levels(values, ids)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
@@ -498,8 +504,8 @@ def _five_variables(shape, seed):
     return dist, coordinates(shape, **labels)
 
 
-@pytest.mark.parametrize("sizes, batches", [((3, 5), 1), ((64, 64), 2)])
-def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, batches):
+@pytest.mark.parametrize("sizes, min_batches", [((3, 5), 1), ((64, 64), 2)])
+def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, min_batches):
     from itertools import combinations
 
     from commlab.info import BATCH_CELLS
@@ -510,7 +516,8 @@ def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, batches)
     dist, variables = _five_variables(shape, seed=sum(sizes))
     names = sorted(variables.labels)
     groups = [g for k in range(1, len(names) + 1) for g in combinations(names, k)]
-    assert math.ceil(len(groups) / (BATCH_CELLS // shape.num_cells)) == batches
+    batches = math.ceil(len(groups) / max(1, BATCH_CELLS // shape.num_cells))
+    assert batches >= min_batches
     batched = InfoEngine(dist, variables).entropies(groups)
     alone = [InfoEngine(dist, variables).entropy(g) for g in groups]
     columns = [variables.labels[name].tolist() for name in names]
@@ -525,6 +532,57 @@ def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, batches)
     ]
     assert [v.hex() for v in batched] == [v.hex() for v in alone] == [v.hex() for v in oracle]
     assert InfoEngine(dist, variables).entropies([("A",), (), "A"])[1] == 0.0
+
+
+def _profile_engine(seed):
+    """The engine and the 11 distinct groups that build_profile reads for a
+    verify-large (max_bits 8) instance."""
+    from commlab.info import _profile_groups
+    from commlab.verify import SuiteConfig, _random_instance
+
+    protocol, function, dist = _random_instance(SuiteConfig(max_bits=8), seed)
+    shape = protocol.shape
+    variables = coordinates(shape, T=selector_labels(protocol), F=function.flat())
+    groups = list(dict.fromkeys(frozenset(g) for g in _profile_groups(2, True)))
+    assert len(groups) == 11
+    return InfoEngine(dist, variables), groups
+
+
+@pytest.mark.parametrize("seed, sizes", [(84, (64, 64)), (13, (256, 128))])
+def test_profile_entropies_do_not_depend_on_the_batch_size(seed, sizes, monkeypatch):
+    import commlab.info
+
+    values = []
+    for cells in (1 << 10, 1 << 14, 1 << 16):
+        monkeypatch.setattr(commlab.info, "BATCH_CELLS", cells)
+        engine, groups = _profile_engine(seed)
+        assert engine.dist.shape.sizes == sizes
+        values.append([v.hex() for v in engine.entropies(groups)])
+    assert values[0] == values[1] == values[2]
+
+
+def test_entropies_of_a_65536_cell_grid_match_the_level_oracle():
+    # keys past 2**16 take both radix passes, and each batch holds one group
+    from commlab.info import BATCH_CELLS
+
+    from naive import entropy_levels
+
+    shape = DomainShape((256, 256))
+    n = shape.num_cells
+    assert max(1, BATCH_CELLS // n) == 1
+    rng = np.random.default_rng(5)
+    t = rng.choice(1 << 20, size=3000, replace=False)[rng.integers(0, 3000, size=n)]
+    f = rng.integers(0, 8, size=n)
+    variables = coordinates(shape, T=t, F=f)
+    dist = JointDistribution.random_integer_weights(shape, seed=5)
+    groups = [("T",), ("T", "X1"), ("F", "T", "X0")]
+    engine = InfoEngine(dist, variables)
+    assert all(engine._group_labels(g).max() >> 16 for g in groups)
+    got = engine.entropies(groups)
+    for g, value in zip(groups, got):
+        keys = list(zip(*(variables.labels[name].tolist() for name in g)))
+        expected = entropy_levels(dist.p.tolist(), keys, lambda q: float(np.log2(q)))
+        assert value.hex() == expected.hex(), g
 
 
 def test_combined_keys_past_int64_do_not_merge_outcomes():
