@@ -15,7 +15,7 @@ _EXPORTS = {
     "core": (
         "Box", "Cover", "DomainShape", "Protocol", "ProtocolTree",
         "TranscriptSelector", "TreeLeaf", "TreeSplit", "box", "compile_tree",
-        "select_transcript", "selector_labels", "thickness_table", "validate_cover",
+        "select_transcript", "selector_labels", "thickness_table",
     ),
     "errors": (
         "CommlabError", "DegenerateInstanceError", "GenerationFailureError",

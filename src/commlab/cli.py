@@ -122,11 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=_bits, default=1)
     gen.add_argument("--arity", type=int, default=2)
     gen.add_argument("--colors", type=int, default=2)
-    gen.add_argument("--delta", type=float, default=0.0)
-    gen.add_argument("--rho-max", type=int, default=2)
-    gen.add_argument("--extra", type=int, default=2)
+    gen.add_argument("--delta", type=float)
+    gen.add_argument("--rho-max", type=int)
+    gen.add_argument("--extra", type=int)
     gen.add_argument("--selector", choices=["min-index", "seeded-random"], default="min-index")
-    gen.add_argument("--selector-seed", type=_int_in(0, SELECTOR_SEED_MAX), default=0)
+    gen.add_argument("--selector-seed", type=_int_in(0, SELECTOR_SEED_MAX))
     gen.add_argument("--dist", choices=["uniform", "random"])
     gen.add_argument("--seed", type=_int_in(0), default=0)
 
@@ -187,6 +187,17 @@ def _cmd_gen(args) -> int:
     from .info import JointDistribution
     from .serialize import InstanceBundle, save_instance
 
+    # an option for one choice only: refused with any other, its default if not given
+    for name, (option, choice), default in (
+        ("rho_max", ("cover", "random-bounded"), 2),
+        ("extra", ("cover", "random-bounded"), 2),
+        ("selector_seed", ("selector", "seeded-random"), 0),
+        ("delta", ("relation", "approx-xor"), 0.0),
+    ):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif getattr(args, option) != choice:
+            raise InvalidInputError(f"--{name.replace('_', '-')} needs --{option} {choice}")
     if args.preset == "parity-tightness":
         protocol = parity_tightness_protocol(args.n)
         save_instance(InstanceBundle(protocol=protocol), args.out)

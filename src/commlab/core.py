@@ -95,6 +95,17 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     return order
 
 
+def dense_ids(values: np.ndarray, bound: int) -> np.ndarray:
+    """Each value's rank among the distinct values, for non-negative ints
+    below `bound`: np.unique's inverse, from a presence table instead of a
+    sort unless the table would be longer than the values."""
+    if bound > values.size:
+        return np.unique(values, return_inverse=True)[1].reshape(values.shape)
+    present = np.zeros(bound, dtype=bool)
+    present[values] = True
+    return (present.cumsum() - 1)[values]
+
+
 def pack_rows(bits) -> list[int]:
     """Each row of a 2-D bool array as an int bitset (bit j = column j)."""
     packed = np.packbits(np.ascontiguousarray(bits, dtype=bool), axis=1, bitorder="little")
@@ -276,27 +287,9 @@ class Cover:
         return _read_only(np.maximum.reduceat(self._by_cell[0][cells], runs))
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    covers_domain: bool
-    uncovered: tuple[tuple[int, ...], ...]
-    is_partition: bool
-
-
 def thickness_table(cover: Cover) -> np.ndarray:
     """Per-cell count of covering boxes, flat row-major read-only int array."""
     return cover._by_cell[0]
-
-
-def validate_cover(cover: Cover) -> CoverageReport:
-    counts = thickness_table(cover)
-    missing = np.flatnonzero(counts == 0)
-    uncovered = tuple(cover.shape.cell_of_linear(int(i)) for i in missing)
-    return CoverageReport(
-        covers_domain=len(uncovered) == 0,
-        uncovered=uncovered,
-        is_partition=bool(len(uncovered) == 0 and (counts == 1).all()),
-    )
 
 
 def box_thickness_table(cover: Cover) -> np.ndarray:
@@ -343,7 +336,9 @@ class TranscriptSelector:
 
 @dataclass(frozen=True)
 class Protocol:
-    """A cover plus a transcript selector; validated at construction."""
+    """A cover plus a transcript selector. Construction checks that every
+    cell lies in a box, for every selector: an explicit one must map each cell
+    to a box containing it, and otherwise the first cell in no box raises."""
 
     cover: Cover
     selector: TranscriptSelector
@@ -370,6 +365,9 @@ class Protocol:
                 raise InvalidSelectorError(
                     f"explicit selector maps cell {cell} to box {i}, which does not contain it"
                 )
+        elif not self.cover._by_cell[0].all():
+            cell = self.shape.cell_of_linear(int(self.cover._by_cell[0].argmin()))
+            raise UncoveredCellError(f"cell {cell} is covered by no box")
 
     @property
     def shape(self) -> DomainShape:
@@ -381,10 +379,6 @@ class Protocol:
         if sel.kind == "explicit":
             return _read_only(np.array(sel.table, dtype=np.int64))
         counts, boxes = self.cover._by_cell
-        missing = np.flatnonzero(counts == 0)
-        if missing.size:
-            cell = self.shape.cell_of_linear(int(missing[0]))
-            raise UncoveredCellError(f"cell {cell} is covered by no box")
         pick = 0
         if sel.kind == "seeded-random":
             # position hash64(seed, linear) mod rho_cell among the containing
@@ -404,8 +398,6 @@ def select_transcript(protocol: Protocol, cell) -> int:
     if sel.kind == "explicit":
         return int(sel.table[lin])
     containing = [i for i, b in enumerate(protocol.cover.boxes) if b.contains(cell)]
-    if not containing:
-        raise UncoveredCellError(f"cell {tuple(cell)} is covered by no box")
     if sel.kind == "min-index":
         return containing[0]
     return containing[hash64(sel.seed, lin) % len(containing)]

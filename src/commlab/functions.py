@@ -23,6 +23,7 @@ from .core import (
     TreeLeaf,
     TreeSplit,
     box,
+    dense_ids,
     indices_from_mask,
     pack_rows,
     selector_labels,
@@ -61,15 +62,6 @@ class ColoredFunction:
 
     def flat(self) -> np.ndarray:
         return self.colors.reshape(-1)
-
-
-def dense_ids(values: np.ndarray, bound: int) -> np.ndarray:
-    """Each value's rank among the distinct values, for non-negative ints
-    below `bound`: np.unique's inverse, from a presence table instead of a
-    sort."""
-    present = np.zeros(bound, dtype=bool)
-    present[values] = True
-    return (present.cumsum() - 1)[values]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +216,6 @@ def random_function(shape: DomainShape, num_colors: int, seed: int) -> ColoredFu
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     raw = np.random.default_rng(seed).integers(0, num_colors, size=shape.sizes)
-    if num_colors > shape.num_cells:  # a presence table that long would not fit
-        return ColoredFunction(shape, np.unique(raw, return_inverse=True)[1].reshape(shape.sizes))
     return ColoredFunction(shape, dense_ids(raw, num_colors))
 
 
@@ -307,7 +297,8 @@ class _Draws:
       first. The high half waits in the state's `has_uint32` and `uinteger`,
       which the reader reads on entry and writes back on exit; a half that is
       taken leaves `uinteger` stale, as numpy does. random() is
-      (word >> 11) * 2**-53. MT19937's 32-bit words go to _Draws32.
+      (word >> 11) * 2**-53. A bit generator whose state has no
+      `has_uint32` (MT19937, whose words are 32 bits) is refused on entry.
     - A bounded integer below n (`rng.integers(n)`) follows Lemire's method
       (Lemire 2019, "Fast random integer generation in an interval"): a
       next_uint32 x gives m = x * n, redrawn while
@@ -323,9 +314,6 @@ class _Draws:
 
     __slots__ = ("_bits", "_words", "_pop", "_block", "_saved", "_has", "_half")
 
-    def __new__(cls, rng: np.random.Generator):
-        return object.__new__(_Draws32 if isinstance(rng.bit_generator, np.random.MT19937) else cls)
-
     def __init__(self, rng: np.random.Generator):
         self._bits = rng.bit_generator
         self._words: list[int] = []  # the last block's unread words, the next one last
@@ -334,13 +322,14 @@ class _Draws:
 
     def __enter__(self) -> "_Draws":
         state = self._saved = self._bits.state
-        self._has, self._half = state.get("has_uint32", 0), state.get("uinteger", 0)
+        if "has_uint32" not in state:
+            raise InvalidInputError(f"{state['bit_generator']} has no 64-bit words to draw from")
+        self._has, self._half = state["has_uint32"], state["uinteger"]
         return self
 
     def __exit__(self, *exc) -> None:
         state = self._saved
-        if "has_uint32" in state:
-            state["has_uint32"], state["uinteger"] = self._has, self._half
+        state["has_uint32"], state["uinteger"] = self._has, self._half
         self._bits.state = state
         self._bits.random_raw(self._block - len(self._words))
 
@@ -404,19 +393,6 @@ class _Draws:
         is the top bit of one next_uint32, as 2 divides 2**32."""
         next32 = self._next32
         return [next32() >> 31 for _ in range(k)]
-
-
-class _Draws32(_Draws):
-    """The reader of MT19937, whose words are 32 bits: next_uint32 is one
-    word, and random() numpy's formula over two."""
-
-    __slots__ = ()
-
-    _next32 = _Draws._word
-
-    def random(self) -> float:
-        a, b = self._word() >> 5, self._word() >> 6
-        return (a * 67108864.0 + b) / 9007199254740992.0
 
 
 def _reader(rng: np.random.Generator | _Draws | None, seed: int | None):

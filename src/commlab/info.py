@@ -20,6 +20,7 @@ from .core import (
     DomainShape,
     Protocol,
     box_thickness_table,
+    dense_ids,
     flat_positions,
     selector_labels,
     stable_argsort,
@@ -169,12 +170,6 @@ class VariableSpec:
         object.__setattr__(self, "radices", radices)
 
 
-def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ranks of the labels, which keep their order, and their count."""
-    values, ranks = np.unique(labels, return_inverse=True)
-    return ranks.reshape(-1), values.size
-
-
 class InfoEngine:
     """Caching evaluator of joint/conditional entropies over one distribution
     and one variable spec."""
@@ -202,10 +197,11 @@ class InfoEngine:
         for name in names[1:]:
             b, b_radix = labels[name], radices[name]
             if radix * b_radix > KEY_LIMIT:
-                (combined, radix), (b, b_radix) = _dense(combined), _dense(b)
+                combined, b = dense_ids(combined, radix), dense_ids(b, b_radix)
+                radix, b_radix = int(combined.max()) + 1, int(b.max()) + 1
             combined, radix = combined * b_radix + b, radix * b_radix
         if radix > KEY_LIMIT:
-            combined, _ = _dense(combined)
+            combined = dense_ids(combined, radix)
         return combined
 
     def entropies(self, groups) -> list[float]:
@@ -400,11 +396,6 @@ def build_profile(
         raise InvalidInputError("distribution shape does not match protocol domain")
     shape = protocol.shape
     arity = shape.arity
-    counts = thickness_table(protocol.cover)
-    bad = np.flatnonzero((dist.p > 0.0) & (counts == 0))
-    if bad.size:
-        cell = shape.cell_of_linear(int(bad[0]))
-        raise InvalidInputError(f"distribution puts mass on uncovered cell {cell}")
     t_labels = selector_labels(protocol)
 
     excluded_mass = 0.0
@@ -448,7 +439,7 @@ def build_profile(
         labels["F"] = f_labels
     engine = InfoEngine(dist, VariableSpec(shape, labels))
 
-    rho_global = int(counts.max())
+    rho_global = int(thickness_table(protocol.cover).max())
     box_rho = box_thickness_table(protocol.cover)
     expected_log_rho = pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels])
 

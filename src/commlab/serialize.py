@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SELECTOR_SEED_MAX, Box, Cover, DomainShape, Protocol, TranscriptSelector,
-                   mask_from_indices, validate_cover)
+                   mask_from_indices)
 from .errors import SchemaError
 from .functions import (
     MAX_RELATION_COLORS,
@@ -42,10 +42,6 @@ class InstanceBundle:
     relation: Relation | None = None
     distribution: JointDistribution | None = None
     error: ErrorProtocol | None = None
-
-    @property
-    def shape(self) -> DomainShape:
-        return self.protocol.shape
 
 
 @dataclass
@@ -292,12 +288,6 @@ def _instance_from_body(obj, where: str) -> InstanceBundle:
             raise SchemaError(f"{at}: wrong number of factors")
         boxes.append(Box.from_factors([_ints(f, at) for f in factors], shape))
     cover = Cover(shape, tuple(boxes))
-    report = validate_cover(cover)
-    if not report.covers_domain:
-        raise SchemaError(
-            f"{where}: boxes do not cover the domain, first uncovered cell "
-            f"{report.uncovered[0]}"
-        )
     protocol = Protocol(cover, _selector_from_obj(obj["selector"], f"{where}.selector"))
     if ("g_a" in obj) != ("g_b" in obj):
         raise SchemaError(f"{where}: g_a and g_b must be given together")

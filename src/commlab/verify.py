@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainShape, Protocol, TranscriptSelector, selector_labels
+from .core import DomainShape, Protocol, TranscriptSelector, dense_ids, selector_labels
 from .errors import (
     DegenerateInstanceError,
     GenerationFailureError,
@@ -28,7 +28,6 @@ from .functions import (
     ColoredFunction,
     Relation,
     _Draws,
-    dense_ids,
     good_mask,
     random_bounded_cover,
 )

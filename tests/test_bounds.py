@@ -19,7 +19,6 @@ from commlab import (
     eq_function,
     monochromatic_color,
     random_function,
-    validate_cover,
     xor_function,
 )
 from commlab.bounds import (
@@ -33,7 +32,7 @@ from commlab.bounds import (
     gf2_rank,
     rational_rank,
 )
-from commlab.core import Box, Cover, indices_from_mask
+from commlab.core import Box, Cover, indices_from_mask, thickness_table
 
 from naive import (
     brute_force_cover_number,
@@ -162,9 +161,7 @@ def test_cover_number_xor():
         f = xor_function(n)
         count, witness = cover_number(f)
         assert count == expected
-        cover = Cover(f.shape, witness)
-        report = validate_cover(cover)
-        assert report.covers_domain
+        assert thickness_table(Cover(f.shape, witness)).all()
         assert all(monochromatic_color(b, f) is not None for b in witness)
 
 
@@ -181,7 +178,7 @@ def test_greedy_at_least_exact():
         exact, _ = cover_number(f, "exact")
         greedy, witness = cover_number(f, "greedy")
         assert greedy >= exact
-        assert validate_cover(Cover(f.shape, witness)).covers_domain
+        assert thickness_table(Cover(f.shape, witness)).all()
 
 
 def test_exact_matches_brute_force_oracle():
@@ -225,7 +222,7 @@ def test_exact_matches_brute_force_with_valid_witness():
         assert exact == brute_force_cover_number(side, side, boxes)
         assert len(witness) == exact
         assert all(monochromatic_color(b, f) is not None for b in witness)
-        assert validate_cover(Cover(f.shape, witness)).covers_domain
+        assert thickness_table(Cover(f.shape, witness)).all()
         checked[side, colors] = checked.get((side, colors), 0) + 1
     assert len(checked) == 4  # 4x4 and 5x5, 2 and 3 colors
 
@@ -248,7 +245,7 @@ def test_exact_matches_plain_search_on_long_searches():
         count, witness = cover_number(f)
         assert count == expected == len(witness)
         assert all(monochromatic_color(b, f) is not None for b in witness)
-        assert validate_cover(Cover(f.shape, witness)).covers_domain
+        assert thickness_table(Cover(f.shape, witness)).all()
 
 
 def _node_minimum(setup, uncovered, banned):
@@ -506,7 +503,7 @@ def test_random_16x16_is_solved_within_five_seconds():
     f = random_function(DomainShape((16, 16)), 2, 1)
     summary = bound_summary(f, timeout_s=5.0)
     assert summary.cover_exact == len(summary.cover_witness) == 30
-    assert validate_cover(Cover(f.shape, summary.cover_witness)).covers_domain
+    assert thickness_table(Cover(f.shape, summary.cover_witness)).all()
     assert all(monochromatic_color(b, f) is not None for b in summary.cover_witness)
     assert "internal" not in summary.status
 

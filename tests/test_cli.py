@@ -461,6 +461,49 @@ def test_invalid_input_exit_two(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_uncovered_cell_of_a_large_instance_exits_two(tmp_path, capsys):
+    # one 1x1 box on 4096x4096 leaves 2**24 - 1 cells uncovered; the first,
+    # (0, 1), is named without a list of the rest being built
+    path = str(tmp_path / "one-box.json")
+    obj = {"schema": "commlab-instance-v1", "arity": 2, "sizes": [4096, 4096],
+           "rectangles": [[[0], [0]]], "selector": {"kind": "min-index"}}
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    code, _, err = run(capsys, "verify", "main", "--instance", path)
+    assert code == 2
+    assert err == "error: cell (0, 1) is covered by no box\n"
+
+
+@pytest.mark.parametrize(
+    "options, refused",
+    [
+        ("--cover windmill --rho-max 9 --extra 7", "--rho-max"),
+        ("--cover windmill --extra 7", "--extra"),
+        ("--cover random-tree --sizes 4x4 --rho-max 1", "--rho-max"),
+        ("--cover windmill --selector-seed 99 --delta 0.7", "--selector-seed"),
+        ("--cover windmill --delta 0.7", "--delta"),
+        ("--fn xor --n 2 --delta 0", "--delta"),
+        ("--preset parity-tightness --extra 2", "--extra"),
+    ],
+)
+def test_gen_refuses_options_it_would_ignore(options, refused, tmp_path, capsys):
+    # each option applies to one choice only, and with any other it would
+    # leave the file unchanged
+    out = str(tmp_path / "inst.json")
+    code, _, err = run(capsys, "gen", "--out", out, *options.split())
+    assert code == 2
+    assert err.startswith(f"error: {refused} needs --") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_gen_takes_delta_with_a_relation(tmp_path, capsys):
+    out = str(tmp_path / "rel.json")
+    # radius floor(0.5 * 2) = 1 around x ^ y = 0: the ids within one bit of 0
+    code, _, _ = run(capsys, "gen", "--out", out, "--relation", "approx-xor", "--n", "2", "--delta", "0.5")
+    assert code == 0
+    assert json.loads(open(out).read())["relation"]["admissible"][0] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("command", ["bounds", "cover"])
 def test_over_cap_grid_exits_two_before_bound_work(command, capsys, monkeypatch):
     # 300x300 is 90,000 cells: no fooling set may be searched on it

@@ -24,7 +24,6 @@ from commlab import (
     compile_tree,
     select_transcript,
     selector_labels,
-    validate_cover,
     windmill_cover,
 )
 from commlab.core import (
@@ -70,8 +69,7 @@ def test_box_validation():
 
 def test_windmill_partition_by_enumeration():
     cover = windmill_cover()
-    report = validate_cover(cover)
-    assert report.covers_domain and report.is_partition
+    assert (thickness_table(cover) == 1).all()
     # independent check: count covering boxes per cell by brute force
     for x in range(4):
         for y in range(4):
@@ -83,16 +81,14 @@ def test_windmill_partition_by_enumeration():
 def test_uncovered_cell_reported():
     shape = DomainShape((2, 2))
     cover = Cover(shape, (box(shape, [0], [0, 1]), box(shape, [1], [0])))
-    report = validate_cover(cover)
-    assert not report.covers_domain
-    assert report.uncovered == ((1, 1),)
-    assert not report.is_partition
+    assert thickness_table(cover).tolist() == [1, 1, 1, 0]
+    with pytest.raises(UncoveredCellError, match=re.escape("cell (1, 1) is covered by no box")):
+        Protocol(cover, TranscriptSelector.min_index())
 
 
 def test_single_full_box_is_partition():
     shape = DomainShape((2, 3))
-    report = validate_cover(Cover(shape, (full_box(shape),)))
-    assert report.covers_domain and report.is_partition
+    assert (thickness_table(Cover(shape, (full_box(shape),))) == 1).all()
 
 
 def test_thickness_scopes():
@@ -202,20 +198,22 @@ def test_hash64_pinned():
 
 
 def test_uncovered_cell_error_on_selection():
+    # no protocol over an uncovered cell exists to select from: every
+    # selector refuses it at construction
     shape = DomainShape((2, 2))
     cover = Cover(shape, (box(shape, [0], [0, 1]),))
-    p = Protocol(cover, TranscriptSelector.min_index())
-    with pytest.raises(UncoveredCellError):
-        select_transcript(p, (1, 0))
-    with pytest.raises(UncoveredCellError):
-        selector_labels(p)
+    for selector in (TranscriptSelector.min_index(), TranscriptSelector.seeded(5)):
+        with pytest.raises(UncoveredCellError, match=re.escape("(1, 0)")):
+            Protocol(cover, selector)
+    with pytest.raises(InvalidSelectorError, match=re.escape("(1, 0)")):
+        Protocol(cover, TranscriptSelector.explicit([0, 0, 0, 0]))
 
 
 def test_compile_single_leaf():
     shape = DomainShape((2, 2))
     protocol = compile_tree(ProtocolTree(shape, TreeLeaf()))
     assert protocol.cover.num_boxes == 1
-    assert validate_cover(protocol.cover).is_partition
+    assert (thickness_table(protocol.cover) == 1).all()
 
 
 def test_compile_row_split():
@@ -264,9 +262,7 @@ def test_random_trees_compile_to_thickness_one_partitions():
     for seed in range(50):
         shape = DomainShape((4, 8))
         protocol = compile_tree(random_tree(shape, seed=seed))
-        report = validate_cover(protocol.cover)
-        assert report.is_partition
-        assert thickness_table(protocol.cover).max() == 1
+        assert (thickness_table(protocol.cover) == 1).all()
         labels = selector_labels(protocol)
         for lin, cell in enumerate(shape.cells()):
             assert labels[lin] == select_transcript(protocol, cell)
@@ -331,11 +327,11 @@ def test_cover_tables_match_per_cell_reference_on_overlapping_covers(sizes, n_bo
     for i, b in enumerate(boxes):
         assert box_thickness_table(cover)[i] == max(n for c, n in zip(cells, brute) if b.contains(c))
     for selector in (TranscriptSelector.min_index(), TranscriptSelector.seeded(seed)):
-        protocol = Protocol(cover, selector)
         if 0 in brute:
             with pytest.raises(UncoveredCellError, match=re.escape(str(cells[brute.index(0)]))):
-                selector_labels(protocol)
+                Protocol(cover, selector)
             continue
+        protocol = Protocol(cover, selector)
         assert selector_labels(protocol).tolist() == [select_transcript(protocol, c) for c in cells]
     # explicit tables: a valid one (where one exists) with a few cells moved,
     # checked against the first box, then the first cell, mapped wrongly

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from commlab import (
     JointDistribution,
     Protocol,
     TranscriptSelector,
+    UncoveredCellError,
     VariableSpec,
     binary_entropy,
     build_profile,
@@ -306,10 +308,10 @@ def test_ic_singleton_partition():
 def test_support_outside_cover_rejected():
     shape = DomainShape((2, 2))
     cover = Cover(shape, (box(shape, [0], [0, 1]),))  # misses row 1
-    protocol = Protocol(cover, TranscriptSelector.min_index())
     dist = dist_from_dict(shape, {(1, 0): 1.0})
-    with pytest.raises(InvalidInputError):
-        build_profile(dist, protocol)
+    # the protocol itself is refused, before any profile of it
+    with pytest.raises(UncoveredCellError, match=re.escape("(1, 0)")):
+        build_profile(dist, Protocol(cover, TranscriptSelector.min_index()))
 
 
 def test_profile_xor_singletons():

@@ -14,6 +14,7 @@ from commlab import (
     Protocol,
     SchemaError,
     TranscriptSelector,
+    UncoveredCellError,
     approx_xor_relation,
     error_protocol_from_cover,
     load_am,
@@ -22,6 +23,7 @@ from commlab import (
     random_bounded_cover,
     save_am,
     save_instance,
+    thickness_table,
     trivial_merlin_am,
     windmill_cover,
     xor_function,
@@ -50,7 +52,7 @@ def test_windmill_round_trip(tmp_path):
     path = tmp_path / "windmill.json"
     save_instance(bundle, str(path))
     loaded = load_instance(str(path))
-    assert loaded.shape.sizes == (4, 4)
+    assert loaded.protocol.shape.sizes == (4, 4)
     assert [b.masks for b in loaded.protocol.cover.boxes] == [
         b.masks for b in bundle.protocol.cover.boxes
     ]
@@ -162,7 +164,8 @@ def test_load_rejects_uncovering_boxes():
         "rectangles": [[[0], [0, 1]]],
         "selector": {"kind": "min-index"},
     }
-    with pytest.raises(SchemaError) as err:
+    # Protocol refuses the cover, with an InvalidInputError like SchemaError's
+    with pytest.raises(UncoveredCellError) as err:
         instance_from_text(json.dumps(obj))
     assert "(1, 0)" in str(err.value)
 
@@ -178,9 +181,7 @@ def test_load_overlapping_boxes_min_index_ok():
         "selector": {"kind": "min-index"},
     }
     bundle = instance_from_text(json.dumps(obj))
-    from commlab import validate_cover
-
-    assert not validate_cover(bundle.protocol.cover).is_partition
+    assert thickness_table(bundle.protocol.cover).tolist() == [2, 2, 2, 2]
 
 
 def test_load_accepts_kind_specs():
