@@ -24,15 +24,15 @@ _EXPORTS = {
     ),
     "functions": (
         "AMProtocol", "ColoredFunction", "ErrorProtocol", "Relation",
-        "approx_xor_relation", "constant_function", "eq_function",
+        "approx_xor_relation", "box_color_labels", "constant_function", "eq_function",
         "error_protocol_from_cover", "gen_cover", "gen_function", "matvec_function",
         "monochromatic_color", "parity_tightness_protocol", "random_bounded_cover",
         "random_function", "random_tree", "trivial_merlin_am", "trivial_merlin_cover",
         "windmill_cover", "xor_function",
     ),
     "info": (
-        "InfoProfile", "JointDistribution", "VariableSpec", "binary_entropy",
-        "build_profile", "pairwise_sum", "triple_information",
+        "InfoProfile", "JointDistribution", "binary_entropy", "build_profile",
+        "pairwise_sum", "triple_information",
     ),
     "bounds": (
         "BoundSummary", "MonochromaticCatalog", "bound_summary",

@@ -600,14 +600,10 @@ def fooling_set(
 # Matrix rank
 
 
-def _indicator_matrix(f: ColoredFunction, color: int | None) -> np.ndarray:
-    if color is not None:
-        if not 0 <= color < f.num_colors:
-            raise InvalidInputError(f"color {color} not present")
-        return (f.colors == color).astype(np.int64)
-    if f.num_colors > 2:
-        raise InvalidInputError("rank without a color needs a 0/1-valued function")
-    return f.colors.astype(np.int64)
+def _indicator_matrix(f: ColoredFunction, color: int) -> np.ndarray:
+    if not 0 <= color < f.num_colors:
+        raise InvalidInputError(f"color {color} not present")
+    return (f.colors == color).astype(np.int64)
 
 
 def gf2_rank(matrix: np.ndarray) -> int:
@@ -659,14 +655,11 @@ def rational_rank(matrix: np.ndarray, deadline: float = math.inf) -> int:
 
 
 def comm_matrix_rank(
-    f: ColoredFunction,
-    field_name: str = "gf2",
-    color: int | None = None,
-    deadline: float = math.inf,
+    f: ColoredFunction, field_name: str, color: int, deadline: float = math.inf
 ) -> int:
-    """Rank of the color-indicator matrix (or of a 0/1-valued f itself).
-    `deadline` is checked before the matrix is built, and the rational rank
-    checks it again at every pivot column (see rational_rank)."""
+    """Rank of the indicator matrix of one color. `deadline` is checked
+    before the matrix is built, and the rational rank checks it again at
+    every pivot column (see rational_rank)."""
     _require_bounds_domain(f)
     if field_name not in ("gf2", "rational"):
         raise InvalidInputError(f"unknown field {field_name!r}")

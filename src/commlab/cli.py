@@ -119,16 +119,16 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["trivial-merlin", "windmill", "random-tree", "random-bounded"],
     )
     gen.add_argument("--sizes", type=parse_sizes)
-    gen.add_argument("--n", type=_bits, default=1)
-    gen.add_argument("--arity", type=int, default=2)
-    gen.add_argument("--colors", type=int, default=2)
+    gen.add_argument("--n", type=_bits)
+    gen.add_argument("--arity", type=int)
+    gen.add_argument("--colors", type=int)
     gen.add_argument("--delta", type=float)
     gen.add_argument("--rho-max", type=int)
     gen.add_argument("--extra", type=int)
-    gen.add_argument("--selector", choices=["min-index", "seeded-random"], default="min-index")
+    gen.add_argument("--selector", choices=["min-index", "seeded-random"])
     gen.add_argument("--selector-seed", type=_int_in(0, SELECTOR_SEED_MAX))
     gen.add_argument("--dist", choices=["uniform", "random"])
-    gen.add_argument("--seed", type=_int_in(0), default=0)
+    gen.add_argument("--seed", type=_int_in(0))
 
     verify = sub.add_parser("verify", parents=[report], help="run an inequality suite")
     verify.set_defaults(run=_cmd_verify)
@@ -187,18 +187,28 @@ def _cmd_gen(args) -> int:
     from .info import JointDistribution
     from .serialize import InstanceBundle, save_instance
 
-    # an option for one choice only: refused with any other, its default if not given
-    for name, (option, choice), default in (
-        ("rho_max", ("cover", "random-bounded"), 2),
-        ("extra", ("cover", "random-bounded"), 2),
-        ("selector_seed", ("selector", "seeded-random"), 0),
-        ("delta", ("relation", "approx-xor"), 0.0),
+    # an option for some choices only: refused with any other, its default
+    # filled in only where it applies
+    drawn = args.cover in ("random-tree", "random-bounded") or "random" in (args.fn, args.dist)
+    for name, applies, needs, default in (
+        ("rho_max", args.cover == "random-bounded", "--cover random-bounded", 2),
+        ("extra", args.cover == "random-bounded", "--cover random-bounded", 2),
+        ("selector_seed", args.selector == "seeded-random", "--selector seeded-random", 0),
+        ("delta", args.relation == "approx-xor", "--relation approx-xor", 0.0),
+        ("seed", drawn, "--cover random-tree|random-bounded, --fn random or --dist random", 0),
+        ("colors", args.fn == "random", "--fn random", 2),
+        ("arity", args.fn == "matvec", "--fn matvec", 2),
+        ("n", args.fn in ("xor", "eq", "matvec") or args.relation or args.preset,
+         "--fn xor|eq|matvec, --relation or --preset", 1),
     ):
         if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif getattr(args, option) != choice:
-            raise InvalidInputError(f"--{name.replace('_', '-')} needs --{option} {choice}")
+            setattr(args, name, default if applies else None)
+        elif not applies:
+            raise InvalidInputError(f"--{name.replace('_', '-')} needs {needs}")
     if args.preset == "parity-tightness":
+        for name in ("fn", "relation", "cover", "sizes", "selector", "dist"):
+            if getattr(args, name) is not None:
+                raise InvalidInputError(f"--preset {args.preset} takes no --{name}")
         protocol = parity_tightness_protocol(args.n)
         save_instance(InstanceBundle(protocol=protocol), args.out)
         print(f"wrote {args.out}")
@@ -222,10 +232,10 @@ def _cmd_gen(args) -> int:
     if cover.shape.sizes != shape.sizes:
         sizes = "x".join(str(n) for n in cover.shape.sizes)
         raise InvalidInputError(f"--cover {kind} is {sizes}; adjust --sizes")
-    if args.selector == "min-index":
-        selector = TranscriptSelector.min_index()
-    else:
+    if args.selector == "seeded-random":
         selector = TranscriptSelector.seeded(args.selector_seed)
+    else:
+        selector = TranscriptSelector.min_index()
     protocol = Protocol(cover, selector)
     dist = None
     if args.dist == "uniform":

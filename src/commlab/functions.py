@@ -595,6 +595,21 @@ def monochromatic_color(b: Box, target: ColoredFunction | Relation) -> int | Non
     return (common & -common).bit_length() - 1
 
 
+def box_color_labels(
+    protocol: Protocol, target: ColoredFunction | Relation
+) -> tuple[np.ndarray, int]:
+    """Per cell (flat row-major), the monochromatic_color of its selected box;
+    and the label of cells whose box has none, one past the largest color."""
+    t = selector_labels(protocol)
+    boxes = protocol.cover.boxes
+    colors = {i: monochromatic_color(boxes[i], target) for i in np.unique(t).tolist()}
+    known = {i: c for i, c in colors.items() if c is not None}
+    colorless = max(known.values(), default=-1) + 1
+    color_of = np.full(len(boxes), colorless, dtype=np.int64)
+    color_of[list(known)] = list(known.values())
+    return color_of[t], colorless
+
+
 def good_mask(ep: ErrorProtocol, target: ColoredFunction | Relation) -> np.ndarray:
     """Flat bool mask of the cells where both parties output the same value
     and that value is correct (function) or admissible (relation)."""

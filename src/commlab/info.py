@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,9 +130,8 @@ class JointDistribution:
             w[0] = 1.0
         return cls(shape, w / w.sum())
 
-    def condition_on(self, keep: np.ndarray) -> tuple["JointDistribution", float]:
-        """Restrict to the flat boolean mask and renormalize. Returns the
-        conditioned distribution and the probability mass that was dropped."""
+    def condition_on(self, keep: np.ndarray) -> "JointDistribution":
+        """Restrict to the flat boolean mask and renormalize."""
         keep = np.asarray(keep, dtype=bool).reshape(-1)
         if keep.size != self.p.size:
             raise InvalidInputError("condition mask length does not match domain")
@@ -140,45 +139,26 @@ class JointDistribution:
         if kept_mass <= 0.0:
             raise DegenerateInstanceError("conditioning event has zero probability")
         p = np.where(keep, self.p, 0.0) / kept_mass
-        return JointDistribution(self.shape, p / pairwise_sum(p)), 1.0 - kept_mass
+        return JointDistribution(self.shape, p / pairwise_sum(p))
 
 
-@dataclass(frozen=True, eq=False)
-class VariableSpec:
-    """Named derived variables over cells: flat non-negative label arrays.
+class InfoEngine:
+    """Caching evaluator of joint/conditional entropies over one distribution.
+    labels names each variable's flat non-negative labels, one per cell, so every
+    entropy is exact; the engine keeps each variable's radix (largest label + 1)."""
 
-    Every variable is a deterministic function of the cell, so joint
-    entropies of label groups are exact functionals of the distribution.
-    """
-
-    shape: DomainShape
-    labels: dict[str, np.ndarray] = field(default_factory=dict)
-    radices: dict[str, int] = field(init=False, repr=False)  # max label + 1
-
-    def __post_init__(self):
-        clean, radices = {}, {}
-        for name, arr in self.labels.items():
+    def __init__(self, dist: JointDistribution, labels: dict):
+        self.dist = dist
+        self.labels, self.radices = {}, {}
+        for name, arr in labels.items():
             arr = np.asarray(arr, dtype=np.int64).reshape(-1)
-            if arr.size != self.shape.num_cells:
+            if arr.size != dist.p.size:
                 raise InvalidInputError(f"variable {name!r} has wrong length")
             if arr.min() < 0:
                 raise InvalidInputError(f"variable {name!r} has negative labels")
             arr.flags.writeable = False
-            clean[name] = arr
-            radices[name] = int(arr.max()) + 1
-        object.__setattr__(self, "labels", clean)
-        object.__setattr__(self, "radices", radices)
-
-
-class InfoEngine:
-    """Caching evaluator of joint/conditional entropies over one distribution
-    and one variable spec."""
-
-    def __init__(self, dist: JointDistribution, variables: VariableSpec):
-        if dist.shape.num_cells != variables.shape.num_cells:
-            raise InvalidInputError("distribution and variables disagree on domain size")
-        self.dist = dist
-        self.variables = variables
+            self.labels[name] = arr
+            self.radices[name] = int(arr.max()) + 1
         self._joint_cache: dict[frozenset, float] = {frozenset(): 0.0}
 
     def _group_labels(self, names: tuple[str, ...]) -> np.ndarray:
@@ -189,7 +169,7 @@ class InfoEngine:
         is ranked at the end, so every label is below KEY_LIMIT and no key
         wraps int64 (a side has at most MAX_CELLS = 2**24 ranks)."""
         names = sorted(names)
-        labels, radices = self.variables.labels, self.variables.radices
+        labels, radices = self.labels, self.radices
         for name in names:
             if name not in labels:
                 raise InvalidInputError(f"unknown variable {name!r}")
@@ -291,12 +271,12 @@ def _triple(h, x, y, w) -> TripleInformation:
 
 
 def triple_information(
-    dist: JointDistribution, variables: VariableSpec, x_group, y_group, w_group
+    dist: JointDistribution, labels: dict, x_group, y_group, w_group
 ) -> TripleInformation:
     """I(X:Y:W) via I(X:Y) - I(X:Y|W), plus the absolute gap against the
     inclusion-exclusion form H(W) - H(W|X) - H(W|Y) + H(W|X,Y). Both are exact
     identities for Shannon entropy, so the gap is floating-point noise."""
-    return _triple(InfoEngine(dist, variables).entropy, x_group, y_group, w_group)
+    return _triple(InfoEngine(dist, labels).entropy, x_group, y_group, w_group)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +295,7 @@ def _information_cost(h, arity: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InfoProfile:
-    """All entropic quantities of one (distribution, protocol[, target])
+    """All entropic quantities of one (distribution, protocol[, F labels])
     instance, plus thickness statistics."""
 
     arity: int
@@ -324,7 +304,6 @@ class InfoProfile:
     rho_global: int
     expected_log_rho: float
     f_mode: str | None
-    excluded_mass: float
     fingerprint: str
 
     def __getitem__(self, key: str) -> float:
@@ -376,68 +355,25 @@ def _profile_groups(arity: int, with_f: bool) -> list[tuple[str, ...]]:
 
 
 def build_profile(
-    dist: JointDistribution,
-    protocol: Protocol,
-    target=None,
-    f_mode: str = "function",
-    f_table=None,
+    dist: JointDistribution, protocol: Protocol, f_labels=None, f_mode: str = "function"
 ) -> InfoProfile:
     """Assemble every quantity the inequality checkers consume.
 
-    f_mode "function" reads per-cell colors from a ColoredFunction target;
-    "box-color" colors each selected box (unique function color, or smallest
-    common admissible relation color) and excludes cells whose selected box
-    has no color, conditioning the distribution on the rest; an explicit
-    f_table bypasses both.
+    f_labels, if given, is the output variable F: one label per cell, flat
+    row-major. f_mode only names where F came from ("function", "box-color"
+    or "explicit"); it is hashed into the fingerprint with the labels.
     """
-    from .functions import ColoredFunction, Relation, monochromatic_color
-
     if dist.shape.sizes != protocol.shape.sizes:
         raise InvalidInputError("distribution shape does not match protocol domain")
     shape = protocol.shape
     arity = shape.arity
     t_labels = selector_labels(protocol)
-
-    excluded_mass = 0.0
-    f_labels = None
-    mode: str | None = None
-    if f_table is not None:
-        f_labels = np.asarray(f_table, dtype=np.int64).reshape(-1)
-        if f_labels.size != shape.num_cells:
-            raise InvalidInputError("explicit f table has wrong length")
-        mode = "explicit"
-    elif target is not None:
-        kinds = {"function": (ColoredFunction,), "box-color": (ColoredFunction, Relation)}
-        if f_mode not in kinds:
-            raise InvalidInputError(f"unknown f mode {f_mode!r}")
-        if not isinstance(target, kinds[f_mode]):
-            needs = " or ".join(k.__name__ for k in kinds[f_mode])
-            raise InvalidInputError(f"{f_mode} mode needs a {needs} target")
-        if target.shape.sizes != shape.sizes:
-            raise InvalidInputError("target shape does not match protocol domain")
-        mode = f_mode
-        if f_mode == "function":
-            f_labels = target.flat()
-        else:
-            # each selected box's color; one label past them all marks the
-            # colorless boxes, whose cells are conditioned away
-            boxes = protocol.cover.boxes
-            selected = np.unique(t_labels)
-            colors = [monochromatic_color(boxes[i], target) for i in selected.tolist()]
-            colored = [c is not None for c in colors]
-            known = [c for c in colors if c is not None]
-            sentinel = max(known, default=-1) + 1
-            color_of = np.full(len(boxes), sentinel, dtype=np.int64)
-            color_of[selected[colored]] = known
-            f_labels = color_of[t_labels]
-            if not all(colored):
-                dist, excluded_mass = dist.condition_on(f_labels != sentinel)
-
     labels = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
     labels["T"] = t_labels
     if f_labels is not None:
         labels["F"] = f_labels
-    engine = InfoEngine(dist, VariableSpec(shape, labels))
+    engine = InfoEngine(dist, labels)
+    mode = None if f_labels is None else f_mode
 
     rho_global = int(thickness_table(protocol.cover).max())
     box_rho = box_thickness_table(protocol.cover)
@@ -481,6 +417,5 @@ def build_profile(
         rho_global=rho_global,
         expected_log_rho=expected_log_rho,
         f_mode=mode,
-        excluded_mass=excluded_mass,
-        fingerprint=_profile_fingerprint(dist, protocol, f_labels, mode),
+        fingerprint=_profile_fingerprint(dist, protocol, engine.labels.get("F"), mode),
     )

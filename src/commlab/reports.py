@@ -84,8 +84,8 @@ def emit_report(rows, path: str | None, fmt: str = "csv", plot_path: str | None 
     return text
 
 
-def margin_histogram_svg(margins, bins: int = 16) -> str:
-    """Static SVG histogram; bars carry class="bar" so counts are greppable."""
+def margin_histogram_svg(margins) -> str:
+    """Static SVG histogram in 16 bins; bars carry class="bar" for grepping."""
     width, height = 640, 400
     pad = 40.0
     parts = [
@@ -101,11 +101,11 @@ def margin_histogram_svg(margins, bins: int = 16) -> str:
             counts = [len(margins)]
             edges = [lo, lo + 1.0]
         else:
-            counts = [0] * bins
+            counts = [0] * 16
             for m in margins:
-                idx = min(int((m - lo) / span * bins), bins - 1)
+                idx = min(int((m - lo) / span * 16), 15)
                 counts[idx] += 1
-            edges = [lo + span * i / bins for i in range(bins + 1)]
+            edges = [lo + span * i / 16 for i in range(17)]
         n_bins = len(counts)
         peak = max(counts)
         bar_w = (width - 2 * pad) / n_bins

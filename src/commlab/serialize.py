@@ -8,6 +8,7 @@ which round-trips binary64 exactly).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import (SELECTOR_SEED_MAX, Box, Cover, DomainShape, Protocol, TranscriptSelector,
                    mask_from_indices)
-from .errors import SchemaError
+from .errors import InvalidInputError, SchemaError
 from .functions import (
     MAX_RELATION_COLORS,
     AMProtocol,
@@ -116,6 +117,17 @@ def _fields(obj, required: set, optional: set, where: str) -> None:
     unknown = set(obj) - required - optional
     if unknown:
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+@contextlib.contextmanager
+def _located(where: str):
+    """Prefixes where to an object's error, as SchemaErrors carry it; its type stays."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        if not isinstance(exc, SchemaError):
+            exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _kind(obj, what: str, kinds: dict, where: str) -> str:
@@ -324,7 +336,8 @@ def instance_to_text(bundle: InstanceBundle) -> str:
 
 def instance_from_text(text: str | bytes, where: str = "instance") -> InstanceBundle:
     obj = _parse(text, INSTANCE_SCHEMA, where)
-    return _instance_from_body({k: v for k, v in obj.items() if k != "schema"}, where)
+    with _located(where):
+        return _instance_from_body({k: v for k, v in obj.items() if k != "schema"}, where)
 
 
 def save_instance(bundle: InstanceBundle, path: str) -> None:
@@ -353,18 +366,20 @@ def am_from_text(text: str | bytes, where: str = "am") -> AMBundle:
     _fields(obj, {"schema", "branches"}, {"function", "relation"}, where)
     branches = []
     for k, body in enumerate(_list(obj["branches"], f"{where}.branches")):
-        inner = _instance_from_body(body, f"{where}.branches[{k}]")
+        with _located(f"{where}.branches[{k}]"):
+            inner = _instance_from_body(body, f"{where}.branches[{k}]")
         if inner.error is None:
             raise SchemaError(f"{where}.branches[{k}]: branch needs g_a and g_b tables")
         branches.append(inner.error)
     if not branches:
         raise SchemaError(f"{where}: AM file needs at least one branch")
     shape = branches[0].shape
-    return AMBundle(
-        am=AMProtocol(tuple(branches)),
-        function=_optional(obj, "function", _function_from_obj, shape, where),
-        relation=_optional(obj, "relation", _relation_from_obj, shape, where),
-    )
+    with _located(where):
+        return AMBundle(
+            am=AMProtocol(tuple(branches)),
+            function=_optional(obj, "function", _function_from_obj, shape, where),
+            relation=_optional(obj, "relation", _relation_from_obj, shape, where),
+        )
 
 
 def save_am(bundle: AMBundle, path: str) -> None:

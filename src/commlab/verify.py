@@ -28,6 +28,7 @@ from .functions import (
     ColoredFunction,
     Relation,
     _Draws,
+    box_color_labels,
     good_mask,
     random_bounded_cover,
 )
@@ -146,7 +147,7 @@ def am_analyze(
         raise DegenerateInstanceError("every branch's GOOD set is empty")
     branch = am.branches[r0]
     cost = math.log2(max(b.protocol.cover.num_boxes for b in am.branches))
-    restricted_dist, _ = JointDistribution.uniform(shape).condition_on(goods[r0])
+    restricted_dist = JointDistribution.uniform(shape).condition_on(goods[r0])
 
     if isinstance(target, ColoredFunction):
         f_table = target.flat()
@@ -157,7 +158,7 @@ def am_analyze(
         f_table = branch.g_a[rows, selector_labels(branch.protocol)]
         f_table = np.where(f_table < 0, target.num_colors, f_table)
 
-    profile = build_profile(restricted_dist, branch.protocol, f_table=f_table)
+    profile = build_profile(restricted_dist, branch.protocol, f_table, "explicit")
     estimated = profile["H(F|X0)"] + profile["H(F|X1)"] - _rho_bits(profile, "global")
     return AMReport(
         branch_errors=branch_errors,
@@ -319,7 +320,7 @@ def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str],
     start = time.monotonic()
     instance = _random_instance(config, seed)
     protocol, function, dist = instance
-    profile = build_profile(dist, protocol, target=function, f_mode="function")
+    profile = build_profile(dist, protocol, function.flat())
     row, violations, stats = check_profile(profile, config.suite, config.rho_mode, config.tol)
     row.seed = seed
     row.runtime_ms = (time.monotonic() - start) * 1000.0
@@ -369,10 +370,11 @@ def analyze_instance(
     start = time.monotonic()
     protocol = bundle.protocol
     dist = bundle.distribution or JointDistribution.uniform(protocol.shape)
+    f_labels, f_mode = None, "function"
     if bundle.function is not None:
-        target, f_mode = bundle.function, "function"
+        f_labels = bundle.function.flat()
         on = dist.p > 0.0
-        t, f = selector_labels(protocol)[on], target.flat()[on]
+        t, f = selector_labels(protocol)[on], f_labels[on]
         color = np.zeros(protocol.cover.num_boxes, dtype=np.int64)
         color[t] = f
         clash = np.flatnonzero(color[t] != f)
@@ -382,9 +384,12 @@ def analyze_instance(
                 f"the function is not a function of the transcript: box {t[i]} is "
                 f"selected at cells of colours {color[t[i]]} and {f[i]}"
             )
-    else:
-        target, f_mode = bundle.relation, "box-color"
-    profile = build_profile(dist, protocol, target=target, f_mode=f_mode)
+    elif bundle.relation is not None:  # cells of colourless boxes are conditioned away
+        f_labels, colorless = box_color_labels(protocol, bundle.relation)
+        f_mode = "box-color"
+        if (f_labels == colorless).any():
+            dist = dist.condition_on(f_labels != colorless)
+    profile = build_profile(dist, protocol, f_labels, f_mode)
     suite = "main" if profile.arity == 2 else "multiparty"
     row, violations, _ = check_profile(profile, suite, rho_mode, tol)
     row.runtime_ms = (time.monotonic() - start) * 1000.0

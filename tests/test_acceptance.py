@@ -16,7 +16,6 @@ from commlab import (
     Protocol,
     SuiteConfig,
     TranscriptSelector,
-    VariableSpec,
     am_analyze,
     batch_experiment,
     binary_entropy,
@@ -155,7 +154,7 @@ def test_criterion_07_transcript_bound_consistency(
             assert batch.max_transcript_gap <= TOL
         f = xor_function(1)
         protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
-        profile = build_profile(JointDistribution.uniform(f.shape), protocol, target=f)
+        profile = build_profile(JointDistribution.uniform(f.shape), protocol, f.flat())
         assert abs(check_transcript_bound(profile)) <= TOL
 
 
@@ -215,7 +214,7 @@ def test_criterion_10_oracle_equivalence():
             shape = DomainShape(sizes)
             dist = JointDistribution.random_integer_weights(shape, rng=rng)
             coords = dict(zip(("X0", "X1"), shape.coordinate_labels()))
-            engine = InfoEngine(dist, VariableSpec(shape, coords))
+            engine = InfoEngine(dist, coords)
             naive = -float(np.sum([p * math.log2(p) for p in dist.p if p > 0.0]))
             assert abs(engine.entropy(("X0", "X1")) - naive) <= TOL
 

@@ -603,9 +603,9 @@ def test_rank_eq2_identity():
 
 
 def test_rank_xor1():
-    f = xor_function(1)
-    assert comm_matrix_rank(f, "gf2") == 2
-    assert comm_matrix_rank(f, "rational") == 2
+    f = xor_function(1)  # color 1's indicator is f itself
+    assert comm_matrix_rank(f, "gf2", color=1) == 2
+    assert comm_matrix_rank(f, "rational", color=1) == 2
 
 
 def test_rank_all_ones():
@@ -613,10 +613,10 @@ def test_rank_all_ones():
     assert comm_matrix_rank(f, "rational", color=0) == 1
 
 
-def test_rank_rejects_nonboolean_without_color():
-    f = xor_function(2)  # 4 colors
-    with pytest.raises(InvalidInputError):
-        comm_matrix_rank(f, "gf2")
+def test_rank_rejects_a_color_not_present():
+    f = xor_function(2)  # colors 0..3
+    with pytest.raises(InvalidInputError, match="color 4 not present"):
+        comm_matrix_rank(f, "gf2", color=4)
 
 
 def test_rational_rank_checks_the_deadline_at_every_pivot_column(monkeypatch):

@@ -164,6 +164,42 @@ def test_gen_cover_file_golden_digest(options, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "options, colorless, row",
+    [
+        (
+            "--seed 3 --rho-max 3 --extra 6 --selector-seed 9 --dist random",
+            3,
+            "c155b39f956b,,4x4,3,3,2.019035274338866,0.57014997290449276,0,2.1551124736256488,"
+            "1.448885301434373,2.1551124736256488,,,,,,,ok",
+        ),
+        (
+            "--seed 1 --rho-max 2 --extra 3 --selector-seed 4",
+            1,
+            "f631f6b84522,,4x4,2,2,1,0,0,1,1,1,,,,,,,ok",
+        ),
+    ],
+)
+def test_verify_relation_instance_with_colorless_boxes_golden_row(
+    options, colorless, row, tmp_path, capsys
+):
+    # some selected boxes admit no common color, and the colorless label,
+    # one past the largest box color, is below the relation's 4 colors; the
+    # row, instance_id included, is the one these files have always given
+    from commlab import box_color_labels, load_instance
+
+    path = str(tmp_path / "rel.json")
+    gen = "--relation approx-xor --n 2 --delta 0.5 --cover random-bounded --sizes 4x4"
+    gen += " --selector seeded-random " + options
+    assert run(capsys, "gen", "--out", path, *gen.split())[0] == 0
+    bundle = load_instance(path)
+    labels, got = box_color_labels(bundle.protocol, bundle.relation)
+    assert got == colorless < bundle.relation.num_colors and (labels == colorless).any()
+    out = str(tmp_path / "row.csv")
+    assert run(capsys, "verify", "main", "--instance", path, "--out", out)[0] == 0
+    assert strip_runtime(open(out).read()).split("\n")[1] == row
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         ["verify", "main", "--seeds", "0..2", "--rho-max", "a,b"],
@@ -471,7 +507,7 @@ def test_uncovered_cell_of_a_large_instance_exits_two(tmp_path, capsys):
         json.dump(obj, fh)
     code, _, err = run(capsys, "verify", "main", "--instance", path)
     assert code == 2
-    assert err == "error: cell (0, 1) is covered by no box\n"
+    assert err == f"error: {path}: cell (0, 1) is covered by no box\n"
 
 
 @pytest.mark.parametrize(
@@ -484,6 +520,14 @@ def test_uncovered_cell_of_a_large_instance_exits_two(tmp_path, capsys):
         ("--cover windmill --delta 0.7", "--delta"),
         ("--fn xor --n 2 --delta 0", "--delta"),
         ("--preset parity-tightness --extra 2", "--extra"),
+        ("--cover windmill --seed 9 --colors 5 --arity 4", "--seed"),
+        ("--fn constant --sizes 2x2 --seed 1", "--seed"),
+        ("--cover windmill --colors 5", "--colors"),
+        ("--fn xor --n 1 --colors 3", "--colors"),
+        ("--cover windmill --arity 4", "--arity"),
+        ("--fn xor --n 2 --arity 3", "--arity"),
+        ("--fn random --sizes 3x3 --n 5", "--n"),
+        ("--cover windmill --n 2", "--n"),
     ],
 )
 def test_gen_refuses_options_it_would_ignore(options, refused, tmp_path, capsys):
@@ -494,6 +538,50 @@ def test_gen_refuses_options_it_would_ignore(options, refused, tmp_path, capsys)
     assert code == 2
     assert err.startswith(f"error: {refused} needs --") and err.count("\n") == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "options, refused",
+    [
+        ("--n 1 --cover windmill --fn eq --dist uniform", "--fn"),
+        ("--relation approx-xor", "--relation"),
+        ("--cover windmill", "--cover"),
+        ("--sizes 2x2", "--sizes"),
+        ("--selector min-index", "--selector"),
+        ("--dist uniform", "--dist"),
+    ],
+)
+def test_gen_preset_refuses_target_cover_selector_and_distribution_options(
+    options, refused, tmp_path, capsys
+):
+    out = str(tmp_path / "inst.json")
+    argv = ["gen", "--out", out, "--preset", "parity-tightness", *options.split()]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: --preset parity-tightness takes no {refused}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "options, defaults",
+    [
+        ("--fn random --sizes 3x3", "--colors 2 --seed 0"),
+        ("--fn matvec --arity 3", "--n 1"),
+        ("--fn xor --cover random-bounded", "--n 1 --seed 0 --rho-max 2 --extra 2"),
+        ("--relation approx-xor --selector seeded-random", "--n 1 --delta 0 --selector-seed 0"),
+        ("--cover windmill --dist random", "--seed 0"),
+        ("--preset parity-tightness", "--n 1"),
+    ],
+)
+def test_gen_fills_in_defaults_where_options_apply(options, defaults, tmp_path, capsys):
+    # an option that applies takes its default when not given
+    texts = []
+    for extra in ("", defaults):
+        out = str(tmp_path / f"inst{len(texts)}.json")
+        code, _, err = run(capsys, "gen", "--out", out, *options.split(), *extra.split())
+        assert code == 0, err
+        texts.append(open(out, "rb").read())
+    assert texts[0] == texts[1]
 
 
 def test_gen_takes_delta_with_a_relation(tmp_path, capsys):

@@ -19,6 +19,7 @@ from commlab import (
     Relation,
     TranscriptSelector,
     approx_xor_relation,
+    box_color_labels,
     constant_function,
     eq_function,
     error_protocol_from_cover,
@@ -485,6 +486,30 @@ def test_monochromatic_color_relation_smallest():
     assert monochromatic_color(singleton, rel) == 0
     # whole domain has no common admissible value
     assert monochromatic_color(box(shape, range(4), range(4)), rel) is None
+
+
+def test_box_color_labels_of_a_relation_mark_colorless_boxes_past_the_largest_color():
+    # the colorless label is one past the largest color found, not the
+    # relation's color count: it is hashed into instance ids
+    from commlab.core import selector_labels
+
+    rel = approx_xor_relation(2, 0.5)
+    protocol = Protocol(random_bounded_cover(rel.shape, 3, 6, seed=3), TranscriptSelector.seeded(9))
+    labels, colorless = box_color_labels(protocol, rel)
+    t = selector_labels(protocol).tolist()
+    colors = {i: monochromatic_color(protocol.cover.boxes[i], rel) for i in t}
+    known = [c for c in colors.values() if c is not None]
+    assert None in colors.values() and colorless == max(known) + 1 < rel.num_colors
+    assert labels.tolist() == [colorless if colors[i] is None else colors[i] for i in t]
+
+
+def test_box_color_labels_without_a_colored_box_put_every_cell_at_zero():
+    # the full box mixes colors 0 and 1, so no selected box has a color
+    shape = DomainShape((2, 2))
+    f = ColoredFunction(shape, np.array([[0, 0], [1, 0]]))
+    protocol = Protocol(Cover(shape, (box(shape, [0, 1], [0, 1]),)), TranscriptSelector.min_index())
+    labels, colorless = box_color_labels(protocol, f)
+    assert labels.tolist() == [0, 0, 0, 0] and colorless == 0
 
 
 def _indicator_color(b, target):

@@ -18,7 +18,6 @@ from commlab import (
     Protocol,
     TranscriptSelector,
     UncoveredCellError,
-    VariableSpec,
     binary_entropy,
     build_profile,
     compile_tree,
@@ -56,7 +55,7 @@ def dist_from_dict(shape, cells):
 def coordinates(shape, **labels):
     """The coordinates X0, X1, ... of the shape's cells, and the given labels."""
     coords = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
-    return VariableSpec(shape, {**coords, **labels})
+    return {**coords, **labels}
 
 
 def to_dict(dist):
@@ -318,7 +317,7 @@ def test_profile_xor_singletons():
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(f.shape)
-    profile = build_profile(dist, protocol, target=f)
+    profile = build_profile(dist, protocol, f.flat())
     assert profile["H(T)"] == pytest.approx(2.0, abs=1e-12)
     assert profile["I(X0:X1|T)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["H(F|X0)"] == pytest.approx(1.0, abs=1e-12)
@@ -332,7 +331,7 @@ def test_profile_constant_single_box():
     protocol = Protocol(
         Cover(shape, (box(shape, [0, 1], [0, 1]),)), TranscriptSelector.min_index()
     )
-    profile = build_profile(JointDistribution.uniform(shape), protocol, target=f)
+    profile = build_profile(JointDistribution.uniform(shape), protocol, f.flat())
     assert profile["H(T)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["H(F|X0)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["IC"] == pytest.approx(0.0, abs=1e-12)
@@ -351,7 +350,6 @@ def test_negative_zero_probabilities_give_the_same_profile():
         out = {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
         out["quantities"] = {k: v.hex() for k, v in out["quantities"].items()}
         out["expected_log_rho"] = out["expected_log_rho"].hex()
-        out["excluded_mass"] = out["excluded_mass"].hex()
         return out
 
     assert fields_of(np.where(table > 0.0, table, -0.0)) == fields_of(table)
@@ -393,33 +391,37 @@ def _profile_and_engine(monkeypatch, *args, **kwargs):
 
 def test_profile_box_color_exclusion(monkeypatch):
     # two boxes: a non-monochromatic full box and a monochromatic row box;
-    # cells selecting the colorless box get conditioned away
-    from commlab import ColoredFunction
+    # the cells that select the colorless box are conditioned away
+    from commlab import ColoredFunction, box_color_labels
 
     shape = DomainShape((2, 2))
     f = ColoredFunction(shape, np.array([[0, 0], [1, 0]]))
     full = box(shape, [0, 1], [0, 1])
     row0 = box(shape, [0], [0, 1])
-    cover = Cover(shape, (full, row0))
-    protocol = Protocol(cover, TranscriptSelector.explicit([1, 1, 0, 0]))
-    dist = JointDistribution.uniform(shape)
-    profile, engine = _profile_and_engine(monkeypatch, dist, protocol, target=f, f_mode="box-color")
-    assert profile.excluded_mass == pytest.approx(0.5, abs=1e-12)
+    protocol = Protocol(Cover(shape, (full, row0)), TranscriptSelector.explicit([1, 1, 0, 0]))
+    labels, colorless = box_color_labels(protocol, f)
+    assert labels.tolist() == [0, 0, 1, 1] and colorless == 1
+    kept = JointDistribution.uniform(shape).condition_on(labels != colorless)
+    assert kept.p.tolist() == [0.5, 0.5, 0.0, 0.0]
+    profile, engine = _profile_and_engine(monkeypatch, kept, protocol, labels, "box-color")
+    assert profile.f_mode == "box-color"
     assert engine.entropy("F") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_profile_box_color_relation(monkeypatch):
-    from commlab import approx_xor_relation
+    from commlab import approx_xor_relation, box_color_labels
 
     rel = approx_xor_relation(1, 1.0)  # every color admissible everywhere
     shape = rel.shape
     protocol = Protocol(
         Cover(shape, (box(shape, [0, 1], [0, 1]),)), TranscriptSelector.min_index()
     )
+    labels, colorless = box_color_labels(protocol, rel)
+    assert labels.tolist() == [0, 0, 0, 0] and colorless == 1  # no cell to condition away
     profile, engine = _profile_and_engine(
-        monkeypatch, JointDistribution.uniform(shape), protocol, target=rel, f_mode="box-color"
+        monkeypatch, JointDistribution.uniform(shape), protocol, labels, "box-color"
     )
-    assert profile.excluded_mass == 0.0
+    assert profile.f_mode == "box-color"
     assert engine.entropy("F") == pytest.approx(0.0, abs=1e-12)  # single box, one color
 
 
@@ -516,13 +518,13 @@ def test_batched_entropies_are_bit_identical_to_each_group_alone(sizes, min_batc
 
     shape = DomainShape(sizes)
     dist, variables = _five_variables(shape, seed=sum(sizes))
-    names = sorted(variables.labels)
+    names = sorted(variables)
     groups = [g for k in range(1, len(names) + 1) for g in combinations(names, k)]
     batches = math.ceil(len(groups) / max(1, BATCH_CELLS // shape.num_cells))
     assert batches >= min_batches
     batched = InfoEngine(dist, variables).entropies(groups)
     alone = [InfoEngine(dist, variables).entropy(g) for g in groups]
-    columns = [variables.labels[name].tolist() for name in names]
+    columns = [variables[name].tolist() for name in names]
     rows = list(zip(*columns))
     oracle = [
         entropy_levels(
@@ -582,7 +584,7 @@ def test_entropies_of_a_65536_cell_grid_match_the_level_oracle():
     assert all(engine._group_labels(g).max() >> 16 for g in groups)
     got = engine.entropies(groups)
     for g, value in zip(groups, got):
-        keys = list(zip(*(variables.labels[name].tolist() for name in g)))
+        keys = list(zip(*(variables[name].tolist() for name in g)))
         expected = entropy_levels(dist.p.tolist(), keys, lambda q: float(np.log2(q)))
         assert value.hex() == expected.hex(), g
 
@@ -591,7 +593,7 @@ def test_combined_keys_past_int64_do_not_merge_outcomes():
     # 4 * (2**62 + 1) wraps in int64; a wrapped key made (4, 0) and (0, 4)
     # one outcome and gave 0.918 bits
     shape = DomainShape((3, 1))
-    variables = VariableSpec(shape, {"A": [0, 4, 0], "B": [2**62, 0, 4]})
+    variables = {"A": [0, 4, 0], "B": [2**62, 0, 4]}
     engine = InfoEngine(JointDistribution.uniform(shape), variables)
     assert engine.entropy(("A", "B")) == pytest.approx(math.log2(3), abs=1e-15)
 
@@ -605,12 +607,11 @@ def test_group_labels_stay_below_key_limit_and_order_like_tuples():
     shape = DomainShape((8, 8))
     shifts = {"A": 40, "B": 0, "C": 33}
     labels = {name: rng.integers(0, 4, size=64) << bits for name, bits in shifts.items()}
-    variables = VariableSpec(shape, labels)
-    engine = InfoEngine(JointDistribution.uniform(shape), variables)
+    engine = InfoEngine(JointDistribution.uniform(shape), labels)
     for names in (("A",), ("C", "A"), ("A", "B", "C"), ("B", "C"), ("B",)):
         got = engine._group_labels(names)
         assert got.min() >= 0 and got.max() < KEY_LIMIT
-        tuples = np.stack([variables.labels[name] for name in sorted(names)], axis=1)
+        tuples = np.stack([labels[name] for name in sorted(names)], axis=1)
         want = np.unique(tuples, axis=0, return_inverse=True)[1].reshape(-1)
         assert (np.unique(got, return_inverse=True)[1].reshape(-1) == want).all()
 
@@ -641,7 +642,7 @@ def test_entropies_of_labels_near_2_62_match_the_level_oracle(case, seed):
     shape = DomainShape(sizes)
     dist = JointDistribution.random_integer_weights(shape, seed=seed)
     names = ("A", "B", "C")
-    variables = VariableSpec(shape, dict(zip(names, columns)))
+    variables = dict(zip(names, columns))
     groups = [g for k in (1, 2, 3) for g in combinations(names, k)]
     got = InfoEngine(dist, variables).entropies(groups)
     oracle = [
@@ -689,7 +690,7 @@ def test_build_profile_computes_every_entropy_in_its_one_batch(monkeypatch, suit
             continue
         batches.clear()
         reads.clear()
-        build_profile(dist, protocol, target=function if f_mode else None)
+        build_profile(dist, protocol, function.flat() if f_mode else None)
         assert len(batches) == 1
         assert set(batches[0]) == reads
         profiles += 1
@@ -729,11 +730,11 @@ def _engine_profile_quantities(dist, protocol, f_labels):
 
 
 def _profile_cases():
-    """(dist, protocol, build_profile keywords, f labels, dist the profile
-    reads) for sweep instances of every suite, a box-colour relation profile
-    with a colourless selected box, and F labels past KEY_LIMIT."""
-    from commlab import approx_xor_relation, monochromatic_color, random_bounded_cover
-    from commlab.core import selector_labels
+    """(dist, protocol, f labels, f mode) for sweep instances of every suite,
+    a box-colour relation profile with a colourless selected box, its
+    distribution conditioned on the coloured ones, and F labels past
+    KEY_LIMIT."""
+    from commlab import approx_xor_relation, box_color_labels, random_bounded_cover
     from commlab.errors import GenerationFailureError
     from commlab.info import KEY_LIMIT, MAX_WEIGHT
     from commlab.verify import SuiteConfig, _random_instance
@@ -745,40 +746,35 @@ def _profile_cases():
                 protocol, function, dist = _random_instance(config, seed)
             except GenerationFailureError:
                 continue
-            yield dist, protocol, {"target": function}, function.flat(), dist
-            yield dist, protocol, {}, None, dist
+            yield dist, protocol, function.flat(), "function"
+            yield dist, protocol, None, "function"
 
     shape = DomainShape((4, 4))
-    relation = approx_xor_relation(2, 0.5)
     protocol = Protocol(random_bounded_cover(shape, 3, 6, seed=3), TranscriptSelector.seeded(9))
-    t = selector_labels(protocol)
-    colors = {i: monochromatic_color(protocol.cover.boxes[i], relation) for i in set(t.tolist())}
-    colored = [c for c in colors.values() if c is not None]
-    assert None in colors.values() and colored
-    f_labels = np.array([colors[i] if colors[i] is not None else max(colored) + 1 for i in t])
+    f_labels, colorless = box_color_labels(protocol, approx_xor_relation(2, 0.5))
+    assert (f_labels == colorless).any() and (f_labels != colorless).any()
     # weights 1..MAX_WEIGHT: every cell has mass
     w = np.random.default_rng(5).integers(1, MAX_WEIGHT + 1, size=shape.num_cells).astype(np.float64)
     dist = JointDistribution(shape, w / w.sum())
-    kept, _ = dist.condition_on(np.array([colors[i] is not None for i in t]))
-    yield dist, protocol, {"target": relation, "f_mode": "box-color"}, f_labels, kept
+    yield dist.condition_on(f_labels != colorless), protocol, f_labels, "box-color"
 
     big = np.arange(shape.num_cells) % 3 * (KEY_LIMIT // 2)
-    yield dist, protocol, {"f_table": big}, big, dist
+    yield dist, protocol, big, "explicit"
 
 
 def test_profile_quantities_equal_the_name_keyed_engine_bit_for_bit():
     from commlab.core import box_thickness_table, selector_labels
 
     cases = 0
-    for dist, protocol, kwargs, f_labels, read_dist in _profile_cases():
-        profile = build_profile(dist, protocol, **kwargs)
-        expected = _engine_profile_quantities(read_dist, protocol, f_labels)
+    for dist, protocol, f_labels, f_mode in _profile_cases():
+        profile = build_profile(dist, protocol, f_labels, f_mode)
+        expected = _engine_profile_quantities(dist, protocol, f_labels)
         assert list(profile.quantities) == list(expected)
         got = [v.hex() for v in profile.quantities.values()]
         assert got == [v.hex() for v in expected.values()]
         t = selector_labels(protocol)
         box_rho = box_thickness_table(protocol.cover)
-        log_rho = pairwise_sum(read_dist.p * np.log2(box_rho[t].astype(np.float64)))
+        log_rho = pairwise_sum(dist.p * np.log2(box_rho[t].astype(np.float64)))
         assert profile.expected_log_rho.hex() == log_rho.hex()
         cases += 1
     assert cases >= 40

@@ -170,6 +170,37 @@ def test_load_rejects_uncovering_boxes():
     assert "(1, 0)" in str(err.value)
 
 
+def test_errors_of_the_objects_built_name_their_place_and_keep_their_type():
+    import json
+
+    from commlab import InvalidInputError
+    from commlab.serialize import am_from_text, am_to_text
+
+    inst = {"schema": "commlab-instance-v1", "arity": 2, "sizes": [2, 2],
+            "rectangles": [[[0], [0, 1]]], "selector": {"kind": "min-index"}}
+    with pytest.raises(UncoveredCellError) as err:
+        instance_from_text(json.dumps(inst), where="inst.json")
+    assert str(err.value) == "inst.json: cell (1, 0) is covered by no box"
+    inst["rectangles"].append([[1], [0, 1]])
+    inst["function"] = {"kind": "explicit", "colors": [0, 2, 0, 0]}
+    with pytest.raises(InvalidInputError) as err:
+        instance_from_text(json.dumps(inst), where="inst.json")
+    assert type(err.value) is InvalidInputError
+    assert str(err.value) == "inst.json: color ids must be contiguous from 0"
+
+    f = xor_function(1)
+    am = json.loads(am_to_text(AMBundle(am=trivial_merlin_am(f), function=f)))
+    am["function"]["colors"] = [0, 2, 0, 0]
+    with pytest.raises(InvalidInputError) as err:
+        am_from_text(json.dumps(am), where="am.json")
+    assert str(err.value) == "am.json: color ids must be contiguous from 0"
+    am["branches"][0]["g_a"][0][0] = -1
+    with pytest.raises(InvalidInputError) as err:
+        am_from_text(json.dumps(am), where="am.json")
+    assert type(err.value) is InvalidInputError
+    assert str(err.value) == "am.json.branches[0]: g_a undefined for a row of box 0"
+
+
 def test_load_overlapping_boxes_min_index_ok():
     import json
 

@@ -124,7 +124,7 @@ def test_main_requires_two_party():
 def test_transcript_xor_singletons_tight():
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
-    profile = build_profile(JointDistribution.uniform(f.shape), protocol, target=f)
+    profile = build_profile(JointDistribution.uniform(f.shape), protocol, f.flat())
     assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
     assert profile["H(T)"] == pytest.approx(2.0, abs=1e-12)
 
@@ -133,19 +133,21 @@ def test_transcript_constant_function():
     shape = DomainShape((2, 2))
     f = constant_function(shape)
     protocol = single_full_box()
-    profile = build_profile(JointDistribution.uniform(shape), protocol, target=f)
+    profile = build_profile(JointDistribution.uniform(shape), protocol, f.flat())
     assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_transcript_relation_delta_zero_matches_function():
-    from commlab import approx_xor_relation
+    from commlab import approx_xor_relation, box_color_labels
 
     rel = approx_xor_relation(2, 0.0)
     f = xor_function(2)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(f.shape)
-    p_rel = build_profile(dist, protocol, target=rel, f_mode="box-color")
-    p_fun = build_profile(dist, protocol, target=f, f_mode="function")
+    rel_labels, colorless = box_color_labels(protocol, rel)
+    assert (rel_labels != colorless).all()  # every singleton box has a color
+    p_rel = build_profile(dist, protocol, rel_labels, "box-color")
+    p_fun = build_profile(dist, protocol, f.flat(), "function")
     assert check_transcript_bound(p_rel) == pytest.approx(
         check_transcript_bound(p_fun), abs=1e-12
     )
@@ -153,18 +155,17 @@ def test_transcript_relation_delta_zero_matches_function():
 
 
 def test_transcript_mode_follows_the_profile():
+    # f_mode only names where F came from, and is hashed into the fingerprint
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(f.shape)
-    cases = (
-        ({"target": f}, "function"),
-        ({"target": f, "f_mode": "box-color"}, "box-color"),
-        ({"f_table": f.flat()}, "explicit"),
-    )
-    for kwargs, f_mode in cases:
-        profile = build_profile(dist, protocol, **kwargs)
+    fingerprints = set()
+    for f_mode in ("function", "box-color", "explicit"):
+        profile = build_profile(dist, protocol, f.flat(), f_mode)
         assert profile.f_mode == f_mode
         assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
+        fingerprints.add(profile.fingerprint)
+    assert len(fingerprints) == 3
 
 
 def test_transcript_mode_validation():
