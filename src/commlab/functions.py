@@ -598,8 +598,8 @@ def monochromatic_color(b: Box, target: ColoredFunction | Relation) -> int | Non
 def box_color_labels(
     protocol: Protocol, target: ColoredFunction | Relation
 ) -> tuple[np.ndarray, int]:
-    """Per cell (flat row-major), the monochromatic_color of its selected box;
-    and the label of cells whose box has none, one past the largest color."""
+    """The monochromatic_color of each cell's selected box, flat row-major, and
+    the label of cells whose box has none: one past the largest color found."""
     t = selector_labels(protocol)
     boxes = protocol.cover.boxes
     colors = {i: monochromatic_color(boxes[i], target) for i in np.unique(t).tolist()}

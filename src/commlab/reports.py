@@ -85,7 +85,7 @@ def emit_report(rows, path: str | None, fmt: str = "csv", plot_path: str | None 
 
 
 def margin_histogram_svg(margins) -> str:
-    """Static SVG histogram in 16 bins; bars carry class="bar" for grepping."""
+    """Static SVG histogram in 16 bins; bars carry class="bar" so counts are greppable."""
     width, height = 640, 400
     pad = 40.0
     parts = [
