@@ -87,6 +87,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _fill_options(args, rules) -> None:
+    """Options that apply to some choices only. Each rule is (name, applies,
+    needs, default): an option given where it does not apply is refused, and
+    one not given takes its default where it applies, else None."""
+    for name, applies, needs, default in rules:
+        if getattr(args, name) is None:
+            setattr(args, name, default if applies else None)
+        elif not applies:
+            raise InvalidInputError(f"--{name.replace('_', '-')} needs {needs}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commlab",
@@ -102,10 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     source = target.add_mutually_exclusive_group()
     source.add_argument("--fn", choices=["xor", "eq", "constant", "random"])
     source.add_argument("--instance")
-    target.add_argument("--n", type=_bits, default=1)
+    target.add_argument("--n", type=_bits)
     target.add_argument("--sizes", type=parse_sizes)
-    target.add_argument("--colors", type=int, default=2)
-    target.add_argument("--seed", type=_int_in(0), default=0)
+    target.add_argument("--colors", type=int)
+    target.add_argument("--seed", type=_int_in(0))
     target.add_argument("--timeout-s", type=_finite_float, default=60.0)
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -136,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     inputs = verify.add_mutually_exclusive_group(required=True)
     inputs.add_argument("--seeds", type=parse_seeds)
     inputs.add_argument("--instance")
-    # generation options, for --seeds only; None takes SuiteConfig's default
     verify.add_argument("--arity", type=_int_in(2))
     verify.add_argument("--max-bits", type=_bits)
     verify.add_argument("--rho-max", type=parse_rho_max)
@@ -160,24 +170,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     am = sub.add_parser("am", parents=[report], help="analyze an AM protocol")
     am.set_defaults(run=_cmd_am)
-    am.add_argument("--instance")
-    am.add_argument("--fn", choices=["xor", "eq"])
-    am.add_argument("--n", type=_int_in(1, AM_MAX_BITS), default=2)
+    am_source = am.add_mutually_exclusive_group()
+    am_source.add_argument("--instance")
+    am_source.add_argument("--fn", choices=["xor", "eq"])
+    am.add_argument("--n", type=_int_in(1, AM_MAX_BITS))
     am.add_argument("--correctness", choices=["per-input", "uniform"], default="uniform")
     return parser
 
 
 def _cli_function(args):
-    shape = None
-    if args.fn in ("constant", "random"):
-        if args.sizes is None:
-            raise InvalidInputError(f"--fn {args.fn} needs --sizes")
-        shape = DomainShape(args.sizes)
+    if args.fn in ("constant", "random") and args.sizes is None:
+        raise InvalidInputError(f"--fn {args.fn} needs --sizes")
     return gen_function(
         args.fn,
         n=args.n,
-        arity=getattr(args, "arity", 2),
-        shape=shape,
+        arity=getattr(args, "arity", None),
+        shape=None if args.sizes is None else DomainShape(args.sizes),
         num_colors=args.colors,
         seed=args.seed,
     )
@@ -187,24 +195,18 @@ def _cmd_gen(args) -> int:
     from .info import JointDistribution
     from .serialize import InstanceBundle, save_instance
 
-    # an option for some choices only: refused with any other, its default
-    # filled in only where it applies
     drawn = args.cover in ("random-tree", "random-bounded") or "random" in (args.fn, args.dist)
-    for name, applies, needs, default in (
+    _fill_options(args, (
         ("rho_max", args.cover == "random-bounded", "--cover random-bounded", 2),
         ("extra", args.cover == "random-bounded", "--cover random-bounded", 2),
         ("selector_seed", args.selector == "seeded-random", "--selector seeded-random", 0),
         ("delta", args.relation == "approx-xor", "--relation approx-xor", 0.0),
         ("seed", drawn, "--cover random-tree|random-bounded, --fn random or --dist random", 0),
         ("colors", args.fn == "random", "--fn random", 2),
-        ("arity", args.fn == "matvec", "--fn matvec", 2),
+        ("arity", args.fn == "matvec", "--fn matvec", 3),
         ("n", args.fn in ("xor", "eq", "matvec") or args.relation or args.preset,
          "--fn xor|eq|matvec, --relation or --preset", 1),
-    ):
-        if getattr(args, name) is None:
-            setattr(args, name, default if applies else None)
-        elif not applies:
-            raise InvalidInputError(f"--{name.replace('_', '-')} needs {needs}")
+    ))
     if args.preset == "parity-tightness":
         for name in ("fn", "relation", "cover", "sizes", "selector", "dist"):
             if getattr(args, name) is not None:
@@ -264,24 +266,29 @@ def _emit(rows, args) -> None:
 def _cmd_verify(args) -> int:
     from .verify import SuiteConfig, analyze_instance, batch_experiment
 
-    # the generation options that were given; SuiteConfig holds the defaults
-    names = ("arity", "max_bits", "rho_max", "extra")
-    generation = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    # the generation options are for --seeds only, and None takes SuiteConfig's
+    # default; the tree suite is the main suite at cap 1 with no extra boxes
+    drawn = args.seeds is not None
+    capped = drawn and args.suite != "tree"
+    _fill_options(args, (
+        ("arity", drawn, "--seeds", 3 if args.suite == "multiparty" else 2),
+        ("max_bits", drawn, "--seeds", None),
+        ("rho_max", capped, "--seeds and suite main or multiparty", None),
+        ("extra", capped, "--seeds and suite main or multiparty", None),
+    ))
     if args.instance:
         from .serialize import load_instance
 
-        if generation:
-            given = ", ".join("--" + name.replace("_", "-") for name in generation)
-            raise InvalidInputError(f"{given} only apply to --seeds, not --instance")
         bundle = load_instance(args.instance)
         row, violations = analyze_instance(bundle, rho_mode=args.rho_mode, tol=args.tol)
         _emit([row], args)
         print(f"rows=1 violations={1 if violations else 0}")
         return EXIT_VIOLATION if violations else EXIT_OK
-    arity = generation.setdefault("arity", 3 if args.suite == "multiparty" else 2)
-    if args.suite != "multiparty" and arity != 2:
+    names = ("arity", "max_bits", "rho_max", "extra")
+    generation = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if args.suite != "multiparty" and args.arity != 2:
         raise InvalidInputError(
-            f"verify {args.suite} is two-party; --arity {arity} needs multiparty"
+            f"verify {args.suite} is two-party; --arity {args.arity} needs multiparty"
         )
     out_dir = None
     if args.out:
@@ -296,10 +303,10 @@ def _cmd_verify(args) -> int:
         out_dir=out_dir,
         **generation,
     )
-    if arity * config.max_bits > CELL_BITS:  # the largest shape the suite can draw
+    if args.arity * config.max_bits > CELL_BITS:  # the largest shape the suite can draw
         raise InvalidInputError(
-            f"--arity {arity} x --max-bits {config.max_bits} can draw "
-            f"2**{arity * config.max_bits} cells; the cap is 2**{CELL_BITS}"
+            f"--arity {args.arity} x --max-bits {config.max_bits} can draw "
+            f"2**{args.arity * config.max_bits} cells; the cap is 2**{CELL_BITS}"
         )
     result = batch_experiment(config)
     _emit(result.rows, args)
@@ -313,6 +320,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cover_target(args):
+    if args.fn is None and args.instance is None:
+        raise InvalidInputError("need --fn or --instance")
+    _fill_options(args, (
+        ("n", args.fn in ("xor", "eq"), "--fn xor|eq", 1),
+        ("sizes", args.fn in ("constant", "random"), "--fn constant|random", None),
+        ("colors", args.fn == "random", "--fn random", 2),
+        ("seed", args.fn == "random", "--fn random", 0),
+    ))
     if args.instance:
         from .serialize import load_instance
 
@@ -320,8 +335,6 @@ def _cover_target(args):
         if bundle.function is None:
             raise InvalidInputError("instance file carries no function")
         return bundle.function
-    if args.fn is None:
-        raise InvalidInputError("need --fn or --instance")
     return _cli_function(args)
 
 
@@ -389,14 +402,15 @@ def _cmd_am(args) -> int:
     from .serialize import load_am
     from .verify import am_analyze
 
+    if args.fn is None and args.instance is None:
+        raise InvalidInputError("need --fn or --instance")
+    _fill_options(args, (("n", args.fn is not None, "--fn", 2),))
     if args.instance:
         bundle = load_am(args.instance)
         if bundle.target is None:
             raise InvalidInputError("AM file carries no function or relation target")
         am, target = bundle.am, bundle.target
     else:
-        if args.fn is None:
-            raise InvalidInputError("need --fn or --instance")
         target = gen_function(args.fn, n=args.n)
         am = trivial_merlin_am(target)
     start = time.monotonic()

@@ -28,10 +28,6 @@ class SchemaError(InvalidInputError):
 class GenerationFailureError(CommlabError):
     """Randomized generator exhausted its rejection budget."""
 
-    def __init__(self, message: str, seed=None):
-        super().__init__(message)
-        self.seed = seed
-
 
 class DegenerateInstanceError(CommlabError):
     """Instance carries no usable probability mass (e.g. empty GOOD set)."""

@@ -89,9 +89,6 @@ class Relation:
                 raise InvalidInputError("admissible set contains out-of-range color id")
         object.__setattr__(self, "admissible", masks)
 
-    def admissible_ids(self, cell) -> tuple[int, ...]:
-        return indices_from_mask(self.admissible[self.shape.linear_index(cell)])
-
 
 @dataclass(frozen=True, eq=False)
 class ErrorProtocol:
@@ -192,14 +189,10 @@ def matvec_function(arity: int, n: int) -> ColoredFunction:
     col_size = _side(n, "matvec")
     coeff_size = 1 << (arity - 1)
     shape = DomainShape((col_size,) * (arity - 1) + (coeff_size,))
+    *columns, coeffs = np.ix_(*(np.arange(s) for s in shape.sizes))
     colors = np.zeros(shape.sizes, dtype=np.int64)
-    for cell in shape.cells():
-        coeffs = cell[-1]
-        acc = 0
-        for j in range(arity - 1):
-            if (coeffs >> j) & 1:
-                acc ^= cell[j]
-        colors[cell] = acc
+    for j, column in enumerate(columns):
+        colors ^= column * ((coeffs >> j) & 1)
     return ColoredFunction(shape, colors)
 
 
@@ -515,8 +508,7 @@ def random_bounded_cover(
                     "every cell is at the cap" if open_cells == 0 else f"no fit in {attempts} attempts"
                 )
                 raise GenerationFailureError(
-                    f"could not add {extra} boxes under rho_max={rho_max}: {why} (seed={seed})",
-                    seed=seed,
+                    f"could not add {extra} boxes under rho_max={rho_max}: {why} (seed={seed})"
                 )
             attempts += 1
             drawn = _random_box(shape, draws)

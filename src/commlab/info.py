@@ -229,9 +229,8 @@ def _as_names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-# The quantities below read joint entropies through h, a function from a tuple
-# of variable names to their joint entropy: InfoEngine.entropy, or a profile's
-# read of its batch. Either way each quantity is the same float expression.
+# The quantities below read joint entropies through h, an InfoEngine's entropy:
+# a function from a tuple of variable names to their joint entropy.
 
 
 def _cond_entropy(h, names: tuple[str, ...], given: tuple[str, ...]) -> float:
@@ -379,14 +378,9 @@ def build_profile(
     box_rho = box_thickness_table(protocol.cover)
     expected_log_rho = pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels])
 
-    # every quantity reads the one batch: the group's position, found by its names
-    groups = _profile_groups(arity, f_labels is not None)
-    values = engine.entropies(groups)
-    slot = {frozenset(g): k for k, g in enumerate(groups)}
-
-    def h(names: tuple[str, ...]) -> float:
-        return values[slot[frozenset(names)]]
-
+    # one batch fills the engine's cache, and every quantity reads it by name
+    engine.entropies(_profile_groups(arity, f_labels is not None))
+    h = engine.entropy
     xs = tuple(f"X{i}" for i in range(arity))
     q: dict[str, float] = {}
     q["H(T)"] = h(("T",))

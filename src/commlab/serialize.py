@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SELECTOR_SEED_MAX, Box, Cover, DomainShape, Protocol, TranscriptSelector,
-                   mask_from_indices)
+                   indices_from_mask, mask_from_indices)
 from .errors import InvalidInputError, SchemaError
 from .functions import (
     MAX_RELATION_COLORS,
@@ -223,8 +223,7 @@ def _relation_to_obj(rel: Relation) -> dict:
     return {
         "kind": "explicit",
         "num_colors": rel.num_colors,
-        "admissible": [list(rel.admissible_ids(rel.shape.cell_of_linear(i)))
-                       for i in range(rel.shape.num_cells)],
+        "admissible": [list(indices_from_mask(m)) for m in rel.admissible],
     }
 
 

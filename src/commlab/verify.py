@@ -213,15 +213,12 @@ def _random_instance(config: SuiteConfig, seed: int):
     with _Draws(rng) as draws:
         bits = [1 + draws.below(config.max_bits) for _ in range(config.arity)]
         shape = DomainShape(tuple(1 << b for b in bits))
-        if config.suite == "tree":
-            cover = random_bounded_cover(shape, rho_max=1, extra=0, rng=draws)
-        else:
-            rho_max = config.rho_max[draws.below(len(config.rho_max))]
-            # tiny grids cannot absorb many extra boxes under a tight cap
-            extra = min(config.extra, max(1, shape.num_cells // 4))
-            cover = random_bounded_cover(
-                shape, rho_max=rho_max, extra=extra, seed=seed, rng=draws
-            )
+        # tree is main at cap 1 with no extra boxes: below(1) draws nothing
+        caps, extra = ((1,), 0) if config.suite == "tree" else (config.rho_max, config.extra)
+        rho_max = caps[draws.below(len(caps))]
+        # tiny grids cannot absorb many extra boxes under a tight cap
+        extra = min(extra, max(1, shape.num_cells // 4))
+        cover = random_bounded_cover(shape, rho_max=rho_max, extra=extra, seed=seed, rng=draws)
         if draws.random() < 0.5:
             selector = TranscriptSelector.min_index()
         else:
@@ -333,12 +330,12 @@ def batch_experiment(config: SuiteConfig) -> BatchResult:
     for seed in sorted(config.seeds):
         try:
             row, violations, stats, instance = run_suite_row(config, seed)
-        except GenerationFailureError as exc:
+        except GenerationFailureError:
             result.generation_failures += 1
             result.rows.append(
                 ReportRow(
                     instance_id=f"seed-{seed}",
-                    status=f"generation-failure:{exc.seed}",
+                    status=f"generation-failure:{seed}",
                     seed=seed,
                 )
             )

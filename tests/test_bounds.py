@@ -744,3 +744,33 @@ def test_bound_summary_invariants_random():
         assert s.cover_exact <= s.cover_greedy
         assert s.fooling_best <= s.fooling_sum <= s.cover_exact
         assert "internal" not in s.status
+
+
+# xor(1) is 2x2 with colour 0 on the diagonal; one singleton box per cell
+_XOR1_BOX = {cell: Box((1 << cell[0], 1 << cell[1])) for cell in ((0, 0), (0, 1), (1, 0), (1, 1))}
+_XOR1_COVER = tuple(_XOR1_BOX.values())  # two boxes of each colour
+
+
+@pytest.mark.parametrize(
+    "fooling, solved, problem",
+    [
+        ({0: 2, 1: 2}, (1, None, None, None), "color_count > cover_greedy"),
+        ({0: 2, 1: 2}, (None, None, None, (5, 3)), "cover lower bound > upper bound"),
+        ({0: 2, 1: 2}, (3, 4, _XOR1_COVER, None), "cover_exact > cover_greedy"),
+        ({0: 1, 1: 0}, (4, 1, (_XOR1_BOX[0, 0],), None), "color_count > cover_exact"),
+        ({0: 2, 1: 2}, (4, 3, _XOR1_COVER, None), "fooling_sum > cover_exact"),
+        (
+            {0: 2, 1: 2},
+            (4, 4, (_XOR1_BOX[0, 0], _XOR1_BOX[1, 1], _XOR1_BOX[0, 0], _XOR1_BOX[0, 1]), None),
+            "fooling[1] exceeds witness boxes of that color",
+        ),
+    ],
+)
+def test_bound_summary_consistency_checks_can_fail(fooling, solved, problem, monkeypatch):
+    # each set of solver results breaks exactly one relation between the bounds
+    import commlab.bounds as bounds
+
+    monkeypatch.setattr(bounds, "fooling_sizes", lambda f: dict(fooling))
+    monkeypatch.setattr(bounds, "solve_cover", lambda *args: solved)
+    summary = bound_summary(xor_function(1))
+    assert summary.status == {"internal": f"internal-error: {problem}"}

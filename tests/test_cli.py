@@ -110,6 +110,17 @@ def test_verify_csv_golden_digest(suite, tmp_path, capsys):
     assert digest == GOLDEN_CSV_SHA256[suite]
 
 
+def test_tree_suite_is_the_main_suite_at_cap_one(capsys):
+    # the tree suite draws a main-suite instance at thickness cap 1 with no
+    # extra boxes: the same cover, selector, function and distribution
+    rows = []
+    for argv in (["tree"], ["main", "--rho-max", "1", "--extra", "0"]):
+        code, out, _ = run(capsys, "verify", *argv, "--seeds", "0..199", "--format", "csv")
+        assert code == 0
+        rows.append(strip_runtime(out))
+    assert rows[0] == rows[1] and rows[0].count("\n") >= 200
+
+
 # the same for `verify main --max-bits 8 --seeds 0..59`: grids up to 256x256,
 # where entropy keys reach 2**16 and the radix sort takes its high pass, which
 # the max_bits 4 runs above never reach
@@ -199,6 +210,25 @@ def test_verify_relation_instance_with_colorless_boxes_golden_row(
     assert strip_runtime(open(out).read()).split("\n")[1] == row
 
 
+def test_verify_instance_with_a_named_approx_xor_relation_golden_row(tmp_path, capsys):
+    # the first file above with its relation written as the named spec that
+    # the instance loader builds through approx_xor_relation: the same row
+    path = str(tmp_path / "rel.json")
+    gen = "--relation approx-xor --n 2 --delta 0.5 --cover random-bounded --sizes 4x4"
+    gen += " --selector seeded-random --seed 3 --rho-max 3 --extra 6 --selector-seed 9"
+    assert run(capsys, "gen", "--out", path, *gen.split(), "--dist", "random")[0] == 0
+    obj = json.loads(open(path).read())
+    obj["relation"] = {"kind": "approx-xor", "n": 2, "delta": 0.5}
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    out = str(tmp_path / "row.csv")
+    assert run(capsys, "verify", "main", "--instance", path, "--out", out)[0] == 0
+    assert strip_runtime(open(out).read()).split("\n")[1] == (
+        "c155b39f956b,,4x4,3,3,2.019035274338866,0.57014997290449276,0,2.1551124736256488,"
+        "1.448885301434373,2.1551124736256488,,,,,,,ok"
+    )
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -229,6 +259,9 @@ def test_verify_relation_instance_with_colorless_boxes_golden_row(
         ["verify", "multiparty", "--instance", "{inst}", "--arity", "3"],
         ["verify", "main", "--instance", "{inst}", "--rho-max", "9"],
         ["verify", "tree", "--instance", "{inst}", "--extra", "7"],
+        # the tree suite is the main suite at cap 1 with no extra boxes
+        ["verify", "tree", "--seeds", "0..2", "--rho-max", "3", "--extra", "9"],
+        ["verify", "tree", "--seeds", "0..2", "--extra", "0"],
     ],
 )
 def test_verify_bad_option_exits_two(bad, tmp_path, capsys, monkeypatch):
@@ -463,6 +496,23 @@ def test_am_instance_file(tmp_path, capsys):
     assert "cost=2" in stdout
 
 
+def test_am_instance_file_with_a_relation_target(tmp_path, capsys):
+    # on GOOD cells both parties' outputs agree and are admissible, and that
+    # output is the F the restricted bound is evaluated on
+    from commlab import approx_xor_relation, save_am, trivial_merlin_am
+    from commlab.serialize import AMBundle
+
+    rel = approx_xor_relation(2, 0.5)
+    path = str(tmp_path / "am.json")
+    save_am(AMBundle(am=trivial_merlin_am(rel), relation=rel), path)
+    code, stdout, _ = run(capsys, "am", "--instance", path)
+    assert code == 0
+    assert stdout.split("\n")[0] == (
+        "branches=1 r0=0 cost=4 error=0 "
+        "estimated_lower_bound=1.6225562489182659 restricted_margin=0"
+    )
+
+
 def test_am_n_is_capped_in_the_parser():
     # the trivial Merlin protocol's output tables hold 2**n x 4**n entries
     # each, 8.6 GB apiece at n = 10; parsing alone builds none of them
@@ -567,6 +617,7 @@ def test_gen_preset_refuses_target_cover_selector_and_distribution_options(
     [
         ("--fn random --sizes 3x3", "--colors 2 --seed 0"),
         ("--fn matvec --arity 3", "--n 1"),
+        ("--fn matvec", "--arity 3 --n 1"),
         ("--fn xor --cover random-bounded", "--n 1 --seed 0 --rho-max 2 --extra 2"),
         ("--relation approx-xor --selector seeded-random", "--n 1 --delta 0 --selector-seed 0"),
         ("--cover windmill --dist random", "--seed 0"),
@@ -582,6 +633,84 @@ def test_gen_fills_in_defaults_where_options_apply(options, defaults, tmp_path, 
         assert code == 0, err
         texts.append(open(out, "rb").read())
     assert texts[0] == texts[1]
+
+
+def _run_to_exit(capsys, argv):
+    """main's exit code, argparse's included, and what it wrote to stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_TARGET_REFUSALS = [
+    ("--fn xor --n 2 --colors 7", "error: --colors needs --fn random"),
+    ("--fn eq --n 2 --seed 5", "error: --seed needs --fn random"),
+    ("--fn xor --n 2 --sizes 3x3", "error: --sizes needs --fn constant|random"),
+    ("--fn constant --sizes 3x3 --n 2", "error: --n needs --fn xor|eq"),
+    ("--fn constant --sizes 2x2 --colors 3", "error: --colors needs --fn random"),
+    ("--fn constant --sizes 2x2 --seed 1", "error: --seed needs --fn random"),
+    ("--fn random --sizes 3x3 --n 7", "error: --n needs --fn xor|eq"),
+    ("--instance {inst} --n 2", "error: --n needs --fn xor|eq"),
+    ("--instance {inst} --sizes 2x2", "error: --sizes needs --fn constant|random"),
+    ("--instance {inst} --colors 3", "error: --colors needs --fn random"),
+    ("--instance {inst} --seed 1", "error: --seed needs --fn random"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        ("am --instance {am} --fn eq --n 3", "not allowed with argument"),
+        ("am --instance {am} --n 3", "error: --n needs --fn"),
+    ]
+    + [(f"{command} {options}", refused) for command in ("cover", "bounds")
+       for options, refused in _TARGET_REFUSALS],
+)
+def test_commands_refuse_options_they_would_ignore(argv, refused, tmp_path, capsys, monkeypatch):
+    # each option would leave the command's output unchanged; it is refused
+    # with one error line before any file is loaded or function solved
+    import commlab.serialize
+
+    for loader in ("load_instance", "load_am"):
+        monkeypatch.setattr(commlab.serialize, loader, lambda *a: pytest.fail("a file loaded"))
+    argv = argv.format(inst=tmp_path / "inst.json", am=tmp_path / "am.json").split()
+    code, out, err = _run_to_exit(capsys, argv)
+    assert code == 2 and out == ""
+    assert refused in err and sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        ("cover --fn xor", "--n 1"),
+        ("bounds --fn eq", "--n 1"),
+        ("cover --fn random --sizes 3x3", "--colors 2 --seed 0"),
+        ("bounds --fn random --sizes 3x3", "--colors 2 --seed 0"),
+        ("am --fn xor", "--n 2"),
+    ],
+)
+def test_commands_fill_in_defaults_where_options_apply(argv, defaults, capsys):
+    outputs = []
+    for extra in ("", defaults):
+        code, out, err = run(capsys, *argv.split(), *extra.split())
+        assert code == 0, err
+        outputs.append(strip_runtime(out))
+    assert outputs[0] == outputs[1]
+
+
+def test_bounds_row_carries_an_internal_error(monkeypatch, capsys):
+    # a solver result that breaks a relation between the bounds is reported
+    # in the row's status
+    import commlab.bounds as bounds
+
+    monkeypatch.setattr(bounds, "solve_cover", lambda *args: (1, None, None, None))
+    code, out, _ = run(capsys, "bounds", "--fn", "xor", "--n", "1")
+    assert code == 0
+    row = dict(zip(REPORT_COLUMNS, out.split("\n")[1].split(",")))
+    assert row["status"] == "internal-error: color_count > cover_greedy"
 
 
 def test_gen_takes_delta_with_a_relation(tmp_path, capsys):

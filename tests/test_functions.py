@@ -34,7 +34,7 @@ from commlab import (
     trivial_merlin_cover,
     xor_function,
 )
-from commlab.core import Box, TreeLeaf, box, compile_tree, dense_ids, thickness_table
+from commlab.core import Box, TreeLeaf, box, compile_tree, dense_ids, indices_from_mask, thickness_table
 from commlab.functions import good_mask
 
 from naive import bounded_additions_full_budget, enumerate_all_boxes, random_tree_reference
@@ -63,6 +63,18 @@ def test_matvec_surjective_colors():
     f = matvec_function(3, 2)
     assert f.num_colors == 4
     assert sorted(np.unique(f.colors)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("arity, n", list(product((3, 4, 5), (1, 2, 3))))
+def test_matvec_matches_the_per_cell_product(arity, n):
+    # each cell's colour is the XOR of the columns its coefficient bits select
+    f = matvec_function(arity, n)
+    for cell in product(*(range(s) for s in f.shape.sizes)):
+        expected = 0
+        for j in range(arity - 1):
+            if (cell[-1] >> j) & 1:
+                expected ^= cell[j]
+        assert f.colors[cell] == expected
 
 
 @pytest.mark.parametrize(
@@ -151,21 +163,21 @@ def test_approx_xor_delta_zero_singletons():
     rel = approx_xor_relation(2, 0.0)
     for x in range(4):
         for y in range(4):
-            assert rel.admissible_ids((x, y)) == (x ^ y,)
+            assert indices_from_mask(rel.admissible[4 * x + y]) == (x ^ y,)
 
 
 def test_approx_xor_delta_one_everything():
     rel = approx_xor_relation(2, 1.0)
     for x in range(4):
         for y in range(4):
-            assert rel.admissible_ids((x, y)) == (0, 1, 2, 3)
+            assert indices_from_mask(rel.admissible[4 * x + y]) == (0, 1, 2, 3)
 
 
 def test_approx_xor_half_ball_size():
     rel = approx_xor_relation(2, 0.5)  # radius 1 Hamming ball: 1 + C(2,1) = 3
     for x in range(4):
         for y in range(4):
-            assert len(rel.admissible_ids((x, y))) == 3
+            assert len(indices_from_mask(rel.admissible[4 * x + y])) == 3
 
 
 def test_approx_xor_relation_delta_out_of_range():
@@ -221,7 +233,7 @@ def test_random_bounded_reports_failure_with_seed():
     shape = DomainShape((2, 2))
     with pytest.raises(GenerationFailureError) as err:
         random_bounded_cover(shape, rho_max=1, extra=1, seed=13)
-    assert err.value.seed == 13
+    assert str(err.value).endswith("(seed=13)")
 
 
 @settings(max_examples=1000, deadline=None)

@@ -662,25 +662,26 @@ def test_entropies_of_labels_near_2_62_match_the_level_oracle(case, seed):
      ("multiparty", 3, "function"), ("multiparty", 4, None)],
 )
 def test_build_profile_computes_every_entropy_in_its_one_batch(monkeypatch, suite, arity, f_mode):
-    # the profile reads its quantities by position from the list that its
-    # entropies() call returns: one call means the batch held every group
-    # read, and recording the positions read shows every batched group is read
+    # the profile fills the engine's cache with one entropies() call and
+    # reads every quantity through entropy(), which batches a group it finds
+    # uncached on its own: one batch means it held every group read, and
+    # recording the reads shows every batched group is read
     from commlab.errors import GenerationFailureError
     from commlab.verify import SuiteConfig, _random_instance
 
     batches, reads = [], set()
-    entropies = InfoEngine.entropies
-
-    class RecordedReads(list):
-        def __getitem__(self, k):
-            reads.add(batches[-1][k])
-            return list.__getitem__(self, k)
+    entropies, entropy = InfoEngine.entropies, InfoEngine.entropy
 
     def record_batch(self, groups):
         batches.append([frozenset((g,) if isinstance(g, str) else g) for g in groups])
-        return RecordedReads(entropies(self, groups))
+        return entropies(self, groups)
+
+    def record_read(self, names):
+        reads.add(frozenset((names,) if isinstance(names, str) else names))
+        return entropy(self, names)
 
     monkeypatch.setattr(InfoEngine, "entropies", record_batch)
+    monkeypatch.setattr(InfoEngine, "entropy", record_read)
     config = SuiteConfig(suite=suite, arity=arity, max_bits=2)
     profiles = 0
     for seed in range(8):

@@ -386,7 +386,7 @@ def test_batch_small_main_suite_clean():
 
 def test_chain_rule_check_can_fail(monkeypatch):
     # H(X1|X0) is computed row by row, not as H(X0,X1) - H(X0), so moving the
-    # batched H(X0,X1) opens the chain-rule gap
+    # cached H(X0,X1) opens the chain-rule gap
     _shift_entropy(monkeypatch, {"X0", "X1"}, 1e-6)
     for suite in ("tree", "main"):
         row, violations, stats, _ = run_suite_row(SuiteConfig(suite=suite), 0)
@@ -395,15 +395,17 @@ def test_chain_rule_check_can_fail(monkeypatch):
 
 
 def _shift_entropy(monkeypatch, group, delta):
+    """Move every read of one group's joint entropy, as the profile reads
+    each quantity's entropies through InfoEngine.entropy."""
     from commlab.info import InfoEngine
 
-    entropies = InfoEngine.entropies
+    entropy = InfoEngine.entropy
 
-    def shifted(self, groups):
-        values = entropies(self, groups)
-        return [v + delta if set(g) == group else v for g, v in zip(groups, values)]
+    def shifted(self, names):
+        value = entropy(self, names)
+        return value + delta if set(names) == group else value
 
-    monkeypatch.setattr(InfoEngine, "entropies", shifted)
+    monkeypatch.setattr(InfoEngine, "entropy", shifted)
 
 
 def test_transcript_identity_check_can_fail(monkeypatch):
@@ -422,6 +424,16 @@ def test_with_f_identity_check_can_fail(monkeypatch):
     row, violations, stats, _ = run_suite_row(config, 4)
     assert violations == ["multiparty-with-f"] and row.status == "violation:multiparty-with-f"
     assert stats["transcript_gap"] == pytest.approx(1e-6 / 2, rel=1e-6)
+
+
+def test_multiparty_bound_check_can_fail(monkeypatch):
+    # H(T) enters the transcript-only and the with-f margins alike, so moving
+    # it far down breaks the bound and leaves their gap and every identity
+    _shift_entropy(monkeypatch, {"T"}, -100.0)
+    config = SuiteConfig(suite="multiparty", arity=3, max_bits=2)
+    row, violations, stats, _ = run_suite_row(config, 4)
+    assert violations == ["multiparty"] and row.status == "violation:multiparty"
+    assert row.margin_main < -90.0 and stats["transcript_gap"] <= 1e-9
 
 
 def test_ic_identity_check_can_fail(monkeypatch):
