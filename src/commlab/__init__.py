@@ -40,7 +40,7 @@ _EXPORTS = {
         "fooling_set",
     ),
     "verify": (
-        "AMReport", "SuiteConfig", "am_analyze",
+        "AMReport", "SuiteConfig", "am_analyze", "protocol_profile",
         "batch_experiment", "check_ic", "check_main_inequality",
         "check_multiparty", "check_transcript_bound",
     ),

@@ -394,8 +394,9 @@ def _cmd_bounds(args) -> int:
     if summary.cover_bounds:
         lower, upper = summary.cover_bounds
         print(f"timeout: bounds=[{lower}, {upper}]")
-        return EXIT_TIMEOUT
-    return EXIT_OK
+    if "internal" in summary.status:
+        return EXIT_VIOLATION
+    return EXIT_TIMEOUT if summary.cover_bounds else EXIT_OK
 
 
 def _cmd_am(args) -> int:
@@ -422,7 +423,7 @@ def _cmd_am(args) -> int:
         f"restricted_margin={format(report.restricted_margin, '.17g')}"
     )
     row = ReportRow(
-        instance_id=report.fingerprint[:12],
+        instance_id=report.instance_id,
         sizes="x".join(str(s) for s in am.shape.sizes),
         margin_main=report.restricted_margin,
         runtime_ms=(time.monotonic() - start) * 1000.0,

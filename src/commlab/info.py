@@ -10,22 +10,12 @@ route to H(X1|X0): per-row conditionals and plain numpy sums.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainShape,
-    Protocol,
-    box_thickness_table,
-    dense_ids,
-    flat_positions,
-    selector_labels,
-    stable_argsort,
-    thickness_table,
-)
+from .core import DomainShape, dense_ids, flat_positions, stable_argsort
 from .errors import DegenerateInstanceError, InvalidInputError
 
 NORMALIZATION_TOL = 1e-12
@@ -279,7 +269,7 @@ def triple_information(
 
 
 # ---------------------------------------------------------------------------
-# Protocol-aware quantities
+# Profiles of labelled instances
 
 
 def _information_cost(h, arity: int) -> float:
@@ -294,40 +284,15 @@ def _information_cost(h, arity: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InfoProfile:
-    """All entropic quantities of one (distribution, protocol[, F labels])
-    instance, plus thickness statistics."""
+    """All entropic quantities of one labelled instance, plus its named log2
+    charges, carried as given."""
 
     arity: int
-    sizes: tuple[int, ...]
     quantities: dict[str, float]
-    rho_global: int
-    expected_log_rho: float
-    f_mode: str | None
-    fingerprint: str
+    charges: dict[str, float]
 
     def __getitem__(self, key: str) -> float:
         return self.quantities[key]
-
-
-def _profile_fingerprint(
-    dist: JointDistribution,
-    protocol: Protocol,
-    f_labels: np.ndarray | None,
-    f_mode: str | None,
-) -> str:
-    h = hashlib.sha256()
-    h.update(repr(protocol.shape.sizes).encode())
-    h.update("".join(repr(b.masks) for b in protocol.cover.boxes).encode())
-    sel = protocol.selector
-    h.update(sel.kind.encode())
-    h.update(repr(sel.seed).encode())
-    if sel.table is not None:
-        h.update(np.asarray(sel.table, dtype=np.int64).tobytes())
-    h.update(dist.p.tobytes())
-    if f_labels is not None:
-        h.update(np.asarray(f_labels, dtype=np.int64).tobytes())
-    h.update(repr(f_mode).encode())
-    return h.hexdigest()
 
 
 def _row_conditional_entropy(dist: JointDistribution) -> float:
@@ -353,33 +318,19 @@ def _profile_groups(arity: int, with_f: bool) -> list[tuple[str, ...]]:
     return groups
 
 
-def build_profile(
-    dist: JointDistribution, protocol: Protocol, f_labels=None, f_mode: str = "function"
-) -> InfoProfile:
+def build_profile(dist: JointDistribution, labels: dict, charges: dict) -> InfoProfile:
     """Assemble every quantity the inequality checkers consume.
 
-    f_labels, if given, is the output variable F: one label per cell, flat
-    row-major. f_mode only names where F came from ("function", "box-color"
-    or "explicit"); it is hashed into the fingerprint with the labels.
+    labels holds one flat row-major label per cell for each coordinate
+    X0..X{l-1} and the transcript T, and for the output F if it is present.
+    charges names the log2 charges (in bits) a check may use for log2(rho).
     """
-    if dist.shape.sizes != protocol.shape.sizes:
-        raise InvalidInputError("distribution shape does not match protocol domain")
-    shape = protocol.shape
-    arity = shape.arity
-    t_labels = selector_labels(protocol)
-    labels = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
-    labels["T"] = t_labels
-    if f_labels is not None:
-        labels["F"] = f_labels
+    arity = dist.shape.arity
+    with_f = "F" in labels
     engine = InfoEngine(dist, labels)
-    mode = None if f_labels is None else f_mode
-
-    rho_global = int(thickness_table(protocol.cover).max())
-    box_rho = box_thickness_table(protocol.cover)
-    expected_log_rho = pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels])
 
     # one batch fills the engine's cache, and every quantity reads it by name
-    engine.entropies(_profile_groups(arity, f_labels is not None))
+    engine.entropies(_profile_groups(arity, with_f))
     h = engine.entropy
     xs = tuple(f"X{i}" for i in range(arity))
     q: dict[str, float] = {}
@@ -399,17 +350,9 @@ def build_profile(
     q["triple_gap"] = triple.formula_gap
     q["IC"] = _information_cost(h, arity)
 
-    if f_labels is not None:
+    if with_f:
         for x in xs:
             q[f"H(F|{x})"] = _cond_entropy(h, ("F",), (x,))
             q[f"H(T|{x},F)"] = _cond_entropy(h, ("T",), (x, "F"))
 
-    return InfoProfile(
-        arity=arity,
-        sizes=shape.sizes,
-        quantities=q,
-        rho_global=rho_global,
-        expected_log_rho=expected_log_rho,
-        f_mode=mode,
-        fingerprint=_profile_fingerprint(dist, protocol, engine.labels.get("F"), mode),
-    )
+    return InfoProfile(arity=arity, quantities=q, charges=charges)

@@ -10,6 +10,7 @@ violation.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import time
@@ -17,12 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainShape, Protocol, TranscriptSelector, dense_ids, selector_labels
-from .errors import (
-    DegenerateInstanceError,
-    GenerationFailureError,
-    InvalidInputError,
+from .core import (
+    DomainShape,
+    Protocol,
+    TranscriptSelector,
+    box_thickness_table,
+    dense_ids,
+    selector_labels,
+    thickness_table,
 )
+from .errors import DegenerateInstanceError, GenerationFailureError, InvalidInputError
 from .functions import (
     AMProtocol,
     ColoredFunction,
@@ -32,7 +37,7 @@ from .functions import (
     good_mask,
     random_bounded_cover,
 )
-from .info import InfoProfile, JointDistribution, build_profile
+from .info import InfoProfile, JointDistribution, build_profile, pairwise_sum
 from .reports import ReportRow
 
 
@@ -46,15 +51,61 @@ class AMReport:
     restricted_margin: float
     estimated_lower_bound: float
     correctness_mode: str
-    fingerprint: str
+    instance_id: str
+
+
+def protocol_profile(
+    dist: JointDistribution, protocol: Protocol, f_labels=None, f_mode: str = "function"
+) -> tuple[InfoProfile, ReportRow]:
+    """The profile of a protocol on a distribution, with T the selected box
+    and the `--rho-mode` charges, and a row holding the instance's id, sizes
+    and thickness. f_labels, if given, is the output F, flat row-major;
+    f_mode only names where F came from ("function", "box-color" or
+    "explicit"), for the instance id."""
+    shape = protocol.shape
+    if dist.shape.sizes != shape.sizes:
+        raise InvalidInputError("distribution shape does not match protocol domain")
+    t_labels = selector_labels(protocol)
+    labels = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
+    labels["T"] = t_labels
+    if f_labels is not None:
+        labels["F"] = f_labels
+    rho_global = int(thickness_table(protocol.cover).max())
+    box_rho = box_thickness_table(protocol.cover)
+    charges = {
+        "global": math.log2(rho_global),
+        "expected": pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels]),
+    }
+    profile = build_profile(dist, labels, charges)
+
+    digest = hashlib.sha256()
+    digest.update(repr(shape.sizes).encode())
+    digest.update("".join(repr(b.masks) for b in protocol.cover.boxes).encode())
+    sel = protocol.selector
+    digest.update(sel.kind.encode())
+    digest.update(repr(sel.seed).encode())
+    if sel.table is not None:
+        digest.update(np.asarray(sel.table, dtype=np.int64).tobytes())
+    digest.update(dist.p.tobytes())
+    if f_labels is not None:
+        digest.update(np.asarray(f_labels, dtype=np.int64).tobytes())
+    digest.update(repr(None if f_labels is None else f_mode).encode())
+    row = ReportRow(
+        instance_id=digest.hexdigest()[:12],
+        sizes="x".join(str(s) for s in shape.sizes),
+        rho_global=rho_global,
+        # every cell lies in its selected box and a box's thickness is the
+        # largest among its cells, so the largest selected-box thickness is
+        # the largest cell thickness
+        rho_box_max=rho_global,
+    )
+    return profile, row
 
 
 def _rho_bits(profile: InfoProfile, rho_mode: str) -> float:
-    if rho_mode == "global":
-        return math.log2(profile.rho_global)
-    if rho_mode == "expected":
-        return profile.expected_log_rho
-    raise InvalidInputError(f"unknown rho mode {rho_mode!r}")
+    if rho_mode not in profile.charges:
+        raise InvalidInputError(f"unknown rho mode {rho_mode!r}")
+    return profile.charges[rho_mode]
 
 
 def check_main_inequality(profile: InfoProfile, rho_mode: str = "global") -> float:
@@ -69,7 +120,7 @@ def check_transcript_bound(profile: InfoProfile, rho_mode: str = "global") -> fl
     """Margin of H(T) >= H(F|X) + H(F|Y) + H(T|X,F) + H(T|Y,F) - log2(rho)."""
     if profile.arity != 2:
         raise InvalidInputError("transcript bound checker is two-party")
-    if profile.f_mode is None:
+    if "H(F|X0)" not in profile.quantities:
         raise InvalidInputError("profile carries no output variable F")
     rho = _rho_bits(profile, rho_mode)
     return profile["H(T)"] - (
@@ -103,7 +154,7 @@ def check_multiparty(
         for i in range(profile.arity):
             total += profile[f"H(T|X{i})"]
     elif mode == "with-f":
-        if profile.f_mode is None:
+        if "H(F|X0)" not in profile.quantities:
             raise InvalidInputError("with-f mode needs a profile with an F variable")
         for i in range(profile.arity):
             total += profile[f"H(F|X{i})"] + profile[f"H(T|X{i},F)"]
@@ -158,7 +209,7 @@ def am_analyze(
         f_table = branch.g_a[rows, selector_labels(branch.protocol)]
         f_table = np.where(f_table < 0, target.num_colors, f_table)
 
-    profile = build_profile(restricted_dist, branch.protocol, f_table, "explicit")
+    profile, row = protocol_profile(restricted_dist, branch.protocol, f_table, "explicit")
     estimated = profile["H(F|X0)"] + profile["H(F|X1)"] - _rho_bits(profile, "global")
     return AMReport(
         branch_errors=branch_errors,
@@ -169,7 +220,7 @@ def am_analyze(
         restricted_margin=check_transcript_bound(profile),
         estimated_lower_bound=estimated,
         correctness_mode=correctness_mode,
-        fingerprint=profile.fingerprint,
+        instance_id=row.instance_id,
     )
 
 
@@ -248,12 +299,12 @@ def _write_reproducer(config: SuiteConfig, seed: int, protocol, function, dist) 
 
 
 def check_profile(
-    profile: InfoProfile, suite: str, rho_mode: str, tol: float
-) -> tuple[ReportRow, list[str], dict]:
-    """Run one suite's checks on a profile; returns (row, violation tags, gap
-    stats). Each suite checks one bound: main and tree the main inequality,
-    multiparty the transcript-only inequality. Every other check is a gap
-    that should be floating-point noise. With T a function of the cell and F
+    profile: InfoProfile, row: ReportRow, suite: str, rho_mode: str, tol: float
+) -> tuple[list[str], dict]:
+    """Run one suite's checks on a profile and fill in its row; returns
+    (violation tags, gap stats). Each suite checks one bound: main and tree
+    the main inequality, multiparty the transcript-only inequality. Every
+    other check is a gap that should be floating-point noise. With T a function of the cell and F
     a function of T, the transcript margin equals the main margin and the
     with-f margin the transcript-only one, so each is reported as its gap to
     the suite's bound."""
@@ -267,17 +318,9 @@ def check_profile(
     if profile["triple_gap"] > tol:
         violations.append("triple-formulas")
 
-    row = ReportRow(
-        instance_id=profile.fingerprint[:12],
-        sizes="x".join(str(s) for s in profile.sizes),
-        rho_global=profile.rho_global,
-        # every cell lies in its selected box and a box's thickness is the
-        # largest among its cells, so the largest selected-box thickness is
-        # the largest cell thickness
-        rho_box_max=profile.rho_global,
-        H_T=profile["H(T)"],
-        ic=profile["IC"],
-    )
+    row.H_T = profile["H(T)"]
+    row.ic = profile["IC"]
+    with_f = "H(F|X0)" in profile.quantities
 
     if suite in ("main", "tree"):
         margin = check_main_inequality(profile, rho_mode)
@@ -289,7 +332,7 @@ def check_profile(
             violations.append("main")
         if ic_gap > tol:
             violations.append("ic-identity")
-        if profile.f_mode is not None:
+        if with_f:
             stats["transcript_gap"] = abs(check_transcript_bound(profile, rho_mode) - margin)
             if stats["transcript_gap"] > tol:
                 violations.append("transcript")
@@ -297,9 +340,8 @@ def check_profile(
         margin = check_multiparty(profile, "transcript-only", rho_mode)
         if margin < -tol:
             violations.append("multiparty")
-        if profile.f_mode is not None:
-            with_f = check_multiparty(profile, "with-f", rho_mode)
-            stats["transcript_gap"] = abs(with_f - margin)
+        if with_f:
+            stats["transcript_gap"] = abs(check_multiparty(profile, "with-f", rho_mode) - margin)
             if stats["transcript_gap"] > tol:
                 violations.append("multiparty-with-f")
     else:
@@ -308,7 +350,7 @@ def check_profile(
 
     if violations:
         row.status = "violation:" + "+".join(violations)
-    return row, violations, stats
+    return violations, stats
 
 
 def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str], dict, tuple]:
@@ -317,8 +359,8 @@ def run_suite_row(config: SuiteConfig, seed: int) -> tuple[ReportRow, list[str],
     start = time.monotonic()
     instance = _random_instance(config, seed)
     protocol, function, dist = instance
-    profile = build_profile(dist, protocol, function.flat())
-    row, violations, stats = check_profile(profile, config.suite, config.rho_mode, config.tol)
+    profile, row = protocol_profile(dist, protocol, function.flat())
+    violations, stats = check_profile(profile, row, config.suite, config.rho_mode, config.tol)
     row.seed = seed
     row.runtime_ms = (time.monotonic() - start) * 1000.0
     return row, violations, stats, instance
@@ -386,8 +428,8 @@ def analyze_instance(
         f_mode = "box-color"
         if (f_labels == colorless).any():
             dist = dist.condition_on(f_labels != colorless)
-    profile = build_profile(dist, protocol, f_labels, f_mode)
+    profile, row = protocol_profile(dist, protocol, f_labels, f_mode)
     suite = "main" if profile.arity == 2 else "multiparty"
-    row, violations, _ = check_profile(profile, suite, rho_mode, tol)
+    violations, _ = check_profile(profile, row, suite, rho_mode, tol)
     row.runtime_ms = (time.monotonic() - start) * 1000.0
     return row, violations

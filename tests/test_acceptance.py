@@ -19,13 +19,13 @@ from commlab import (
     am_analyze,
     batch_experiment,
     binary_entropy,
-    build_profile,
     check_main_inequality,
     check_multiparty,
     check_transcript_bound,
     cover_number,
     enumerate_maximal_monochromatic,
     parity_tightness_protocol,
+    protocol_profile,
     random_function,
     trivial_merlin_am,
     trivial_merlin_cover,
@@ -114,7 +114,7 @@ def test_criterion_02_xor_singleton_structure():
 def test_criterion_03_main_inequality_tightness():
     with _report(3, "double-full-box parity instance: margin_main = 0, I(X:Y:T) = -1"):
         protocol = parity_tightness_protocol(1)
-        profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+        profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
         assert abs(check_main_inequality(profile, rho_mode="global")) <= TOL
         assert abs(profile["I(X0:X1:T)"] + 1.0) <= TOL
 
@@ -154,7 +154,7 @@ def test_criterion_07_transcript_bound_consistency(
             assert batch.max_transcript_gap <= TOL
         f = xor_function(1)
         protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
-        profile = build_profile(JointDistribution.uniform(f.shape), protocol, f.flat())
+        profile, _ = protocol_profile(JointDistribution.uniform(f.shape), protocol, f.flat())
         assert abs(check_transcript_bound(profile)) <= TOL
 
 
@@ -162,7 +162,7 @@ def test_criterion_08_multiparty(multiparty_batch):
     with _report(8, "3-party singleton partition tight; 1,000 random margins >= -1e-9"):
         shape = DomainShape((2, 2, 2))
         protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
-        profile = build_profile(JointDistribution.uniform(shape), protocol)
+        profile, _ = protocol_profile(JointDistribution.uniform(shape), protocol)
         assert abs(check_multiparty(profile, "transcript-only")) <= TOL
         ok_rows = [
             r for r in multiparty_batch.rows if not r.status.startswith("generation")

@@ -703,14 +703,19 @@ def test_commands_fill_in_defaults_where_options_apply(argv, defaults, capsys):
 
 def test_bounds_row_carries_an_internal_error(monkeypatch, capsys):
     # a solver result that breaks a relation between the bounds is reported
-    # in the row's status
+    # in the row's status and fails the run, ahead of a timeout
     import commlab.bounds as bounds
 
     monkeypatch.setattr(bounds, "solve_cover", lambda *args: (1, None, None, None))
     code, out, _ = run(capsys, "bounds", "--fn", "xor", "--n", "1")
-    assert code == 0
+    assert code == 1
     row = dict(zip(REPORT_COLUMNS, out.split("\n")[1].split(",")))
     assert row["status"] == "internal-error: color_count > cover_greedy"
+    monkeypatch.setattr(bounds, "solve_cover", lambda *args: (None, None, None, (5, 3)))
+    code, out, _ = run(capsys, "bounds", "--fn", "xor", "--n", "1")
+    assert code == 1 and "timeout: bounds=[5, 3]" in out
+    row = dict(zip(REPORT_COLUMNS, out.split("\n")[1].split(",")))
+    assert row["status"] == "internal-error: cover lower bound > upper bound"
 
 
 def test_gen_takes_delta_with_a_relation(tmp_path, capsys):

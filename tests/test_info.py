@@ -24,6 +24,7 @@ from commlab import (
     constant_function,
     pairwise_sum,
     parity_tightness_protocol,
+    protocol_profile,
     random_bounded_cover,
     random_tree,
     triple_information,
@@ -56,6 +57,13 @@ def coordinates(shape, **labels):
     """The coordinates X0, X1, ... of the shape's cells, and the given labels."""
     coords = {f"X{i}": c for i, c in enumerate(shape.coordinate_labels())}
     return {**coords, **labels}
+
+
+def protocol_labels(protocol, f_labels=None):
+    """The labels of a protocol's profile: the coordinates, T the selected
+    box, and F if given."""
+    extra = {} if f_labels is None else {"F": f_labels}
+    return coordinates(protocol.shape, T=selector_labels(protocol), **extra)
 
 
 def to_dict(dist):
@@ -217,7 +225,7 @@ def test_chain_rule_exact(weights):
     gap = abs(engine.entropy(("X0", "X1")) - engine.entropy("X0") - h_rows)
     assert gap <= 1e-9
     protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
-    profile = build_profile(dist, protocol)
+    profile = build_profile(dist, protocol_labels(protocol), {})
     assert profile["H(X1|X0)"] == pytest.approx(h_rows, abs=1e-12)
     assert profile["chain_gap"] <= 1e-9
 
@@ -285,7 +293,8 @@ def alice_sends_x_protocol():
 def test_ic_alice_sends_x():
     protocol = alice_sends_x_protocol()
     dist = JointDistribution.uniform(protocol.shape)
-    assert build_profile(dist, protocol)["IC"] == pytest.approx(1.0, abs=1e-12)
+    profile = build_profile(dist, protocol_labels(protocol), {})
+    assert profile["IC"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ic_constant_transcript():
@@ -294,14 +303,16 @@ def test_ic_constant_transcript():
         Cover(shape, (box(shape, [0, 1], [0, 1]),)), TranscriptSelector.min_index()
     )
     dist = JointDistribution.uniform(shape)
-    assert build_profile(dist, protocol)["IC"] == pytest.approx(0.0, abs=1e-12)
+    profile = build_profile(dist, protocol_labels(protocol), {})
+    assert profile["IC"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ic_singleton_partition():
     shape = DomainShape((2, 2))
     protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(shape)
-    assert build_profile(dist, protocol)["IC"] == pytest.approx(2.0, abs=1e-12)
+    profile = build_profile(dist, protocol_labels(protocol), {})
+    assert profile["IC"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_support_outside_cover_rejected():
@@ -310,19 +321,19 @@ def test_support_outside_cover_rejected():
     dist = dist_from_dict(shape, {(1, 0): 1.0})
     # the protocol itself is refused, before any profile of it
     with pytest.raises(UncoveredCellError, match=re.escape("(1, 0)")):
-        build_profile(dist, Protocol(cover, TranscriptSelector.min_index()))
+        protocol_profile(dist, Protocol(cover, TranscriptSelector.min_index()))
 
 
 def test_profile_xor_singletons():
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(f.shape)
-    profile = build_profile(dist, protocol, f.flat())
+    profile, row = protocol_profile(dist, protocol, f.flat())
     assert profile["H(T)"] == pytest.approx(2.0, abs=1e-12)
     assert profile["I(X0:X1|T)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["H(F|X0)"] == pytest.approx(1.0, abs=1e-12)
     assert profile["H(F|X1)"] == pytest.approx(1.0, abs=1e-12)
-    assert profile.rho_global == 1
+    assert row.rho_global == 1
 
 
 def test_profile_constant_single_box():
@@ -331,7 +342,9 @@ def test_profile_constant_single_box():
     protocol = Protocol(
         Cover(shape, (box(shape, [0, 1], [0, 1]),)), TranscriptSelector.min_index()
     )
-    profile = build_profile(JointDistribution.uniform(shape), protocol, f.flat())
+    profile = build_profile(
+        JointDistribution.uniform(shape), protocol_labels(protocol, f.flat()), {}
+    )
     assert profile["H(T)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["H(F|X0)"] == pytest.approx(0.0, abs=1e-12)
     assert profile["IC"] == pytest.approx(0.0, abs=1e-12)
@@ -346,11 +359,13 @@ def test_negative_zero_probabilities_give_the_same_profile():
     table[5] = 1.0
 
     def fields_of(p):
-        profile = build_profile(JointDistribution(shape, p), protocol)
-        out = {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
-        out["quantities"] = {k: v.hex() for k, v in out["quantities"].items()}
-        out["expected_log_rho"] = out["expected_log_rho"].hex()
-        return out
+        profile, row = protocol_profile(JointDistribution(shape, p), protocol)
+        return (
+            profile.arity,
+            {k: v.hex() for k, v in profile.quantities.items()},
+            {k: v.hex() for k, v in profile.charges.items()},
+            dataclasses.asdict(row),
+        )
 
     assert fields_of(np.where(table > 0.0, table, -0.0)) == fields_of(table)
 
@@ -358,7 +373,7 @@ def test_negative_zero_probabilities_give_the_same_profile():
 def test_profile_parity_selector_brute_force():
     protocol = parity_tightness_protocol(1)
     dist = JointDistribution.uniform(protocol.shape)
-    profile = build_profile(dist, protocol)
+    profile, row = protocol_profile(dist, protocol)
     d = to_dict(dist)
     t_of = lambda c: (c[0] ^ c[1]) & 1
     i_xy = naive_mutual_information(d, lambda c: c[0], lambda c: c[1])
@@ -369,7 +384,7 @@ def test_profile_parity_selector_brute_force():
     assert profile["I(X0:X1|T)"] == pytest.approx(i_xy_t, abs=1e-12)
     assert profile["I(X0:X1:T)"] == pytest.approx(-1.0, abs=1e-9)
     assert profile["IC"] == pytest.approx(2.0, abs=1e-12)
-    assert profile.rho_global == 2
+    assert row.rho_global == 2
 
 
 def _profile_and_engine(monkeypatch, *args, **kwargs):
@@ -403,8 +418,8 @@ def test_profile_box_color_exclusion(monkeypatch):
     assert labels.tolist() == [0, 0, 1, 1] and colorless == 1
     kept = JointDistribution.uniform(shape).condition_on(labels != colorless)
     assert kept.p.tolist() == [0.5, 0.5, 0.0, 0.0]
-    profile, engine = _profile_and_engine(monkeypatch, kept, protocol, labels, "box-color")
-    assert profile.f_mode == "box-color"
+    profile, engine = _profile_and_engine(monkeypatch, kept, protocol_labels(protocol, labels), {})
+    assert "H(F|X0)" in profile.quantities
     assert engine.entropy("F") == pytest.approx(0.0, abs=1e-12)
 
 
@@ -419,9 +434,9 @@ def test_profile_box_color_relation(monkeypatch):
     labels, colorless = box_color_labels(protocol, rel)
     assert labels.tolist() == [0, 0, 0, 0] and colorless == 1  # no cell to condition away
     profile, engine = _profile_and_engine(
-        monkeypatch, JointDistribution.uniform(shape), protocol, labels, "box-color"
+        monkeypatch, JointDistribution.uniform(shape), protocol_labels(protocol, labels), {}
     )
-    assert profile.f_mode == "box-color"
+    assert "H(F|X0)" in profile.quantities
     assert engine.entropy("F") == pytest.approx(0.0, abs=1e-12)  # single box, one color
 
 
@@ -434,10 +449,8 @@ def test_profiles_match_naive_oracle_on_random_instances():
         cover = random_bounded_cover(shape, rho_max=3, extra=2, rng=rng)
         protocol = Protocol(cover, TranscriptSelector.seeded(int(rng.integers(1 << 20))))
         dist = JointDistribution.random_integer_weights(shape, rng=rng)
-        profile = build_profile(dist, protocol)
-        from commlab import selector_labels
-
         labels = selector_labels(protocol)
+        profile = build_profile(dist, protocol_labels(protocol), {})
         d = to_dict(dist)
         t_of = lambda c: int(labels[shape.linear_index(c)])
         assert profile["H(T)"] == pytest.approx(
@@ -691,7 +704,7 @@ def test_build_profile_computes_every_entropy_in_its_one_batch(monkeypatch, suit
             continue
         batches.clear()
         reads.clear()
-        build_profile(dist, protocol, function.flat() if f_mode else None)
+        build_profile(dist, protocol_labels(protocol, function.flat() if f_mode else None), {})
         assert len(batches) == 1
         assert set(batches[0]) == reads
         profiles += 1
@@ -768,7 +781,7 @@ def test_profile_quantities_equal_the_name_keyed_engine_bit_for_bit():
 
     cases = 0
     for dist, protocol, f_labels, f_mode in _profile_cases():
-        profile = build_profile(dist, protocol, f_labels, f_mode)
+        profile, _ = protocol_profile(dist, protocol, f_labels, f_mode)
         expected = _engine_profile_quantities(dist, protocol, f_labels)
         assert list(profile.quantities) == list(expected)
         got = [v.hex() for v in profile.quantities.values()]
@@ -776,7 +789,7 @@ def test_profile_quantities_equal_the_name_keyed_engine_bit_for_bit():
         t = selector_labels(protocol)
         box_rho = box_thickness_table(protocol.cover)
         log_rho = pairwise_sum(dist.p * np.log2(box_rho[t].astype(np.float64)))
-        assert profile.expected_log_rho.hex() == log_rho.hex()
+        assert profile.charges["expected"].hex() == log_rho.hex()
         cases += 1
     assert cases >= 40
 

@@ -127,8 +127,14 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     assert not unpassed, f"defaulted parameters that no call in src/commlab passes: {unpassed}"
 
 
+# the names info may take from core: the grid shape and numeric helpers, no
+# protocol, selector or thickness
+INFO_CORE_NAMES = {"DomainShape", "dense_ids", "flat_positions", "stable_argsort"}
+
+
 def test_info_imports_only_core_and_errors():
-    # the entropy layer takes plain labels: targets and checks live above it
+    # the entropy layer takes plain labels and charges: protocols, targets
+    # and checks live above it
     with open(os.path.join(PACKAGE, "info.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), "info.py")
     modules = set()
@@ -142,3 +148,15 @@ def test_info_imports_only_core_and_errors():
             modules.add(node.module)
     package = {m for m in modules if m.split(".")[0] == "commlab"}
     assert package <= {"commlab.core", "commlab.errors"}, f"info.py imports {sorted(package)}"
+    assert "hashlib" not in modules, "verify hashes the instance id, not info"
+    # every binding in info of core's module or of an object core defines,
+    # whatever the import's form or alias
+    import commlab.core
+    import commlab.info
+
+    taken = {
+        name
+        for name, value in vars(commlab.info).items()
+        if value is commlab.core or getattr(value, "__module__", None) == "commlab.core"
+    }
+    assert taken <= INFO_CORE_NAMES, f"info.py takes {sorted(taken - INFO_CORE_NAMES)} from core"

@@ -1,6 +1,8 @@
 """Inequality checkers, AM analysis, and the batch runner."""
 
+import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from commlab import (
     TreeSplit,
     am_analyze,
     batch_experiment,
-    build_profile,
     check_ic,
     check_main_inequality,
     check_multiparty,
@@ -31,12 +32,16 @@ from commlab import (
     constant_function,
     error_protocol_from_cover,
     parity_tightness_protocol,
+    protocol_profile,
     trivial_merlin_am,
     trivial_merlin_cover,
     xor_function,
 )
-from commlab.core import box
+from commlab.core import box, selector_labels
+from commlab.errors import GenerationFailureError
 from commlab.verify import _random_instance, analyze_instance, run_suite_row
+
+from naive import naive_entropy, naive_joint_entropy, project
 
 
 def diag_dist(shape):
@@ -65,21 +70,21 @@ def single_full_box():
 
 def test_main_margin_tree_partition_diagonal():
     protocol = alice_sends_x()
-    profile = build_profile(diag_dist(protocol.shape), protocol)
+    profile, row = protocol_profile(diag_dist(protocol.shape), protocol)
     assert check_main_inequality(profile) == pytest.approx(1.0, abs=1e-9)
-    assert profile.rho_global == 1  # a partition: log2(rho) = 0
+    assert row.rho_global == 1  # a partition: log2(rho) = 0
 
 
 def test_main_margin_parity_tight():
     protocol = parity_tightness_protocol(1)
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
     assert abs(check_main_inequality(profile, rho_mode="global")) <= 1e-9
     assert profile["I(X0:X1:T)"] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_main_margin_single_box_zero():
     protocol = single_full_box()
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
     assert check_main_inequality(profile) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -90,10 +95,10 @@ def test_rho_modes_differ_on_mixed_cover():
     full = box(shape, [0, 1], [0, 1])
     cover = Cover(shape, (full, full, box(shape, [0], [0, 1])))
     protocol = Protocol(cover, TranscriptSelector.explicit([2, 2, 0, 1]))
-    profile = build_profile(JointDistribution.uniform(shape), protocol)
-    assert profile.rho_global == 3
+    profile, row = protocol_profile(JointDistribution.uniform(shape), protocol)
+    assert row.rho_global == 3
     # half the mass sits on the thickness-3 singleton-row box
-    assert profile.expected_log_rho == pytest.approx(np.log2(3), abs=1e-12)
+    assert profile.charges["expected"] == pytest.approx(np.log2(3), abs=1e-12)
     assert check_main_inequality(profile, "expected") == pytest.approx(
         check_main_inequality(profile, "global"), abs=1e-12
     )
@@ -104,15 +109,15 @@ def test_rho_modes_differ_on_mixed_cover():
 
 def test_rho_mode_expected_weighting():
     protocol = parity_tightness_protocol(1)
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
-    assert profile.expected_log_rho == pytest.approx(1.0, abs=1e-12)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
+    assert profile.charges["expected"] == pytest.approx(1.0, abs=1e-12)
     assert check_main_inequality(profile, "expected") == pytest.approx(0.0, abs=1e-9)
 
 
 def test_main_requires_two_party():
     shape = DomainShape((2, 2, 2))
     protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
-    profile = build_profile(JointDistribution.uniform(shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(shape), protocol)
     with pytest.raises(InvalidInputError):
         check_main_inequality(profile)
 
@@ -124,7 +129,7 @@ def test_main_requires_two_party():
 def test_transcript_xor_singletons_tight():
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
-    profile = build_profile(JointDistribution.uniform(f.shape), protocol, f.flat())
+    profile, _ = protocol_profile(JointDistribution.uniform(f.shape), protocol, f.flat())
     assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
     assert profile["H(T)"] == pytest.approx(2.0, abs=1e-12)
 
@@ -133,7 +138,7 @@ def test_transcript_constant_function():
     shape = DomainShape((2, 2))
     f = constant_function(shape)
     protocol = single_full_box()
-    profile = build_profile(JointDistribution.uniform(shape), protocol, f.flat())
+    profile, _ = protocol_profile(JointDistribution.uniform(shape), protocol, f.flat())
     assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -146,8 +151,8 @@ def test_transcript_relation_delta_zero_matches_function():
     dist = JointDistribution.uniform(f.shape)
     rel_labels, colorless = box_color_labels(protocol, rel)
     assert (rel_labels != colorless).all()  # every singleton box has a color
-    p_rel = build_profile(dist, protocol, rel_labels, "box-color")
-    p_fun = build_profile(dist, protocol, f.flat(), "function")
+    p_rel, _ = protocol_profile(dist, protocol, rel_labels, "box-color")
+    p_fun, _ = protocol_profile(dist, protocol, f.flat(), "function")
     assert check_transcript_bound(p_rel) == pytest.approx(
         check_transcript_bound(p_fun), abs=1e-12
     )
@@ -155,22 +160,24 @@ def test_transcript_relation_delta_zero_matches_function():
 
 
 def test_transcript_mode_follows_the_profile():
-    # f_mode only names where F came from, and is hashed into the fingerprint
+    # f_mode only names where F came from: it is hashed into the instance id
+    # and moves no quantity
     f = xor_function(1)
     protocol = Protocol(trivial_merlin_cover(f.shape), TranscriptSelector.min_index())
     dist = JointDistribution.uniform(f.shape)
-    fingerprints = set()
+    instance_ids, quantities = set(), []
     for f_mode in ("function", "box-color", "explicit"):
-        profile = build_profile(dist, protocol, f.flat(), f_mode)
-        assert profile.f_mode == f_mode
+        profile, row = protocol_profile(dist, protocol, f.flat(), f_mode)
         assert check_transcript_bound(profile) == pytest.approx(0.0, abs=1e-9)
-        fingerprints.add(profile.fingerprint)
-    assert len(fingerprints) == 3
+        instance_ids.add(row.instance_id)
+        quantities.append(profile.quantities)
+    assert len(instance_ids) == 3
+    assert quantities[0] == quantities[1] == quantities[2]
 
 
 def test_transcript_mode_validation():
     protocol = single_full_box()
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
     with pytest.raises(InvalidInputError):
         check_transcript_bound(profile)  # no F in profile
 
@@ -181,7 +188,7 @@ def test_transcript_mode_validation():
 
 def test_ic_alice_sends_x():
     protocol = alice_sends_x()
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
     gap, bound = check_ic(profile)
     assert profile["IC"] == pytest.approx(1.0, abs=1e-12)
     assert gap <= 1e-9
@@ -190,7 +197,7 @@ def test_ic_alice_sends_x():
 
 def test_ic_constant_transcript():
     protocol = single_full_box()
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
     gap, bound = check_ic(profile)
     assert gap <= 1e-9
     assert bound == pytest.approx(0.0, abs=1e-9)
@@ -198,7 +205,7 @@ def test_ic_constant_transcript():
 
 def test_ic_parity_selector_brute_force():
     protocol = parity_tightness_protocol(1)
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
     gap, bound = check_ic(profile)
     assert profile["IC"] == pytest.approx(2.0, abs=1e-12)
     assert profile["H(T)"] == pytest.approx(1.0, abs=1e-12)
@@ -214,7 +221,7 @@ def test_ic_parity_selector_brute_force():
 def test_multiparty_three_party_singletons_tight():
     shape = DomainShape((2, 2, 2))
     protocol = Protocol(trivial_merlin_cover(shape), TranscriptSelector.min_index())
-    profile = build_profile(JointDistribution.uniform(shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(shape), protocol)
     assert profile["H(T)"] == pytest.approx(3.0, abs=1e-12)
     assert check_multiparty(profile, "transcript-only") == pytest.approx(0.0, abs=1e-9)
 
@@ -223,13 +230,13 @@ def test_multiparty_single_box_zero():
     shape = DomainShape((2, 2, 2))
     full = Box(((1 << 2) - 1,) * 3)
     protocol = Protocol(Cover(shape, (full,)), TranscriptSelector.min_index())
-    profile = build_profile(JointDistribution.uniform(shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(shape), protocol)
     assert check_multiparty(profile, "transcript-only") == pytest.approx(0.0, abs=1e-9)
 
 
 def test_multiparty_two_party_matches_ic_bound():
     protocol = parity_tightness_protocol(1)
-    profile = build_profile(JointDistribution.uniform(protocol.shape), protocol)
+    profile, _ = protocol_profile(JointDistribution.uniform(protocol.shape), protocol)
     _, ic_bound = check_ic(profile)
     assert check_multiparty(profile, "transcript-only") == pytest.approx(ic_bound, abs=1e-12)
 
@@ -240,7 +247,7 @@ def test_multiparty_two_party_matches_ic_bound():
 
 
 def tree_margin(tree, dist):
-    return check_main_inequality(build_profile(dist, compile_tree(tree)))
+    return check_main_inequality(protocol_profile(dist, compile_tree(tree))[0])
 
 
 def full_communication_tree(shape):
@@ -260,7 +267,7 @@ def test_monotonicity_alice_tree_any_dist():
     rng = np.random.default_rng(3)
     for _ in range(20):
         dist = JointDistribution.random_integer_weights(shape, rng=rng)
-        profile = build_profile(dist, compile_tree(tree))
+        profile, _ = protocol_profile(dist, compile_tree(tree))
         margin = check_main_inequality(profile)
         assert margin >= -1e-9
         # I(X:Y|T) = I(X:Y|X) = 0, so the margin equals I(X:Y)
@@ -447,14 +454,14 @@ def test_ic_identity_check_can_fail(monkeypatch):
 
 
 def test_rho_modes_are_the_cli_choices():
+    # one list of charge names: the profile's charges are the CLI's choices
     from commlab.cli import _build_parser
     from commlab.verify import _rho_bits
 
     verify_parser = _build_parser()._subparsers._group_actions[0].choices["verify"]
     (action,) = [a for a in verify_parser._actions if a.dest == "rho_mode"]
-    profile = build_profile(
-        JointDistribution.uniform(DomainShape((2, 2))), single_full_box()
-    )
+    profile, _ = protocol_profile(JointDistribution.uniform(DomainShape((2, 2))), single_full_box())
+    assert list(action.choices) == list(profile.charges)
     for mode in action.choices:
         assert isinstance(_rho_bits(profile, mode), float)
     for mode in ("max-box", "GLOBAL", "", "expected "):
@@ -566,3 +573,76 @@ def test_analyze_instance_matches_suite_row(tmp_path):
         for r in (expected, row):
             r.seed = r.runtime_ms = None
         assert row == expected
+
+
+# ---------------------------------------------------------------------------
+# The margin identity: with Q(x, t) = P(t) * prod_i P(x_i|t), the same T with
+# the coordinates made independent inside each box,
+#   (l - 1) * margin = [sum_i H(X_i) - H_Q(X)] + [charge - H_Q(T|X)],
+# which for two parties is margin = I_Q(X:Y) + [charge - H_Q(T|X,Y)].
+
+
+def _q_terms(protocol, dist, rho_mode):
+    """The identity's two terms, from Q and the charge built cell by cell with
+    the naive oracles; only T's labels come from the package."""
+    shape = protocol.shape
+    t_of = selector_labels(protocol)
+    p = {shape.cell_of_linear(i): float(w) for i, w in enumerate(dist.p) if w > 0.0}
+    t_at = {cell: int(t_of[shape.linear_index(cell)]) for cell in p}
+    p_t = project(p, lambda c: t_at[c])
+    marginals = [project(p, lambda c, i=i: (c[i], t_at[c])) for i in range(shape.arity)]
+    q = {}
+    for t, w_t in p_t.items():
+        factors = [[(x, w / w_t) for (x, s), w in m.items() if s == t] for m in marginals]
+        for combo in product(*factors):
+            q[tuple(x for x, _ in combo), t] = w_t * math.prod(w for _, w in combo)
+    thickness, box_cells = {}, []
+    for b in protocol.cover.boxes:
+        ranges = [[j for j in range(size) if mask >> j & 1] for mask, size in zip(b.masks, shape.sizes)]
+        box_cells.append(list(product(*ranges)))
+        for cell in box_cells[-1]:
+            thickness[cell] = thickness.get(cell, 0) + 1
+    if rho_mode == "global":
+        charge = math.log2(max(thickness.values()))
+    else:
+        box_rho = [max(thickness[cell] for cell in cells) for cells in box_cells]
+        charge = sum(w * math.log2(box_rho[t_at[cell]]) for cell, w in p.items())
+    h_x = naive_joint_entropy(q, lambda k: k[0])
+    parts = sum(naive_joint_entropy(p, lambda c, i=i: c[i]) for i in range(shape.arity))
+    return parts - h_x, charge - (naive_entropy(q) - h_x)
+
+
+@pytest.mark.parametrize(
+    "config, seeds",
+    [
+        (SuiteConfig(suite="main"), range(200)),
+        (SuiteConfig(suite="tree"), range(200)),
+        (SuiteConfig(suite="multiparty", arity=3, max_bits=2), range(50)),
+    ],
+    ids=["main", "tree", "multiparty"],
+)
+def test_every_margin_is_i_q_plus_the_charge_slack(config, seeds):
+    # Each side is a handful of entropies over at most 8 * 256 outcomes, each
+    # at most 11 bits and summed in doubles, so rounding moves a side by well
+    # under 1e-12 (2.0e-14 over these 900 checks). The suites' own 1e-9 is far
+    # above that, and a wrong entropy or charge moves one side by the error.
+    checks = 0
+    for rho_mode in ("global", "expected"):
+        for seed in seeds:
+            try:
+                row, _, _, (protocol, _, dist) = run_suite_row(replace(config, rho_mode=rho_mode), seed)
+            except GenerationFailureError:
+                continue
+            i_q, slack = _q_terms(protocol, dist, rho_mode)
+            assert i_q >= -1e-9 and slack >= -1e-9
+            assert abs((config.arity - 1) * row.margin_main - (i_q + slack)) <= 1e-9, (rho_mode, seed)
+            checks += 1
+    assert checks >= 2 * len(seeds) * 0.9
+
+
+def test_margin_identity_check_can_fail(monkeypatch):
+    # H(T) enters the package's margin and neither Q term
+    _shift_entropy(monkeypatch, {"T"}, 1e-6)
+    row, _, _, (protocol, _, dist) = run_suite_row(SuiteConfig(suite="main"), 0)
+    i_q, slack = _q_terms(protocol, dist, "global")
+    assert abs(row.margin_main - (i_q + slack)) == pytest.approx(1e-6, rel=1e-6)
