@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Box, DomainShape, indices_from_mask, pack_rows, unpack_rows
+from .core import Box, DomainShape, indices_from_mask, pack_rows, stable_argsort, unpack_rows
 from .errors import InvalidInputError, SolverTimeoutError
 from .functions import ColoredFunction, monochromatic_color
 
@@ -590,7 +590,13 @@ def fooling_set(
         raise InvalidInputError(
             f"{len(rows)} candidate cells exceed the exact cap {EXACT_FOOLING_CAP}; use greedy"
         )
-    crossed = inside[np.ix_(rows, cols)]  # [i, j]: cell (row of i, column of j) has the color
+    return _exact_fooling(f.colors, color, rows, cols)
+
+
+def _exact_fooling(colors: np.ndarray, color: int, rows: np.ndarray, cols: np.ndarray):
+    """fooling_set's exact search over the color's cells (rows[i], cols[i]),
+    all of them in row-major order; it reads only the crossed cells."""
+    crossed = colors[np.ix_(rows, cols)] == color  # [i, j]: cell (rows[i], cols[j]) has the color
     best = _first_maximum_clique(pack_rows(~(crossed & crossed.T)))
     cells = list(zip(rows.tolist(), cols.tolist()))
     return tuple(cells[i] for i in best)
@@ -717,13 +723,20 @@ class BoundSummary:
 
 def fooling_sizes(f: ColoredFunction) -> dict[int, int]:
     """Per color, the size of a fooling set: exact up to EXACT_FOOLING_CAP
-    cells of the color, greedy above."""
+    cells of the color, greedy above. The exact searches take their cells
+    from one stable sort of the flat colors, not from a pass over the grid."""
     _require_bounds_domain(f)
-    counts = np.bincount(f.colors.ravel(), minlength=f.num_colors).tolist()
-    return {
-        color: len(fooling_set(f, color, "exact" if n <= EXACT_FOOLING_CAP else "greedy"))
-        for color, n in enumerate(counts)
-    }
+    flat = f.flat()
+    order = stable_argsort(flat)  # every color's cells as one run, each run row-major
+    rows, cols = np.divmod(order, f.colors.shape[1])
+    ends = np.bincount(flat).cumsum().tolist()
+    sizes = {}
+    for color, (start, end) in enumerate(zip([0] + ends, ends)):
+        if end - start > EXACT_FOOLING_CAP:
+            sizes[color] = len(fooling_set(f, color, "greedy"))
+        else:
+            sizes[color] = len(_exact_fooling(f.colors, color, rows[start:end], cols[start:end]))
+    return sizes
 
 
 def solve_cover(

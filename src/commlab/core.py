@@ -28,6 +28,10 @@ MAX_DIM_SIZE = 1 << 12
 MAX_BITS = MAX_DIM_SIZE.bit_length() - 1  # the widest n-bit dimension under the cap
 
 _M64 = (1 << 64) - 1
+# stable_argsort's radix passes cost numpy about 0.75 us of setup per row: a
+# 13-row batch of keys below 2**12 sorts in 12.8 us by radix and 2.1 us by
+# timsort at width 16, 15.2 against 14.6 us at 64, and 36 against 118 us at 256
+RADIX_MIN_WIDTH = 64
 
 
 def splitmix64(x):
@@ -81,13 +85,16 @@ def flat_positions(order: np.ndarray) -> np.ndarray:
 
 
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """keys.argsort(axis=-1, kind="stable") for integer keys in [0, 2**32).
+    """keys.argsort(axis=-1, kind="stable") for integer keys in [0, 2**32),
+    and that call itself (timsort) on rows narrower than RADIX_MIN_WIDTH.
 
     numpy sorts keys of 16 bits or fewer by radix. So the keys are sorted by
     their low 16 bits, then stably by their high 16 bits when any key has
     them: two stable passes, least significant first, give the order of one
     stable sort of the whole key. The passes are composed by 1-D gathers on
     flat positions, which cost numpy less than take_along_axis over rows."""
+    if keys.shape[-1] < RADIX_MIN_WIDTH:
+        return keys.argsort(axis=-1, kind="stable")
     order = keys.astype(np.uint16).argsort(axis=-1, kind="stable")  # the cast keeps the low 16 bits
     if keys.size and int(keys.max()) >> 16:
         high = (keys >> 16).astype(np.uint16).reshape(-1)[flat_positions(order)]
@@ -184,7 +191,7 @@ class Box:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(int(m) for m in self.masks))
+        object.__setattr__(self, "masks", tuple(map(int, self.masks)))
 
     @classmethod
     def from_factors(cls, factors, shape: DomainShape) -> "Box":
@@ -242,8 +249,14 @@ class Cover:
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if not self.boxes:
             raise InvalidInputError("cover needs at least one box")
-        for b in self.boxes:
-            b.validate(self.shape)
+        # Box.validate's checks on all boxes at once, one dimension at a time;
+        # only a failing cover runs the box-by-box loop, to raise its first fault
+        masks, sizes = [b.masks for b in self.boxes], self.shape.sizes
+        if set(map(len, masks)) != {len(sizes)} or not all(
+            min(col) > 0 and not max(col) >> s for col, s in zip(zip(*masks), sizes)
+        ):
+            for b in self.boxes:
+                b.validate(self.shape)
 
     @property
     def num_boxes(self) -> int:
@@ -277,7 +290,12 @@ class Cover:
         sort by cell, so each cell's boxes stay in ascending index order."""
         boxes, cells = self._members
         counts = np.bincount(cells, minlength=self.shape.num_cells)
-        return _read_only(counts), boxes[stable_argsort(cells)]
+        if cells.size == counts.size and counts.all():  # a partition: one box per cell
+            by_cell = np.empty_like(boxes)
+            by_cell[cells] = boxes
+        else:
+            by_cell = boxes[stable_argsort(cells)]
+        return _read_only(counts), by_cell
 
     @cached_property
     def _box_thickness(self) -> np.ndarray:
@@ -379,6 +397,8 @@ class Protocol:
         if sel.kind == "explicit":
             return _read_only(np.array(sel.table, dtype=np.int64))
         counts, boxes = self.cover._by_cell
+        if boxes.size == counts.size:  # every cell is covered, so each in one box
+            return _read_only(boxes.astype(np.int64))  # and any position mod 1 is 0
         pick = 0
         if sel.kind == "seeded-random":
             # position hash64(seed, linear) mod rho_cell among the containing

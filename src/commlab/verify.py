@@ -71,11 +71,11 @@ def protocol_profile(
     if f_labels is not None:
         labels["F"] = f_labels
     rho_global = int(thickness_table(protocol.cover).max())
-    box_rho = box_thickness_table(protocol.cover)
-    charges = {
-        "global": math.log2(rho_global),
-        "expected": pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels]),
-    }
+    expected = 0.0  # a partition's: every p * log2(1) is +0.0, as p holds no -0.0
+    if rho_global > 1:
+        box_rho = box_thickness_table(protocol.cover)
+        expected = pairwise_sum(dist.p * np.log2(box_rho.astype(np.float64))[t_labels])
+    charges = {"global": math.log2(rho_global), "expected": expected}
     profile = build_profile(dist, labels, charges)
 
     digest = hashlib.sha256()

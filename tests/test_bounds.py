@@ -596,6 +596,26 @@ def test_fooling_sizes_of_the_bounds_ladder():
             assert fooling_sizes(f) == dict(enumerate(want)), (side, k, seed)
 
 
+def test_fooling_sizes_are_the_per_color_fooling_sets_sizes():
+    # fooling_sizes takes every color's cells from one sort; fooling_set reads
+    # each color off the whole grid. Colors past 64 cells are greedy on both.
+    modes = set()
+    for sizes, k, seed in (
+        ((9, 9), 2, 1),
+        ((12, 12), 2, 1),  # 67-77 cells per color: greedy
+        ((12, 20), 9, 2),
+        ((64, 64), 600, 3),  # 600 colors of 1-20 cells
+    ):
+        f = random_function(DomainShape(sizes), k, seed)
+        want = {}
+        for color, n in enumerate(np.bincount(f.flat()).tolist()):
+            mode = "exact" if n <= 64 else "greedy"
+            want[color] = len(fooling_set(f, color, mode))
+            modes.add(mode)
+        assert fooling_sizes(f) == want, (sizes, k, seed)
+    assert modes == {"exact", "greedy"}
+
+
 def test_rank_eq2_identity():
     f = eq_function(2)
     assert comm_matrix_rank(f, "rational", color=1) == 4

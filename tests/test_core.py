@@ -31,6 +31,7 @@ from commlab.core import (
     hash64,
     mask_from_indices,
     pack_rows,
+    splitmix64,
     stable_argsort,
     thickness_table,
     unpack_rows,
@@ -267,6 +268,102 @@ def test_random_trees_compile_to_thickness_one_partitions():
         for lin, cell in enumerate(shape.cells()):
             assert labels[lin] == select_transcript(protocol, cell)
             assert protocol.cover.boxes[labels[lin]].contains(cell)
+
+
+def _general_tables(cover, seed):
+    """The members' boxes in cell order and the seeded labels, the general
+    way: one stable sort by cell, then the hash position mod each cell's
+    thickness among its boxes."""
+    boxes, cells = cover._members
+    counts = np.bincount(cells, minlength=cover.shape.num_cells)
+    by_cell = boxes[cells.argsort(kind="stable")]
+    hashes = splitmix64(np.arange(counts.size, dtype=np.uint64) ^ np.uint64(splitmix64(seed)))
+    pick = (hashes % counts.astype(np.uint64)).astype(np.int64)
+    return by_cell, by_cell[counts.cumsum() - counts + pick]
+
+
+def test_partition_tables_match_the_general_path():
+    from commlab.verify import SuiteConfig, _random_instance
+
+    for seed in range(100):
+        cover = _random_instance(SuiteConfig(suite="tree"), seed)[0].cover
+        assert (thickness_table(cover) == 1).all()
+        by_cell, seeded = _general_tables(cover, seed)
+        assert cover._by_cell[1].dtype == by_cell.dtype
+        assert cover._by_cell[1].tolist() == by_cell.tolist()
+        for selector, want in (
+            (TranscriptSelector.min_index(), by_cell),
+            (TranscriptSelector.seeded(seed), seeded),
+        ):
+            labels = selector_labels(Protocol(cover, selector))
+            assert labels.dtype == np.int64 and not labels.flags.writeable
+            assert labels.tolist() == want.tolist()
+
+
+def test_a_cell_at_thickness_two_takes_the_general_path():
+    shape = DomainShape((2, 2))
+    rows = [box(shape, [0], [0, 1]), box(shape, [1], [0, 1])]
+    cover = Cover(shape, (*rows, box(shape, [0], [0])))  # cell (0, 0) in boxes 0 and 2
+    assert thickness_table(cover).tolist() == [2, 1, 1, 1]
+    picks = set()
+    for seed in range(16):
+        by_cell, seeded = _general_tables(cover, seed)
+        assert cover._by_cell[1].tolist() == by_cell.tolist() == [0, 2, 0, 1, 1]
+        labels = selector_labels(Protocol(cover, TranscriptSelector.seeded(seed)))
+        assert labels.tolist() == seeded.tolist()
+        picks.add(int(labels[0]))
+    assert picks == {0, 2}  # the hash decides, cell by cell
+    # as many members as cells, but one cell twice and one in no box
+    cover = Cover(shape, (box(shape, [0], [0]), box(shape, [0], [0]), rows[1]))
+    assert thickness_table(cover).tolist() == [2, 0, 1, 1]
+    boxes, cells = cover._members
+    assert cover._by_cell[1].tolist() == boxes[cells.argsort(kind="stable")].tolist() == [0, 1, 2, 2]
+    with pytest.raises(UncoveredCellError, match=re.escape("(0, 1)")):
+        Protocol(cover, TranscriptSelector.min_index())
+
+
+def _first_fault(shape, boxes):
+    for b in boxes:
+        try:
+            b.validate(shape)
+        except InvalidInputError as exc:
+            return str(exc)
+    return None
+
+
+def test_a_cover_raises_the_first_fault_of_the_box_by_box_check():
+    rng = np.random.default_rng(36)
+    several = 0
+    for _ in range(400):
+        sizes = tuple(int(s) for s in rng.integers(1, 6, size=int(rng.integers(2, 4))))
+        shape = DomainShape(sizes)
+        boxes, faults = [], 0
+        for _ in range(int(rng.integers(1, 6))):
+            masks = [int(rng.integers(1, 1 << s)) for s in sizes]
+            fault = int(rng.integers(0, 12))
+            if fault < 5:
+                faults += 1
+                k = int(rng.integers(len(masks)))
+                if fault == 0:
+                    masks[k] = 0  # empty factor
+                elif fault == 1:
+                    masks[k] |= 1 << (sizes[k] + int(rng.integers(0, 3)))  # index out of range
+                elif fault == 2:
+                    masks[k] = -masks[k]
+                elif fault == 3:
+                    masks.pop()  # too few factors
+                else:
+                    masks.append(1)  # too many
+            boxes.append(Box(tuple(masks)))
+        several += faults >= 2
+        first = _first_fault(shape, boxes)
+        if first is None:
+            assert Cover(shape, tuple(boxes)).boxes == tuple(boxes)
+            continue
+        with pytest.raises(InvalidInputError) as err:
+            Cover(shape, tuple(boxes))
+        assert str(err.value) == first
+    assert several >= 100
 
 
 def _brute_thickness(cover, cell) -> int:

@@ -629,6 +629,27 @@ def test_group_labels_stay_below_key_limit_and_order_like_tuples():
         assert (np.unique(got, return_inverse=True)[1].reshape(-1) == want).all()
 
 
+def test_group_keys_just_past_key_limit_are_ranked_before_the_radix_sort():
+    # A's radix 2**16 + 1 times B's 2**16 lies 2**16 above KEY_LIMIT = 2**32,
+    # so the pair is ranked densely first; an unranked key would pass the
+    # radix sort's 32 bits and merge outcomes (5.375 bits instead of 1.928).
+    # 64 cells keep the row on the radix path.
+    from commlab.core import RADIX_MIN_WIDTH
+
+    from naive import naive_joint_entropy
+
+    shape = DomainShape((8, 8))
+    assert shape.num_cells >= RADIX_MIN_WIDTH
+    c = np.arange(shape.num_cells)
+    variables = {"A": (c % 2) << 16, "B": np.where(c % 3 == 0, 2**16 - 1, 0)}
+    dist = JointDistribution.uniform(shape)
+    p_by_cell = dict(enumerate(dist.p.tolist()))
+    expected = naive_joint_entropy(p_by_cell, lambda i: (variables["A"][i], variables["B"][i]))
+    assert expected == pytest.approx(1.9284, abs=1e-4)
+    got = InfoEngine(dist, variables).entropy(("A", "B"))
+    assert got == pytest.approx(expected, abs=1e-12)
+
+
 _NEAR_2_62 = st.one_of(st.integers(0, 6), st.integers(2**62 - 6, 2**62 + 6))
 
 

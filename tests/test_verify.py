@@ -31,13 +31,14 @@ from commlab import (
     compile_tree,
     constant_function,
     error_protocol_from_cover,
+    pairwise_sum,
     parity_tightness_protocol,
     protocol_profile,
     trivial_merlin_am,
     trivial_merlin_cover,
     xor_function,
 )
-from commlab.core import box, selector_labels
+from commlab.core import box, box_thickness_table, selector_labels
 from commlab.errors import GenerationFailureError
 from commlab.verify import _random_instance, analyze_instance, run_suite_row
 
@@ -105,6 +106,35 @@ def test_rho_modes_differ_on_mixed_cover():
     # max-box would be the global rho under a second name, so it is not a mode
     with pytest.raises(InvalidInputError):
         check_main_inequality(profile, "max-box")
+
+
+def _general_charges(dist, protocol):
+    """The two charges as computed for any cover: log2 of the largest cell
+    thickness, and the pairwise sum of p * log2 of the selected box's."""
+    box_rho = box_thickness_table(protocol.cover).astype(np.float64)
+    return {
+        "global": math.log2(int(box_rho.max())),
+        "expected": pairwise_sum(dist.p * np.log2(box_rho)[selector_labels(protocol)]),
+    }
+
+
+def test_partition_charges_are_the_general_charges_and_exactly_zero():
+    for seed in range(100):
+        protocol, function, dist = _random_instance(SuiteConfig(suite="tree"), seed)
+        profile, row = protocol_profile(dist, protocol, function.flat())
+        assert row.rho_global == 1
+        assert profile.charges == _general_charges(dist, protocol)
+        for charge in profile.charges.values():
+            assert (charge, math.copysign(1.0, charge)) == (0.0, 1.0)  # +0.0, not -0.0
+    # one cell at thickness 2 takes the general path
+    shape = DomainShape((2, 2))
+    rows = [box(shape, [0], [0, 1]), box(shape, [1], [0, 1])]
+    protocol = Protocol(Cover(shape, (*rows, box(shape, [0], [0]))), TranscriptSelector.seeded(1))
+    dist = JointDistribution(shape, np.array([0.4, 0.3, 0.2, 0.1]))
+    profile, row = protocol_profile(dist, protocol)
+    assert row.rho_global == 2
+    assert profile.charges == _general_charges(dist, protocol)
+    assert profile.charges["global"] == 1.0 and profile.charges["expected"] == pytest.approx(0.7)
 
 
 def test_rho_mode_expected_weighting():
